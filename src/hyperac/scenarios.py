@@ -10,6 +10,7 @@ output directory; plotting is left to external tools.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -95,26 +96,15 @@ def initial_random(
     """
     if variant not in RANDOM_RANGES:
         raise ValueError(f"unknown random variant {variant!r}")
-    if not (grid.x_min <= 0.0 and ell <= grid.x_max):
+    if not (grid.x_min <= 0.0 < ell <= grid.x_max):
         raise ValueError("the random region (0, ell) must lie inside the domain")
-    ranges = RANDOM_RANGES[variant]
+    ranges = np.array(RANDOM_RANGES[variant])
+    x = grid.centers
+    u = np.where(x < 0.0, 0.0, 1.0)
+    inside = (x >= 0.0) & (x <= ell)
+    part = np.minimum(x[inside] // (ell / 3.0), 2).astype(int)
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = np.empty(grid.n_cells)
-    third = ell / 3.0
-    for i, x in enumerate(grid.centers):
-        if x < 0.0:
-            u[i] = 0.0
-        elif x > ell:
-            u[i] = 1.0
-        else:
-            part = min(int(x // third), 2)
-            lo, hi = ranges[part]
-            u[i] = rng.uniform(lo, hi)
-    inside = (grid.centers > 0.0) & (grid.centers < ell)
-    part_index = np.minimum((grid.centers[inside] // third).astype(int), 2)
-    lows = np.array([ranges[k][0] for k in part_index])
-    highs = np.array([ranges[k][1] for k in part_index])
-    assert np.all((u[inside] >= lows) & (u[inside] <= highs))
+    u[inside] = rng.uniform(ranges[part, 0], ranges[part, 1])
     return State.physical(u, np.full_like(u, v0), grid, params)
 
 
@@ -186,8 +176,9 @@ def run_speed_table(
 
     Every row carries the measured final average speed, the shooting
     reference speed and the relative error recomputed from those two values
-    at emission time.  Writes a tidy CSV plus a pivot in the layout of the
-    error table (one row per (dt, case), one column per dx).
+    at emission time, plus the run's whole per-step speed series under
+    ``"speeds"`` (not written out).  Writes a tidy CSV plus a pivot in the
+    layout of the error table (one row per (dt, case), one column per dx).
     """
     dx_list = list(dx_list) if dx_list is not None else [1.0, 0.5, 0.25, 0.125, 0.0625]
     dt_list = list(dt_list) if dt_list is not None else [1e-1, 1e-2, 1e-3]
@@ -216,6 +207,7 @@ def run_speed_table(
                         "speed": speed,
                         "c_ref": c_refs[label],
                         "rel_error": relative_speed_error(speed, c_refs[label]),
+                        "speeds": result.diagnostics.speeds,
                     }
                 )
     if out_dir is not None:
@@ -467,9 +459,12 @@ def _get(values: dict, key: str, cast, default=None):
     if key not in values:
         return default
     try:
-        return cast(values[key])
+        value = cast(values[key])
     except ValueError as err:
         raise ConfigError(f"bad value for {key!r}: {values[key]!r}") from err
+    if cast is float and not math.isfinite(value):
+        raise ConfigError(f"bad value for {key!r}: {values[key]!r} is not finite")
+    return value
 
 
 @dataclass

@@ -12,17 +12,21 @@ solves, per cell,
 
 with f^n = f(r^n + s^n).  Interleaving unknowns as (r_1, s_1, r_2, s_2, ...)
 gives a 2N x 2N matrix of bandwidth 2 whose rows satisfy
-|diagonal| - sum |off-diagonal| >= 1, so the direct solve never pivots.
+|diagonal| - sum |off-diagonal| >= 1, so it is invertible with an inverse of
+max-norm at most 1.  Its columns are diagonally dominant too while every
+alpha_i <= 1, and the banded LU then needs no row interchange; beyond that
+it may pivot at the zero-gradient ends, which its layout has room for.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
 from .diagnostics import DiagnosticsRecord, detect_stabilization
@@ -116,7 +120,13 @@ def gershgorin_margins(matrix: sp.spmatrix) -> np.ndarray:
 
 @dataclass(eq=False)
 class ImexWorkspace:
-    """Assembled implicit operator plus its solver, reusable across steps."""
+    """Assembled implicit operator plus its LU factors, reused across steps.
+
+    Zero-gradient operators are factored once by LAPACK's banded LU
+    (``dgbtrf``), in the layout ``dgbtrs`` solves with; periodic ones, whose
+    wrap-around entries leave the band, by SuperLU.  ``matrix`` stays the
+    unfactored operator, which the residual guard checks every solve against.
+    """
 
     grid: Grid
     params: ModelParams
@@ -125,8 +135,8 @@ class ImexWorkspace:
     alpha: np.ndarray
     beta: float
     matrix: sp.csr_matrix
-    banded: np.ndarray | None = None  # solve_banded layout, zero-gradient only
-    _lu: object | None = field(default=None, repr=False)
+    lu: object = field(repr=False)  # (7, 2N) dgbtrf factors, or a SuperLU
+    pivots: np.ndarray | None = field(default=None, repr=False)  # dgbtrf only
 
     @classmethod
     def build(
@@ -144,34 +154,35 @@ class ImexWorkspace:
             )
         alpha = params.rho * dt / grid.cell_lengths
         beta = dt / (2.0 * params.tau)
-        banded = None
-        lu = None
         if boundary == "zero_gradient":
-            banded = cls._to_banded(matrix)
+            lu, pivots, info = dgbtrf(cls._to_banded(matrix), 2, 2, overwrite_ab=1)
+            if info != 0:
+                raise RuntimeError(f"banded LU factorisation failed (dgbtrf info {info})")
         else:
-            lu = splu(matrix.tocsc())
-        return cls(grid, params, dt, boundary, alpha, beta, matrix, banded, lu)
+            lu, pivots = splu(matrix.tocsc()), None
+        return cls(grid, params, dt, boundary, alpha, beta, matrix, lu, pivots)
 
     @staticmethod
     def _to_banded(matrix: sp.csr_matrix) -> np.ndarray:
-        """Pack the bandwidth-2 operator into solve_banded's (5, 2N) layout."""
+        """Pack the bandwidth-2 operator into dgbtrf's (7, 2N) layout.
+
+        Row 4 + i - j holds entry (i, j); the two top rows are workspace for
+        the U factor's fill-in should the LU pivot.
+        """
         m = matrix.tocoo()
-        size = matrix.shape[0]
-        ab = np.zeros((5, size))
-        ab[2 + m.row - m.col, m.col] = m.data
+        ab = np.zeros((7, matrix.shape[0]))
+        ab[4 + m.row - m.col, m.col] = m.data
         return ab
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if self.banded is not None:
-            return solve_banded((2, 2), self.banded, rhs)
-        return self._lu.solve(rhs)
+        if self.pivots is None:
+            return self.lu.solve(rhs)
+        return dgbtrs(self.lu, 2, 2, rhs, self.pivots)[0]
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
         """Max-norm solve residual relative to the right-hand side."""
-        scale = float(np.max(np.abs(rhs)))
-        if scale == 0.0:
-            scale = 1.0
-        return float(np.max(np.abs(self.matrix @ x - rhs))) / scale
+        scale = np.abs(rhs).max() or 1.0
+        return float(np.abs(self.matrix @ x - rhs).max() / scale)
 
     def matches(self, state: State, dt: float) -> bool:
         return (
@@ -190,10 +201,10 @@ def imex_step(state: State, dt: float, ws: ImexWorkspace | None = None) -> State
     elif not ws.matches(state, dt):
         raise ValueError("workspace was built for different (grid, dt, params)")
     r, s = state.a, state.b
-    fn = reaction_f(r + s, state.params)
+    half_f = (0.5 * dt) * reaction_f(r + s, state.params)
     rhs = np.empty(2 * state.grid.n_cells)
-    rhs[0::2] = r + (0.5 * dt) * fn
-    rhs[1::2] = s + (0.5 * dt) * fn
+    np.add(r, half_f, out=rhs[0::2])
+    np.add(s, half_f, out=rhs[1::2])
     x = ws.solve(rhs)
     res = ws.residual(x, rhs)
     if res > _RESIDUAL_TOL:
@@ -376,12 +387,13 @@ def run(
     columns of the diagnostics.
 
     Raises ``BlowUpError`` (carrying the step index) when the solution
-    leaves the trust region, and ``ValueError`` for a scheme/integrator
+    leaves the trust region, and ``ValueError``, before any allocation, for
+    a T or dt that is not positive and finite or a scheme/integrator
     combination that does not exist (IMEX is defined for the first-order
     kinetic scheme).
     """
-    if T <= 0.0 or dt <= 0.0:
-        raise ValueError("T and dt must be positive")
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):  # false for NaN too
+        raise ValueError("T and dt must be positive and finite")
     state = prepare_state_for_scheme(initial, scheme)
     p = state.params
     grid = state.grid
@@ -394,11 +406,9 @@ def run(
                 "use an explicit integrator for other schemes"
             )
         ws = ImexWorkspace.build(grid, dt, p, scheme.boundary)
-        stepper = lambda st, h, w: imex_step(st, h, w)
     elif integrator in ("euler", "heun"):
         rhs = rhs_for_scheme(scheme)
         ws = None
-        stepper = lambda st, h, _w: explicit_step(st, h, rhs, integrator)
     else:
         raise ValueError(f"unknown integrator {integrator!r}")
 
@@ -425,20 +435,28 @@ def run(
     mass = float(np.dot(dx, state.u))
     for n in range(n_steps):
         h = dt if n < n_steps - 1 else dt_last
-        if ws is not None and h != ws.dt:
-            ws = ImexWorkspace.build(grid, h, p, scheme.boundary)
-        try:
-            state = stepper(state, h, ws)
-        except BlowUpError as err:
-            raise BlowUpError(str(err), step=n) from None
-        _check_finite(state, step=n)
+        if ws is None:
+            try:
+                state = explicit_step(state, h, rhs, integrator)
+            except BlowUpError as err:
+                raise BlowUpError(str(err), step=n) from None
+            _check_finite(state, step=n)
+            u = state.u
+        else:
+            if h != ws.dt:
+                ws = ImexWorkspace.build(grid, h, p, scheme.boundary)
+            state = imex_step(state, h, ws)
+            u = state.u
+            # false for NaN too; _check_finite then names the failure
+            if not np.abs(u).max() <= _STATE_BOUND:
+                _check_finite(state, step=n)
         t = (n + 1) * dt if n < n_steps - 1 else T
-        u = state.u
         new_mass = float(np.dot(dx, u))
         times[n] = t
         speeds[n] = (mass - new_mass) / h
         mass = new_mass
-        g_min[n] = float(np.min(1.0 - p.tau * reaction_f_prime(u, p)))
+        # rounding is monotone and tau > 0, so this is min(1 - tau f'(u)) exactly
+        g_min[n] = 1.0 - p.tau * float(reaction_f_prime(u, p).max())
         if ref_values is not None:
             diff = u - ref_values
             l2[n] = np.sqrt(float(np.sum(dx * diff * diff)))

@@ -36,6 +36,23 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("time.T", "inf"), ("time.T", "nan"), ("time.dt", "inf"), ("time.dt", "nan"),
+     ("init.value", "nan")],
+)
+def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
+    values = {"time.T": "0.1", "time.dt": "0.01", "init.value": "0.5", key: value}
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text(
+        "domain.xmin = 0\ndomain.xmax = 1\ngrid.n = 20\nparams.tau = 1\n"
+        "init.kind = constant\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
+    )
+    rc = cli_main(["run", str(cfg)])
+    assert rc == 2
+    assert f"config error: bad value for '{key}'" in capsys.readouterr().err
+
+
 def test_run_equilibrium_config_writes_constant_csv(tmp_path, capsys):
     cfg = tmp_path / "eq.cfg"
     cfg.write_text(

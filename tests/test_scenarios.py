@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hyperac.diagnostics import linf_distance
-from hyperac.grid import build_uniform_grid
+from hyperac.grid import build_graded_grid, build_uniform_grid
 from hyperac.model import FrontProfile, ModelParams
 from hyperac.scenarios import (
     RANDOM_RANGES,
@@ -86,6 +86,42 @@ def test_random_datum_ranges_and_determinism():
         assert np.all(st.a[x > 25.0] == 1.0)
     different = initial_random(grid, p, 25.0, seed=43)
     assert not np.array_equal(different.a, st.a)
+
+
+def _initial_random_per_cell(grid, ell, seed, variant):
+    """Reference datum: one draw per cell in ascending order, as specified."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = np.empty(grid.n_cells)
+    for i, x in enumerate(grid.centers):
+        if x < 0.0:
+            u[i] = 0.0
+        elif x > ell:
+            u[i] = 1.0
+        else:
+            lo, hi = RANDOM_RANGES[variant][min(int(x // (ell / 3.0)), 2)]
+            u[i] = rng.uniform(lo, hi)
+    return u
+
+
+@pytest.mark.parametrize("variant", sorted(RANDOM_RANGES))
+def test_random_datum_equals_per_cell_draws(variant):
+    p = ModelParams(tau=1.0, alpha=0.6)
+    cases = [
+        (build_uniform_grid(-25.0, 50.0, 600), 25.0),
+        (build_graded_grid(-10.0, 40.0, 333, 1.004), 25.0),
+        # centres exactly at 0, on both part boundaries and at ell
+        (build_uniform_grid(-1.0, 7.0, 4), 6.0),
+    ]
+    for grid, ell in cases:
+        for seed in (1, 7, 16):
+            st = initial_random(grid, p, ell, seed=seed, variant=variant)
+            assert np.array_equal(st.a, _initial_random_per_cell(grid, ell, seed, variant))
+
+
+def test_random_datum_rejects_empty_region():
+    grid = build_uniform_grid(-1.0, 1.0, 8)
+    with pytest.raises(ValueError, match="random region"):
+        initial_random(grid, ModelParams(tau=1.0), 0.0, seed=1)
 
 
 def test_random_decay_variant_respects_decay_condition():
@@ -198,11 +234,15 @@ def test_speed_table_rows_are_self_consistent(tmp_path):
     )
     assert len(rows) == 1
     row = rows[0]
+    # the whole speed series rides along in memory and stays out of the CSV
+    assert row["speeds"].shape == (20,) and row["speed"] == row["speeds"][-1]
     # the emitted error always re-derives from the emitted speed and c_ref
     assert row["rel_error"] == pytest.approx(
         abs(row["speed"] - row["c_ref"]) / abs(row["c_ref"])
     )
-    assert (tmp_path / "speed_table_full.csv").is_file()
+    with open(tmp_path / "speed_table_full.csv", newline="") as handle:
+        header = next(csv.reader(handle))
+    assert header == ["case", "tau", "alpha", "T", "dt", "dx", "speed", "c_ref", "rel_error"]
     with open(tmp_path / "speed_table_errors.csv", newline="") as handle:
         pivot = list(csv.reader(handle))
     assert pivot[0] == ["dt", "case", "dx=1"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from hyperac.grid import build_graded_grid, build_uniform_grid
 from hyperac.model import ModelParams, reaction_f
@@ -219,6 +220,70 @@ def test_linear_solve_residual_is_tiny():
     rhs[1::2] = st.b + 0.5 * dt * fn
     x = ws.solve(rhs)
     assert ws.residual(x, rhs) <= 1e-12
+
+
+def _solve_banded_layout(matrix):
+    """The (5, 2N) band of ``matrix`` as ``solve_banded((2, 2), ...)`` takes it."""
+    m = matrix.tocoo()
+    band = np.zeros((5, matrix.shape[0]))
+    band[2 + m.row - m.col, m.col] = m.data
+    return band
+
+
+@pytest.mark.parametrize("n", [3, 50, 800])
+@pytest.mark.parametrize("graded", [False, True])
+def test_factored_solve_equals_solve_banded(n, graded):
+    """The once-factored dgbtrs solve is solve_banded's dgbtrf + dgbtrs, bit
+    for bit.  With every alpha_i <= 1 the operator is column-dominant and the
+    LU keeps its rows in place; a large step makes it pivot, still bitwise."""
+    grid = (
+        build_graded_grid(0.0, 10.0, n, 1.002)
+        if graded
+        else build_uniform_grid(0.0, 10.0, n)
+    )
+    p = ModelParams(tau=2.0, alpha=0.6)
+    rhs = np.random.Generator(np.random.PCG64(n)).uniform(-1.0, 1.0, 2 * n)
+    dt_column_dominant = grid.dx_min / p.rho
+    for dt in (dt_column_dominant, 10.0 * dt_column_dominant):
+        ws = ImexWorkspace.build(grid, dt, p)
+        expected = solve_banded((2, 2), _solve_banded_layout(ws.matrix), rhs)
+        assert np.array_equal(ws.solve(rhs), expected)
+        no_swaps = np.array_equal(ws.pivots, np.arange(2 * n))
+        assert no_swaps == (dt == dt_column_dominant)
+
+
+def test_residual_guard_catches_corrupted_factor():
+    grid = build_uniform_grid(0.0, 10.0, 40)
+    p = ModelParams(tau=1.0, alpha=0.7)
+    ws = ImexWorkspace.build(grid, 0.05, p)
+    st = _random_diagonal(grid, p, 11)
+    imex_step(st, 0.05, ws)
+    ws.lu[4, 17] *= 1.0 + 1e-6  # one diagonal entry of U
+    with pytest.raises(RuntimeError, match="residual"):
+        imex_step(st, 0.05, ws)
+
+
+def test_imex_run_blow_up_messages_at_step_0():
+    grid = build_uniform_grid(0.0, 1.0, 8)
+    p = ModelParams(tau=1.0)
+    cfg = SchemeConfig("kinetic_first_order")
+    u = np.full(8, 0.5)
+    u[3] = np.nan
+    with pytest.raises(BlowUpError, match="non-finite at step 0") as excinfo:
+        run(State.physical(u, np.zeros(8), grid, p), cfg, "imex", T=1.0, dt=0.1)
+    assert excinfo.value.step == 0
+    u = np.full(8, 12.0)
+    with pytest.raises(BlowUpError, match=r"density left \[-10, 10\] at step 0") as excinfo:
+        run(State.physical(u, np.zeros(8), grid, p), cfg, "imex", T=1.0, dt=0.1)
+    assert excinfo.value.step == 0
+
+
+@pytest.mark.parametrize("T, dt", [(np.inf, 0.1), (np.nan, 0.1), (1.0, np.inf), (1.0, np.nan)])
+def test_run_rejects_non_finite_T_and_dt(T, dt):
+    grid = build_uniform_grid(0.0, 1.0, 8)
+    st = State.physical(np.zeros(8), np.zeros(8), grid, ModelParams(tau=1.0))
+    with pytest.raises(ValueError, match="positive and finite"):
+        run(st, SchemeConfig("kinetic_first_order"), "imex", T=T, dt=dt)
 
 
 # -------------------------------------------------------------- explicit step --
