@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 
 from .grid import Grid, GridFunction, project_cell_averages
-from .model import ModelParams, reaction_f_prime
+from .model import ModelParams, stability_indicator_g
 
 __all__ = [
     "DiagnosticsRecord",
+    "mass",
+    "speeds_from_masses",
     "average_speed",
     "relative_speed_error",
     "l2_distance",
@@ -62,24 +64,29 @@ def _reference_averages(reference, grid: Grid) -> np.ndarray:
     return values
 
 
-def average_speed(
-    u_n: GridFunction, u_np1: GridFunction, dt: float, cell_measure: bool = True
-) -> float:
-    """Average propagation speed between two consecutive solutions.
+def mass(values: np.ndarray, grid: Grid) -> float:
+    """Integral sum_i dx_i u_i of cell averages on ``grid``."""
+    return float(np.dot(grid.cell_lengths, values))
 
-    Returns (1/dt) * sum_i dx_i (u_i^n - u_i^{n+1}); positive values mean
-    rightward motion of an increasing front.  ``cell_measure=False`` drops
-    the dx_i weight and returns the raw sum, useful for bit-level
-    comparisons against implementations that omit the cell measure.
+
+def speeds_from_masses(masses, dt):
+    """Average speeds -(m^{n+1} - m^n) / dt between consecutive masses.
+
+    Positive values mean rightward motion of an increasing front; ``dt`` may
+    hold one step per pair.
     """
+    masses = np.asarray(masses, dtype=float)
+    return (masses[:-1] - masses[1:]) / dt
+
+
+def average_speed(u_n: GridFunction, u_np1: GridFunction, dt: float) -> float:
+    """Average propagation speed between two consecutive solutions."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if u_n.grid.n_cells != u_np1.grid.n_cells:
         raise ValueError("solutions live on different grids")
-    diff = u_n.values - u_np1.values
-    if cell_measure:
-        diff = diff * u_n.grid.cell_lengths
-    return float(diff.sum() / dt)
+    masses = [mass(u_n.values, u_n.grid), mass(u_np1.values, u_np1.grid)]
+    return float(speeds_from_masses(masses, dt)[0])
 
 
 def relative_speed_error(c: float, c_ref: float) -> float:
@@ -110,7 +117,7 @@ def linf_distance(u: GridFunction, reference) -> float:
 
 def g_profile(u: GridFunction, p: ModelParams) -> GridFunction:
     """Per-cell stability indicator g(u_i) = 1 - tau f'(u_i)."""
-    return GridFunction(1.0 - p.tau * reaction_f_prime(u.values, p), u.grid)
+    return GridFunction(stability_indicator_g(u.values, p), u.grid)
 
 
 def detect_stabilization(

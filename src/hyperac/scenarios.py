@@ -545,13 +545,6 @@ class Scenario:
             raise ConfigError(f"unknown init.kind {scenario.init_kind!r}")
         return scenario
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Scenario":
-        path = Path(path)
-        if not path.is_file():
-            raise ConfigError(f"config file not found: {path}")
-        return cls.from_dict(parse_config_text(path.read_text(encoding="utf-8")))
-
     def initial_state(self) -> State:
         opts = self.init_options
         if self.init_kind == "riemann":

@@ -14,6 +14,7 @@ cell values at interfaces by slope-limited linear reconstructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .model import ModelParams, from_diagonal, reaction_f, reaction_f_prime, to_
 __all__ = [
     "State",
     "SchemeConfig",
-    "SCHEME_KINDS",
+    "SchemeSpec",
+    "SCHEMES",
     "LIMITERS",
     "BOUNDARIES",
     "minmod",
@@ -45,25 +47,38 @@ PHYSICAL = "physical"
 ONEFIELD = "onefield"
 _REPRESENTATIONS = (DIAGONAL, PHYSICAL, ONEFIELD)
 
-SCHEME_KINDS = (
-    "kinetic_first_order",
-    "kinetic_second_order",
-    "gk_pseudo_kinetic",
-    "onefield_direct",
-    "onefield_alternative",
-    "parabolic_reference",
-)
-
 BOUNDARIES = ("zero_gradient", "periodic")
 
-# representation each scheme kind evolves
-_SCHEME_REPRESENTATION = {
-    "kinetic_first_order": DIAGONAL,
-    "kinetic_second_order": DIAGONAL,
-    "gk_pseudo_kinetic": PHYSICAL,
-    "onefield_direct": ONEFIELD,
-    "onefield_alternative": ONEFIELD,
-    "parabolic_reference": PHYSICAL,
+
+@dataclass(frozen=True)
+class SchemeSpec:
+    """What the package knows about one scheme kind.
+
+    ``rhs`` names the module-level ``(State, SchemeConfig) -> (da, db)``; it is
+    looked up on each call, so rebinding the name (to wrap it) takes effect.
+    ``diffusion(params, dx)`` is the explicit diffusion coefficient, if any.
+    """
+
+    representation: str
+    rhs: str
+    imex: bool = False
+    diffusion: Callable[[ModelParams, float], float] | None = None
+
+
+def _mu_plus_nu(p: ModelParams, dx: float) -> float:
+    return p.mu + p.nu
+
+
+# the one place a scheme kind is declared
+SCHEMES = {
+    "kinetic_first_order": SchemeSpec(DIAGONAL, "rhs_kinetic_first_order", imex=True),
+    "kinetic_second_order": SchemeSpec(DIAGONAL, "rhs_kinetic_second_order"),
+    "gk_pseudo_kinetic": SchemeSpec(
+        PHYSICAL, "rhs_gk_pseudo_kinetic", diffusion=lambda p, dx: p.nu + 0.5 * p.rho * dx
+    ),
+    "onefield_direct": SchemeSpec(ONEFIELD, "rhs_onefield_direct", diffusion=_mu_plus_nu),
+    "onefield_alternative": SchemeSpec(ONEFIELD, "rhs_onefield_alternative", diffusion=_mu_plus_nu),
+    "parabolic_reference": SchemeSpec(PHYSICAL, "_rhs_parabolic_state", diffusion=_mu_plus_nu),
 }
 
 
@@ -110,23 +125,8 @@ class State:
             raise ValueError(f"state is {self.kind!r}, expected {kind!r}")
 
     @property
-    def r(self) -> np.ndarray:
-        self._require(DIAGONAL)
-        return self.a
-
-    @property
-    def s(self) -> np.ndarray:
-        self._require(DIAGONAL)
-        return self.b
-
-    @property
     def v(self) -> np.ndarray:
         self._require(PHYSICAL)
-        return self.b
-
-    @property
-    def w(self) -> np.ndarray:
-        self._require(ONEFIELD)
         return self.b
 
     @property
@@ -168,7 +168,7 @@ class SchemeConfig:
     boundary: str = "zero_gradient"
 
     def __post_init__(self) -> None:
-        if self.kind not in SCHEME_KINDS:
+        if self.kind not in SCHEMES:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.limiter is not None and self.limiter not in LIMITERS:
             raise ValueError(f"unknown limiter {self.limiter!r}")
@@ -395,36 +395,17 @@ def rhs_parabolic_reference(
     return params.mu * _laplacian(u.values, u.grid, cfg.boundary) + reaction_f(u.values, params)
 
 
+def _rhs_parabolic_state(state: State, cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """``rhs_parabolic_reference`` on a physical state, with the flux kept frozen."""
+    state._require(PHYSICAL)
+    du = rhs_parabolic_reference(state.u_function(), state.params, cfg)
+    return du, np.zeros_like(state.b)
+
+
 def rhs_for_scheme(cfg: SchemeConfig):
-    """Right-hand-side callable ``State -> (da, db)`` for a scheme config.
-
-    The parabolic reference evolves u only; its companion component is kept
-    frozen so parabolic runs fit the common two-component state layout.
-    """
-    if cfg.kind == "kinetic_first_order":
-        return lambda state: rhs_kinetic_first_order(state, cfg)
-    if cfg.kind == "kinetic_second_order":
-        return lambda state: rhs_kinetic_second_order(state, cfg)
-    if cfg.kind == "gk_pseudo_kinetic":
-        return lambda state: rhs_gk_pseudo_kinetic(state, cfg)
-    if cfg.kind == "onefield_direct":
-        return lambda state: rhs_onefield_direct(state, cfg)
-    if cfg.kind == "onefield_alternative":
-        return lambda state: rhs_onefield_alternative(state, cfg)
-    if cfg.kind == "parabolic_reference":
-
-        def parabolic(state: State) -> tuple[np.ndarray, np.ndarray]:
-            state._require(PHYSICAL)
-            du = rhs_parabolic_reference(state.u_function(), state.params, cfg)
-            return du, np.zeros_like(state.b)
-
-        return parabolic
-    raise ValueError(f"unknown scheme kind {cfg.kind!r}")
-
-
-def _central_derivative(values: np.ndarray, grid: Grid, boundary: str) -> np.ndarray:
-    vp = _pad(values, boundary)
-    return (vp[2:] - vp[:-2]) / (2.0 * grid.cell_lengths)
+    """Right-hand-side callable ``State -> (da, db)`` for a scheme config."""
+    name = SCHEMES[cfg.kind].rhs
+    return lambda state: globals()[name](state, cfg)
 
 
 def prepare_state_for_scheme(state: State, cfg: SchemeConfig) -> State:
@@ -435,7 +416,7 @@ def prepare_state_for_scheme(state: State, cfg: SchemeConfig) -> State:
     (discrete central v_x); that conversion is meaningful for initial data.
     One-field states cannot be converted back.
     """
-    need = _SCHEME_REPRESENTATION[cfg.kind]
+    need = SCHEMES[cfg.kind].representation
     if state.kind == need:
         return state
     if need == DIAGONAL:
@@ -446,11 +427,11 @@ def prepare_state_for_scheme(state: State, cfg: SchemeConfig) -> State:
     phys = state.to_physical()
     p = phys.params
     u = phys.a
-    ut = reaction_f(u, p) - _central_derivative(phys.b, phys.grid, cfg.boundary)
+    fu = reaction_f(u, p)
+    vp = _pad(phys.b, cfg.boundary)
+    ut = fu - (vp[2:] - vp[:-2]) / (2.0 * phys.grid.cell_lengths)
     if cfg.kind == "onefield_direct":
         w = ut
     else:  # onefield_alternative
-        w = p.tau * ut + u - p.tau * reaction_f(u, p) - p.nu * _laplacian(
-            u, phys.grid, cfg.boundary
-        )
+        w = p.tau * ut + u - p.tau * fu - p.nu * _laplacian(u, phys.grid, cfg.boundary)
     return State(ONEFIELD, u, w, phys.grid, p)

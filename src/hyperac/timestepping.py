@@ -29,10 +29,18 @@ import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
-from .diagnostics import DiagnosticsRecord, detect_stabilization
-from .grid import Grid, project_cell_averages
+from .diagnostics import (
+    DiagnosticsRecord,
+    detect_stabilization,
+    l2_distance,
+    linf_distance,
+    mass,
+    speeds_from_masses,
+)
+from .grid import Grid, GridFunction, project_cell_averages
 from .model import ModelParams, _max_abs_f_prime, reaction_f, reaction_f_prime
 from .schemes import (
+    SCHEMES,
     SchemeConfig,
     State,
     prepare_state_for_scheme,
@@ -49,6 +57,7 @@ __all__ = [
     "imex_step_reduced_uniform",
     "explicit_step",
     "suggest_dt",
+    "suggest_dt_imex",
     "run",
 ]
 
@@ -64,6 +73,39 @@ class BlowUpError(RuntimeError):
         self.step = step
 
 
+def _imex_operator(
+    grid: Grid, dt: float, params: ModelParams, boundary: str
+) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The operator in dgbtrf's (7, 2N) band layout, and in CSR.
+
+    Row 4 + i - j of the band holds entry (i, j); the two top rows are room
+    for the U factor's fill-in should the LU pivot.  The band closes with a
+    zero gradient: the last r row and the first s row carry no transport.  A
+    periodic operator adds it back, on their diagonals and in two wrap-around
+    entries outside the band.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    m = 2 * grid.n_cells
+    alpha = params.rho * dt / grid.cell_lengths
+    beta = dt / (2.0 * params.tau)
+    ab = np.zeros((7, m))
+    band = ab[2:]  # solve_banded's (5, 2N) layout: row 2 + i - j holds entry (i, j)
+    band[0, 2::2] = -alpha[:-1]  # r_i <- r_{i+1}
+    band[1, 1::2] = -beta  # r_i <- s_i
+    band[2] = 1.0 + beta
+    band[2, 0:-2:2] += alpha[:-1]  # every r row but the last
+    band[2, 3::2] += alpha[1:]  # every s row but the first
+    band[3, 0::2] = -beta  # s_i <- r_i
+    band[4, 1:-2:2] = -alpha[1:]  # s_{i+1} <- s_i
+    matrix = sp.dia_matrix((band, [2, 1, 0, -1, -2]), shape=(m, m)).tocsr()
+    if boundary == "periodic":  # rows s_0 and r_{N-1}
+        rows, cols = [1, 1, m - 2, m - 2], [1, m - 1, m - 2, 0]
+        vals = [alpha[0], -alpha[0], alpha[-1], -alpha[-1]]
+        matrix = matrix + sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    return ab, matrix
+
+
 def assemble_imex_matrix(
     grid: Grid, dt: float, params: ModelParams, boundary: str = "zero_gradient"
 ) -> sp.csr_matrix:
@@ -73,41 +115,7 @@ def assemble_imex_matrix(
     (the ghost value equals the interior one at the new time level); periodic
     closures add the wrap-around entries.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    n = grid.n_cells
-    alpha = params.rho * dt / grid.cell_lengths
-    beta = dt / (2.0 * params.tau)
-    rows, cols, vals = [], [], []
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    for i in range(n):
-        ri, si = 2 * i, 2 * i + 1
-        add(ri, si, -beta)
-        add(si, ri, -beta)
-        # r equation: -alpha_i (r_{i+1} - r_i)
-        if i + 1 < n:
-            add(ri, ri, 1.0 + beta + alpha[i])
-            add(ri, 2 * (i + 1), -alpha[i])
-        elif boundary == "periodic":
-            add(ri, ri, 1.0 + beta + alpha[i])
-            add(ri, 0, -alpha[i])
-        else:
-            add(ri, ri, 1.0 + beta)
-        # s equation: +alpha_i (s_i - s_{i-1})
-        if i > 0:
-            add(si, si, 1.0 + beta + alpha[i])
-            add(si, 2 * (i - 1) + 1, -alpha[i])
-        elif boundary == "periodic":
-            add(si, si, 1.0 + beta + alpha[i])
-            add(si, 2 * (n - 1) + 1, -alpha[i])
-        else:
-            add(si, si, 1.0 + beta)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+    return _imex_operator(grid, dt, params, boundary)[1]
 
 
 def gershgorin_margins(matrix: sp.spmatrix) -> np.ndarray:
@@ -132,8 +140,6 @@ class ImexWorkspace:
     params: ModelParams
     dt: float
     boundary: str
-    alpha: np.ndarray
-    beta: float
     matrix: sp.csr_matrix
     lu: object = field(repr=False)  # (7, 2N) dgbtrf factors, or a SuperLU
     pivots: np.ndarray | None = field(default=None, repr=False)  # dgbtrf only
@@ -146,33 +152,19 @@ class ImexWorkspace:
         params: ModelParams,
         boundary: str = "zero_gradient",
     ) -> "ImexWorkspace":
-        matrix = assemble_imex_matrix(grid, dt, params, boundary)
+        ab, matrix = _imex_operator(grid, dt, params, boundary)
         margins = gershgorin_margins(matrix)
         if margins.min() < 1.0 - 1e-12:
             raise RuntimeError(
                 "implicit operator lost its Gershgorin row bound; assembly bug"
             )
-        alpha = params.rho * dt / grid.cell_lengths
-        beta = dt / (2.0 * params.tau)
         if boundary == "zero_gradient":
-            lu, pivots, info = dgbtrf(cls._to_banded(matrix), 2, 2, overwrite_ab=1)
+            lu, pivots, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
             if info != 0:
                 raise RuntimeError(f"banded LU factorisation failed (dgbtrf info {info})")
         else:
             lu, pivots = splu(matrix.tocsc()), None
-        return cls(grid, params, dt, boundary, alpha, beta, matrix, lu, pivots)
-
-    @staticmethod
-    def _to_banded(matrix: sp.csr_matrix) -> np.ndarray:
-        """Pack the bandwidth-2 operator into dgbtrf's (7, 2N) layout.
-
-        Row 4 + i - j holds entry (i, j); the two top rows are workspace for
-        the U factor's fill-in should the LU pivot.
-        """
-        m = matrix.tocoo()
-        ab = np.zeros((7, matrix.shape[0]))
-        ab[4 + m.row - m.col, m.col] = m.data
-        return ab
+        return cls(grid, params, dt, boundary, matrix, lu, pivots)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if self.pivots is None:
@@ -193,7 +185,11 @@ class ImexWorkspace:
 
 
 def imex_step(state: State, dt: float, ws: ImexWorkspace | None = None) -> State:
-    """One implicit-transport / explicit-reaction step in diagonal variables."""
+    """One implicit-transport / explicit-reaction step in diagonal variables.
+
+    Raises ``BlowUpError`` when the solution is non-finite or its density
+    leaves the trust region, like ``explicit_step``.
+    """
     if state.kind != "diagonal":
         raise ValueError("the IMEX step advances diagonal states")
     if ws is None:
@@ -207,38 +203,18 @@ def imex_step(state: State, dt: float, ws: ImexWorkspace | None = None) -> State
     np.add(s, half_f, out=rhs[1::2])
     x = ws.solve(rhs)
     res = ws.residual(x, rhs)
-    if res > _RESIDUAL_TOL:
+    if not res <= _RESIDUAL_TOL:  # true for NaN too
+        if not math.isfinite(res):
+            raise BlowUpError("solution became non-finite")
         raise RuntimeError(
             f"linear solve residual {res:.2e} exceeds {_RESIDUAL_TOL:.0e}; "
             "the Gershgorin-dominant operator should solve to roundoff"
         )
-    return state.with_components(x[0::2].copy(), x[1::2].copy())
-
-
-def _closed_difference_operators(
-    n: int, boundary: str
-) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """D_minus x = x_i - x_{i-1} and D_plus x = x_{i+1} - x_i with closures.
-
-    Zero-gradient zeroes the first row of D_minus and the last row of D_plus
-    (ghost equals interior); periodic wraps them.
-    """
-    eye = sp.identity(n, format="lil")
-    shift_down = sp.lil_matrix((n, n))  # (shift_down x)_i = x_{i-1}
-    shift_up = sp.lil_matrix((n, n))  # (shift_up x)_i = x_{i+1}
-    for i in range(1, n):
-        shift_down[i, i - 1] = 1.0
-    for i in range(n - 1):
-        shift_up[i, i + 1] = 1.0
-    if boundary == "periodic":
-        shift_down[0, n - 1] = 1.0
-        shift_up[n - 1, 0] = 1.0
-    else:
-        shift_down[0, 0] = 1.0
-        shift_up[n - 1, n - 1] = 1.0
-    d_minus = (eye - shift_down).tocsr()
-    d_plus = (shift_up - eye).tocsr()
-    return d_minus, d_plus
+    new = state.with_components(x[0::2].copy(), x[1::2].copy())
+    # the solve is finite here, so only the density bound can still fail
+    if not np.abs(new.u).max() <= _STATE_BOUND:
+        _check_finite(new)
+    return new
 
 
 def imex_step_reduced_uniform(
@@ -268,8 +244,15 @@ def imex_step_reduced_uniform(
     n = grid.n_cells
     alpha = p.rho * dt / grid.dx_max
     beta = dt / (2.0 * p.tau)
-    d_minus, d_plus = _closed_difference_operators(n, boundary)
+    # D_- x = x_i - x_{i-1} and D_+ x = x_{i+1} - x_i; a zero-gradient ghost
+    # equals the interior value, so that row of D_- or D_+ is zero
     eye = sp.identity(n, format="csr")
+    shift_down = sp.eye(n, k=-1, format="lil")  # (shift_down x)_i = x_{i-1}
+    shift_up = sp.eye(n, k=1, format="lil")  # (shift_up x)_i = x_{i+1}
+    periodic = boundary == "periodic"
+    shift_down[0, n - 1 if periodic else 0] = 1.0
+    shift_up[n - 1, 0 if periodic else n - 1] = 1.0
+    d_minus, d_plus = (eye - shift_down).tocsr(), (shift_up - eye).tocsr()
     s_op = (1.0 + 2.0 * beta) * eye + alpha * (1.0 + beta) * (d_minus - d_plus)
     a_r = s_op - (alpha * alpha) * (d_minus @ d_plus)
     a_s = s_op - (alpha * alpha) * (d_plus @ d_minus)
@@ -285,18 +268,13 @@ def imex_step_reduced_uniform(
     return state.with_components(r_new, s_new)
 
 
-def _check_finite(state: State, step: int | None = None) -> None:
+def _check_finite(state: State) -> None:
     # auxiliary components (flux v, time-derivative w) legitimately spike
     # near sharp data, so the trust region bounds the density only
-    suffix = f" at step {step}" if step is not None else ""
-    for comp in (state.a, state.b):
-        if not np.all(np.isfinite(comp)):
-            raise BlowUpError("solution became non-finite" + suffix, step=step)
+    if not (np.isfinite(state.a).all() and np.isfinite(state.b).all()):
+        raise BlowUpError("solution became non-finite")
     if np.max(np.abs(state.u)) > _STATE_BOUND:
-        raise BlowUpError(
-            f"density left [-{_STATE_BOUND:g}, {_STATE_BOUND:g}]" + suffix,
-            step=step,
-        )
+        raise BlowUpError(f"density left [-{_STATE_BOUND:g}, {_STATE_BOUND:g}]")
 
 
 def explicit_step(
@@ -308,54 +286,45 @@ def explicit_step(
     """One explicit step: forward Euler or Heun (trapezoidal RK2)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if method not in ("euler", "heun"):
+        raise ValueError(f"unknown explicit method {method!r}")
     da1, db1 = rhs(state)
-    if method == "euler":
-        new = state.with_components(state.a + dt * da1, state.b + dt * db1)
-    elif method == "heun":
-        predictor = state.with_components(state.a + dt * da1, state.b + dt * db1)
-        da2, db2 = rhs(predictor)
+    new = state.with_components(state.a + dt * da1, state.b + dt * db1)
+    if method == "heun":  # the Euler state is the predictor
+        da2, db2 = rhs(new)
         new = state.with_components(
             state.a + 0.5 * dt * (da1 + da2), state.b + 0.5 * dt * (db1 + db2)
         )
-    else:
-        raise ValueError(f"unknown explicit method {method!r}")
     _check_finite(new)
     return new
+
+
+def _reaction_dt(params: ModelParams, safety: float) -> float:
+    """Reaction time scale 1 / max|f'| on [-0.1, 1.1], after checking ``safety``."""
+    if not 0.0 < safety <= 1.0:
+        raise ValueError("safety must lie in (0, 1]")
+    return 1.0 / _max_abs_f_prime(params)
 
 
 def suggest_dt(
     grid: Grid, params: ModelParams, cfg: SchemeConfig, safety: float = 0.9
 ) -> float:
-    """Stable step size for the chosen scheme and integrator family.
+    """Stable step size for an explicit integrator of the chosen scheme.
 
-    Explicit kinetic schemes are limited by transport (min dx / rho), the
-    reaction scale 1 / max|f'| on [-0.1, 1.1] and the relaxation scale 2 tau;
-    schemes with an explicit diffusion term add the parabolic bound
-    min(dx)^2 / (2 (mu + nu)); the IMEX step only needs the reaction scale.
+    Every scheme is limited by the reaction scale, transport (min dx / rho)
+    and the relaxation scale 2 tau; a scheme with an explicit diffusion term
+    of coefficient D adds the parabolic bound min(dx)^2 / (2 D).
     """
-    if not 0.0 < safety <= 1.0:
-        raise ValueError("safety must lie in (0, 1]")
-    caps = [1.0 / _max_abs_f_prime(params)]
-    if cfg.kind in ("kinetic_first_order", "kinetic_second_order", "gk_pseudo_kinetic"):
-        caps.append(grid.dx_min / params.rho)
-        caps.append(2.0 * params.tau)
-    if cfg.kind == "gk_pseudo_kinetic":
-        # explicit flux diffusion with coefficient nu + rho dx / 2
-        caps.append(
-            0.5 * grid.dx_min**2 / (params.nu + 0.5 * params.rho * grid.dx_min)
-        )
-    if cfg.kind in ("onefield_direct", "onefield_alternative", "parabolic_reference"):
-        caps.append(grid.dx_min / params.rho)
-        caps.append(2.0 * params.tau)
-        caps.append(0.5 * grid.dx_min**2 / (params.mu + params.nu))
-    return safety * min(caps)
+    reaction = _reaction_dt(params, safety)
+    dx = grid.dx_min
+    diffusion = SCHEMES[cfg.kind].diffusion
+    parabolic = math.inf if diffusion is None else 0.5 * dx**2 / diffusion(params, dx)
+    return safety * min(reaction, dx / params.rho, 2.0 * params.tau, parabolic)
 
 
 def suggest_dt_imex(params: ModelParams, safety: float = 0.9) -> float:
     """Reaction-scale bound for the IMEX step (transport/relaxation implicit)."""
-    if not 0.0 < safety <= 1.0:
-        raise ValueError("safety must lie in (0, 1]")
-    return safety / _max_abs_f_prime(params)
+    return safety * _reaction_dt(params, safety)
 
 
 @dataclass
@@ -389,81 +358,70 @@ def run(
     Raises ``BlowUpError`` (carrying the step index) when the solution
     leaves the trust region, and ``ValueError``, before any allocation, for
     a T or dt that is not positive and finite or a scheme/integrator
-    combination that does not exist (IMEX is defined for the first-order
-    kinetic scheme).
+    combination that does not exist (IMEX applies to the kinds whose
+    ``SchemeSpec`` says so).
     """
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf):  # false for NaN too
         raise ValueError("T and dt must be positive and finite")
+    if integrator not in ("imex", "euler", "heun"):
+        raise ValueError(f"unknown integrator {integrator!r}")
+    if integrator == "imex" and not SCHEMES[scheme.kind].imex:
+        raise ValueError(
+            f"the IMEX step does not discretize the {scheme.kind} scheme; "
+            "use an explicit integrator"
+        )
     state = prepare_state_for_scheme(initial, scheme)
     p = state.params
     grid = state.grid
-    dx = grid.cell_lengths
 
     if integrator == "imex":
-        if scheme.kind != "kinetic_first_order":
-            raise ValueError(
-                "the IMEX step discretizes the first-order kinetic scheme; "
-                "use an explicit integrator for other schemes"
-            )
         ws = ImexWorkspace.build(grid, dt, p, scheme.boundary)
-    elif integrator in ("euler", "heun"):
-        rhs = rhs_for_scheme(scheme)
-        ws = None
+
+        def advance(state: State, h: float) -> State:
+            # the shortened last step gets an operator of its own
+            step_ws = ws if h == ws.dt else ImexWorkspace.build(grid, h, p, scheme.boundary)
+            return imex_step(state, h, step_ws)
+
     else:
-        raise ValueError(f"unknown integrator {integrator!r}")
+        rhs = rhs_for_scheme(scheme)
+
+        def advance(state: State, h: float) -> State:
+            return explicit_step(state, h, rhs, integrator)
 
     n_steps = max(1, int(round(T / dt)))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         n_steps = max(1, int(np.ceil((T - 1e-12 * max(1.0, T)) / dt)))
-    dt_last = T - (n_steps - 1) * dt
+    steps = np.full(n_steps, dt)
+    steps[-1] = T - (n_steps - 1) * dt
+    times = np.arange(1, n_steps + 1) * dt
+    times[-1] = T
 
-    ref_values = None
-    if reference is not None:
-        ref_values = project_cell_averages(reference, grid).values
-
-    times = np.empty(n_steps)
-    speeds = np.empty(n_steps)
+    ref_values = None if reference is None else project_cell_averages(reference, grid).values
+    masses = np.empty(n_steps + 1)
     l2 = np.full(n_steps, np.nan)
     linf = np.full(n_steps, np.nan)
     g_min = np.empty(n_steps)
+    snapshots: list[tuple[float, State]] = [(0.0, state)] if sample_every > 0 else []
 
-    snapshots: list[tuple[float, State]] = []
-    if sample_every > 0:
-        snapshots.append((0.0, state))
-
-    t = 0.0
-    mass = float(np.dot(dx, state.u))
+    masses[0] = mass(state.u, grid)
     for n in range(n_steps):
-        h = dt if n < n_steps - 1 else dt_last
-        if ws is None:
-            try:
-                state = explicit_step(state, h, rhs, integrator)
-            except BlowUpError as err:
-                raise BlowUpError(str(err), step=n) from None
-            _check_finite(state, step=n)
-            u = state.u
-        else:
-            if h != ws.dt:
-                ws = ImexWorkspace.build(grid, h, p, scheme.boundary)
-            state = imex_step(state, h, ws)
-            u = state.u
-            # false for NaN too; _check_finite then names the failure
-            if not np.abs(u).max() <= _STATE_BOUND:
-                _check_finite(state, step=n)
-        t = (n + 1) * dt if n < n_steps - 1 else T
-        new_mass = float(np.dot(dx, u))
-        times[n] = t
-        speeds[n] = (mass - new_mass) / h
-        mass = new_mass
-        # rounding is monotone and tau > 0, so this is min(1 - tau f'(u)) exactly
+        h = float(steps[n])
+        try:
+            state = advance(state, h)
+        except BlowUpError as err:
+            raise BlowUpError(f"{err} at step {n}", step=n) from None
+        u = state.u
+        masses[n + 1] = mass(u, grid)
+        # rounding is monotone and tau > 0, so this is g_profile(u).values.min() exactly
         g_min[n] = 1.0 - p.tau * float(reaction_f_prime(u, p).max())
         if ref_values is not None:
-            diff = u - ref_values
-            l2[n] = np.sqrt(float(np.sum(dx * diff * diff)))
-            linf[n] = float(np.max(np.abs(diff)))
+            u_function = GridFunction(u, grid)
+            l2[n] = l2_distance(u_function, ref_values)
+            linf[n] = linf_distance(u_function, ref_values)
         if sample_every > 0 and (n + 1) % sample_every == 0:
-            snapshots.append((t, state))
+            snapshots.append((float(times[n]), state))
 
+    speeds = speeds_from_masses(masses, steps)
     record = DiagnosticsRecord(
         times=times,
         speeds=speeds,

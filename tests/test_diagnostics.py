@@ -40,14 +40,6 @@ def test_average_speed_one_cell_shift():
     assert c_left == pytest.approx(-dx / dt, rel=1e-13)
 
 
-def test_average_speed_raw_sum_option():
-    grid = build_uniform_grid(0.0, 1.0, 4)
-    u0 = GridFunction(np.array([1.0, 2.0, 3.0, 4.0]), grid)
-    u1 = GridFunction(np.array([0.0, 2.0, 3.0, 4.0]), grid)
-    assert average_speed(u0, u1, 0.5) == pytest.approx(0.25 / 0.5)
-    assert average_speed(u0, u1, 0.5, cell_measure=False) == pytest.approx(2.0)
-
-
 def test_relative_speed_error():
     assert relative_speed_error(0.42, 0.42) == 0.0
     assert relative_speed_error(0.5751, 0.5646) == pytest.approx(0.0186, abs=5e-5)

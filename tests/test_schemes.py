@@ -3,7 +3,9 @@ import pytest
 
 from hyperac.grid import Grid, build_graded_grid, build_uniform_grid
 from hyperac.model import ModelParams, from_diagonal
+from hyperac import schemes
 from hyperac.schemes import (
+    SCHEMES,
     SchemeConfig,
     State,
     limited_slopes,
@@ -15,6 +17,7 @@ from hyperac.schemes import (
     rhs_kinetic_first_order_uv,
     rhs_kinetic_second_order,
     rhs_onefield_alternative,
+    rhs_for_scheme,
     rhs_onefield_direct,
     rhs_parabolic_reference,
 )
@@ -601,3 +604,28 @@ def test_prepare_state_conversions():
     onefield = State.one_field(np.zeros(6), np.zeros(6), grid, p)
     with pytest.raises(ValueError):
         prepare_state_for_scheme(onefield, SchemeConfig("kinetic_first_order"))
+
+
+def test_rhs_dispatch_looks_up_module_names_at_call_time(monkeypatch):
+    """Rebinding ``rhs_<kind>`` after the callable is built still reaches
+    the new binding, so a wrapper installed from outside sees every call."""
+    grid = build_uniform_grid(0.0, 1.0, 6)
+    p = ModelParams(tau=1.0, nu=0.2)
+    st = State.physical(np.linspace(0.0, 1.0, 6), np.zeros(6), grid, p)
+    for kind in SCHEMES:
+        cfg = SchemeConfig(kind)
+        rhs = rhs_for_scheme(cfg)
+        prepared = prepare_state_for_scheme(st, cfg)
+        expected = rhs(prepared)
+        calls = []
+        original = getattr(schemes, f"rhs_{kind}")
+
+        def counting(*args, original=original):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(schemes, f"rhs_{kind}", counting)
+        got = rhs(prepared)
+        monkeypatch.undo()
+        assert len(calls) == 1, kind
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])

@@ -1,10 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf
 
-from hyperac.grid import build_graded_grid, build_uniform_grid
-from hyperac.model import ModelParams, reaction_f
-from hyperac.schemes import SchemeConfig, State, rhs_kinetic_first_order
+from hyperac.diagnostics import average_speed, g_profile, l2_distance, linf_distance
+from hyperac.grid import build_graded_grid, build_uniform_grid, project_cell_averages
+from hyperac.model import FrontProfile, ModelParams, _max_abs_f_prime, reaction_f
+from hyperac.schemes import (
+    SCHEMES,
+    SchemeConfig,
+    State,
+    prepare_state_for_scheme,
+    rhs_kinetic_first_order,
+)
 from hyperac.timestepping import (
     BlowUpError,
     ImexWorkspace,
@@ -123,6 +132,70 @@ def test_gershgorin_row_bound(boundary):
             p = ModelParams(tau=0.7, mu=2.0, kappa=1.0, alpha=0.3)
             matrix = assemble_imex_matrix(grid, dt, p, boundary)
             assert gershgorin_margins(matrix).min() >= 1.0 - 1e-12
+
+
+def _coo_loop_operator(grid, dt, p, boundary):
+    """The operator as a per-cell COO loop builds it, entry by entry."""
+    n = grid.n_cells
+    alpha = p.rho * dt / grid.cell_lengths
+    beta = dt / (2.0 * p.tau)
+    rows, cols, vals = [], [], []
+
+    def add(i, j, v):
+        rows.append(i)
+        cols.append(j)
+        vals.append(v)
+
+    for i in range(n):
+        ri, si = 2 * i, 2 * i + 1
+        add(ri, si, -beta)
+        add(si, ri, -beta)
+        if i + 1 < n:
+            add(ri, ri, 1.0 + beta + alpha[i])
+            add(ri, 2 * (i + 1), -alpha[i])
+        elif boundary == "periodic":
+            add(ri, ri, 1.0 + beta + alpha[i])
+            add(ri, 0, -alpha[i])
+        else:
+            add(ri, ri, 1.0 + beta)
+        if i > 0:
+            add(si, si, 1.0 + beta + alpha[i])
+            add(si, 2 * (i - 1) + 1, -alpha[i])
+        elif boundary == "periodic":
+            add(si, si, 1.0 + beta + alpha[i])
+            add(si, 2 * (n - 1) + 1, -alpha[i])
+        else:
+            add(si, si, 1.0 + beta)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(2 * n, 2 * n))
+
+
+@pytest.mark.parametrize("n", [3, 50, 800])
+@pytest.mark.parametrize("case", ["uniform", "graded", "periodic"])
+def test_band_assembly_equals_coo_loop(n, case):
+    """The vectorised band gives the COO loop's CSR bit for bit, and its
+    dgbtrf layout factors to the same LU and pivots."""
+    grid = (
+        build_graded_grid(0.0, 10.0, n, 1.002)
+        if case == "graded"
+        else build_uniform_grid(0.0, 10.0, n)
+    )
+    boundary = "periodic" if case == "periodic" else "zero_gradient"
+    p = ModelParams(tau=0.7, mu=2.0, alpha=0.3)
+    for dt in (1e-3, 0.1, 2.0):
+        expected = _coo_loop_operator(grid, dt, p, boundary)
+        matrix = assemble_imex_matrix(grid, dt, p, boundary)
+        assert matrix.has_canonical_format and expected.has_canonical_format
+        assert np.array_equal(matrix.indptr, expected.indptr)
+        assert np.array_equal(matrix.indices, expected.indices)
+        assert np.array_equal(matrix.data, expected.data)
+        if boundary == "zero_gradient":
+            m = expected.tocoo()
+            ab = np.zeros((7, 2 * n))
+            ab[4 + m.row - m.col, m.col] = m.data
+            lu, pivots, info = dgbtrf(ab, 2, 2)
+            ws = ImexWorkspace.build(grid, dt, p)
+            assert info == 0
+            assert np.array_equal(ws.lu, lu) and np.array_equal(ws.pivots, pivots)
 
 
 # ---------------------------------------------------------------- imex step --
@@ -263,18 +336,31 @@ def test_residual_guard_catches_corrupted_factor():
         imex_step(st, 0.05, ws)
 
 
-def test_imex_run_blow_up_messages_at_step_0():
+@pytest.mark.parametrize("boundary", ["zero_gradient", "periodic"])
+def test_imex_step_nan_cell_raises_blow_up(boundary):
+    grid = build_uniform_grid(0.0, 10.0, 40)
+    p = ModelParams(tau=1.0, alpha=0.7)
+    ws = ImexWorkspace.build(grid, 0.05, p, boundary)
+    st = _random_diagonal(grid, p, 12)
+    r = st.a.copy()
+    r[9] = np.nan
+    with pytest.raises(BlowUpError, match="^solution became non-finite$"):
+        imex_step(st.with_components(r, st.b), 0.05, ws)
+
+
+@pytest.mark.parametrize("integrator", ["imex", "euler", "heun"])
+def test_imex_run_blow_up_messages_at_step_0(integrator):
     grid = build_uniform_grid(0.0, 1.0, 8)
     p = ModelParams(tau=1.0)
     cfg = SchemeConfig("kinetic_first_order")
     u = np.full(8, 0.5)
     u[3] = np.nan
-    with pytest.raises(BlowUpError, match="non-finite at step 0") as excinfo:
-        run(State.physical(u, np.zeros(8), grid, p), cfg, "imex", T=1.0, dt=0.1)
+    with pytest.raises(BlowUpError, match="non-finite at step 0$") as excinfo:
+        run(State.physical(u, np.zeros(8), grid, p), cfg, integrator, T=1.0, dt=0.1)
     assert excinfo.value.step == 0
     u = np.full(8, 12.0)
-    with pytest.raises(BlowUpError, match=r"density left \[-10, 10\] at step 0") as excinfo:
-        run(State.physical(u, np.zeros(8), grid, p), cfg, "imex", T=1.0, dt=0.1)
+    with pytest.raises(BlowUpError, match=r"density left \[-10, 10\] at step 0$") as excinfo:
+        run(State.physical(u, np.zeros(8), grid, p), cfg, integrator, T=1.0, dt=0.1)
     assert excinfo.value.step == 0
 
 
@@ -370,6 +456,29 @@ def test_suggest_dt_imex_reaction_only():
     assert dt == pytest.approx(1.0 / fp, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", sorted(SCHEMES))
+def test_scheme_table_drives_representation_step_size_and_imex(kind):
+    spec = SCHEMES[kind]
+    cfg = SchemeConfig(kind)
+    # dx_min = 0.187: transport binds the kinetic kinds, diffusion the others
+    grid = build_graded_grid(0.0, 4.0, 12, 1.1)
+    p = ModelParams(tau=0.8, mu=1.3, kappa=2.0, alpha=0.35, nu=0.4)
+    st = State.physical(np.linspace(0.0, 1.0, 12), np.full(12, 0.1), grid, p)
+    assert prepare_state_for_scheme(st, cfg).kind == spec.representation
+    dx = grid.dx_min
+    caps = [1.0 / _max_abs_f_prime(p), dx / p.rho, 2.0 * p.tau]
+    if kind == "gk_pseudo_kinetic":
+        caps.append(0.5 * dx**2 / (p.nu + 0.5 * p.rho * dx))
+    if kind in ("onefield_direct", "onefield_alternative", "parabolic_reference"):
+        caps.append(0.5 * dx**2 / (p.mu + p.nu))
+    assert suggest_dt(grid, p, cfg, safety=0.7) == 0.7 * min(caps)
+    if spec.imex:
+        assert run(st, cfg, "imex", T=0.1, dt=0.05).diagnostics.times.size == 2
+    else:
+        with pytest.raises(ValueError, match="IMEX"):
+            run(st, cfg, "imex", T=0.1, dt=0.05)
+
+
 # ----------------------------------------------------------------- run driver --
 
 
@@ -460,3 +569,31 @@ def test_imex_and_heun_consistent_as_dt_shrinks():
         dt /= 2.0
     slope = np.polyfit(np.log(dts), np.log(gaps), 1)[0]
     assert slope >= 1.0
+
+
+@pytest.mark.parametrize(
+    "integrator, kind",
+    [("imex", "kinetic_first_order"), ("heun", "kinetic_second_order"),
+     ("euler", "gk_pseudo_kinetic")],
+)
+def test_run_diagnostics_are_the_diagnostics_functions(integrator, kind):
+    """With a snapshot every step, run()'s per-step columns are the
+    diagnostics functions applied to consecutive snapshots, bit for bit,
+    the shortened last step included."""
+    grid = build_graded_grid(-5.0, 5.0, 60, 1.01)
+    p = ModelParams(tau=2.0, alpha=0.6, nu=0.3)
+    front = FrontProfile(p, increasing=True)
+    u0 = project_cell_averages(front, grid).values
+    T, dt = 0.25, 0.02
+    out = run(State.physical(u0, np.zeros(60), grid, p), SchemeConfig(kind), integrator,
+              T=T, dt=dt, sample_every=1, reference=front)
+    d = out.diagnostics
+    us = [state.u_function() for _t, state in out.snapshots]
+    n = d.times.size
+    assert n == 13 and len(us) == n + 1
+    steps = [dt] * (n - 1) + [T - (n - 1) * dt]
+    for k in range(n):
+        assert d.speeds[k] == average_speed(us[k], us[k + 1], steps[k])
+        assert d.l2[k] == l2_distance(us[k + 1], front)
+        assert d.linf[k] == linf_distance(us[k + 1], front)
+        assert d.g_min[k] == g_profile(us[k + 1], p).values.min()
