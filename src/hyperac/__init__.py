@@ -22,6 +22,7 @@ from .model import (
     FrontProfile,
     IntegrationError,
     ModelParams,
+    ParamColumns,
     ShootingError,
     exact_parabolic_front,
     exact_parabolic_front_derivative,
@@ -66,12 +67,14 @@ from .timestepping import (
     BlowUpError,
     ImexWorkspace,
     RunResult,
+    SolveError,
     assemble_imex_matrix,
     explicit_step,
     gershgorin_margins,
     imex_step,
     imex_step_reduced_uniform,
     run,
+    run_ensemble,
     suggest_dt,
     suggest_dt_imex,
 )

@@ -16,7 +16,7 @@ from .scenarios import (
     run_riemann_decay,
     run_speed_table,
 )
-from .timestepping import BlowUpError
+from .timestepping import BlowUpError, SolveError
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
@@ -148,7 +148,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (BlowUpError, ShootingError) as err:
+    except (BlowUpError, SolveError, ShootingError) as err:
         print(f"run failed: {err}", file=sys.stderr)
         return EXIT_RUN_FAILURE
     except ValueError as err:

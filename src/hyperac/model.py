@@ -22,6 +22,7 @@ from scipy.integrate import solve_ivp
 
 __all__ = [
     "ModelParams",
+    "ParamColumns",
     "FrontProfile",
     "ShootingError",
     "BracketError",
@@ -83,6 +84,26 @@ class ModelParams:
     def rho(self) -> float:
         """Characteristic speed sqrt(mu/tau) of the diagonal variables."""
         return math.sqrt(self.mu / self.tau)
+
+
+@dataclass(frozen=True)
+class ParamColumns:
+    """The ``ModelParams`` of B ensemble members as (B, 1) columns.
+
+    Each column broadcasts against (B, N) cell arrays, so the formulas written
+    for one member evaluate every member at once; each entry is that member's
+    own scalar (``rho`` included), so the results are the one-member ones.
+    """
+
+    members: tuple[ModelParams, ...]
+
+    def __post_init__(self) -> None:
+        if not self.members:
+            raise ValueError("an ensemble needs at least one member")
+        for name in ("tau", "mu", "kappa", "alpha", "nu", "rho"):
+            column = np.array([[getattr(m, name)] for m in self.members])
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
 
 
 def reaction_f(u, p: ModelParams):

@@ -14,12 +14,19 @@ cell values at interfaces by slope-limited linear reconstructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .grid import Grid, GridFunction
-from .model import ModelParams, from_diagonal, reaction_f, reaction_f_prime, to_diagonal
+from .model import (
+    ModelParams,
+    ParamColumns,
+    from_diagonal,
+    reaction_f,
+    reaction_f_prime,
+    to_diagonal,
+)
 
 __all__ = [
     "State",
@@ -56,6 +63,7 @@ class SchemeSpec:
 
     ``rhs`` names the module-level ``(State, SchemeConfig) -> (da, db)``; it is
     looked up on each call, so rebinding the name (to wrap it) takes effect.
+    A ``db`` of None means the second component is frozen.
     ``diffusion(params, dx)`` is the explicit diffusion coefficient, if any.
     """
 
@@ -89,6 +97,10 @@ class State:
     diagonal : (r, s), the kinetic variables advected at -rho and +rho
     physical : (u, v), density and flux
     onefield : (u, w), density and the auxiliary variable of a one-field form
+
+    With ``ParamColumns`` for ``params`` the state is an ensemble: (B, N)
+    arrays, one row per member (see ``stack``).  States are immutable; the
+    density ``u`` is formed once, on first use.
     """
 
     kind: str
@@ -100,11 +112,13 @@ class State:
     def __post_init__(self) -> None:
         if self.kind not in _REPRESENTATIONS:
             raise ValueError(f"unknown representation {self.kind!r}")
-        n = self.grid.n_cells
+        shape = (self.grid.n_cells,)
+        if isinstance(self.params, ParamColumns):
+            shape = (len(self.params.members),) + shape
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        if a.shape != (n,) or b.shape != (n,):
-            raise ValueError("state components must hold one value per cell")
+        if a.shape != shape or b.shape != shape:
+            raise ValueError("state components must hold one value per cell and member")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
@@ -120,6 +134,30 @@ class State:
     def one_field(cls, u, w, grid: Grid, params: ModelParams) -> "State":
         return cls(ONEFIELD, u, w, grid, params)
 
+    @classmethod
+    def stack(cls, states: Sequence["State"]) -> "State":
+        """Members in one representation on one grid, as one ensemble state.
+
+        A lone state is returned as it is: it already is a one-member ensemble.
+        """
+        first = states[0]
+        if len(states) == 1:
+            return first
+        for st in states[1:]:
+            if st.kind != first.kind:
+                raise ValueError("ensemble members must share one representation")
+            if st.grid is not first.grid and not np.array_equal(
+                st.grid.interfaces, first.grid.interfaces
+            ):
+                raise ValueError("ensemble members must share one grid")
+        return cls(
+            first.kind,
+            np.stack([st.a for st in states]),
+            np.stack([st.b for st in states]),
+            first.grid,
+            ParamColumns(tuple(st.params for st in states)),
+        )
+
     def _require(self, kind: str) -> None:
         if self.kind != kind:
             raise ValueError(f"state is {self.kind!r}, expected {kind!r}")
@@ -132,15 +170,28 @@ class State:
     @property
     def u(self) -> np.ndarray:
         """Density field in any representation (r + s in diagonal form)."""
-        if self.kind == DIAGONAL:
-            return self.a + self.b
-        return self.a
+        u = self.__dict__.get("_u")
+        if u is None:  # formed on first use
+            u = self.a + self.b if self.kind == DIAGONAL else self.a
+            self.__dict__["_u"] = u
+        return u
 
     def u_function(self) -> GridFunction:
         return GridFunction(self.u, self.grid)
 
     def with_components(self, a: np.ndarray, b: np.ndarray) -> "State":
-        return State(self.kind, a, b, self.grid, self.params)
+        """The state with new component arrays of the same shape.
+
+        Every step builds one, so it checks only the arrays: the kind, grid
+        and params it copies were checked when this state was built.
+        """
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if a.shape != self.a.shape or b.shape != self.a.shape:
+            raise ValueError("state components must hold one value per cell and member")
+        new = object.__new__(State)
+        new.__dict__.update(kind=self.kind, a=a, b=b, grid=self.grid, params=self.params)
+        return new
 
     def to_physical(self) -> "State":
         if self.kind == PHYSICAL:
@@ -177,11 +228,15 @@ class SchemeConfig:
 
 
 def _pad(values: np.ndarray, boundary: str) -> np.ndarray:
-    """Append one ghost cell per side: copy (zero gradient) or wrap (periodic)."""
+    """Append one ghost cell per side: copy (zero gradient) or wrap (periodic).
+
+    Like every kernel here, it works along the last axis, so (B, N) ensemble
+    arrays go through the formulas written for one member.
+    """
     if boundary == "zero_gradient":
-        return np.concatenate((values[:1], values, values[-1:]))
+        return np.concatenate((values[..., :1], values, values[..., -1:]), axis=-1)
     if boundary == "periodic":
-        return np.concatenate((values[-1:], values, values[:1]))
+        return np.concatenate((values[..., -1:], values, values[..., :1]), axis=-1)
     raise ValueError(f"unknown boundary treatment {boundary!r}")
 
 
@@ -215,9 +270,9 @@ def _limited_slope_values(values: np.ndarray, centers: np.ndarray, limiter: str)
     Boundary cells fall back to slope zero (first-order closure).
     """
     lmtr = LIMITERS[limiter]
-    diffs = (values[1:] - values[:-1]) / (centers[1:] - centers[:-1])
+    diffs = (values[..., 1:] - values[..., :-1]) / (centers[1:] - centers[:-1])
     slopes = np.zeros_like(values)
-    slopes[1:-1] = lmtr(diffs[1:], diffs[:-1])
+    slopes[..., 1:-1] = lmtr(diffs[..., 1:], diffs[..., :-1])
     return slopes
 
 
@@ -233,9 +288,9 @@ def rhs_kinetic_first_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarray
     r, s = state.a, state.b
     dx = state.grid.cell_lengths
     rho = p.rho
-    r_right = _pad(r, cfg.boundary)[2:]  # r_{i+1}
-    s_left = _pad(s, cfg.boundary)[:-2]  # s_{i-1}
-    fu = reaction_f(r + s, p)
+    r_right = _pad(r, cfg.boundary)[..., 2:]  # r_{i+1}
+    s_left = _pad(s, cfg.boundary)[..., :-2]  # s_{i-1}
+    fu = reaction_f(state.u, p)
     relax = (s - r) / (2.0 * p.tau)
     dr = rho * (r_right - r) / dx + 0.5 * fu + relax
     ds = -rho * (s - s_left) / dx + 0.5 * fu - relax
@@ -255,12 +310,16 @@ def _rhs_physical(state: State, cfg: SchemeConfig, nu: float) -> tuple[np.ndarra
     rho = p.rho
     up = _pad(u, cfg.boundary)
     vp = _pad(v, cfg.boundary)
-    lap_u = up[2:] - 2.0 * u + up[:-2]
-    lap_v = vp[2:] - 2.0 * v + vp[:-2]
+    lap_u = up[..., 2:] - 2.0 * u + up[..., :-2]
+    lap_v = vp[..., 2:] - 2.0 * v + vp[..., :-2]
     dx2 = dx * dx
-    du = -(vp[2:] - vp[:-2]) / (2.0 * dx) + reaction_f(u, p) + (0.5 * rho * dx) * lap_u / dx2
+    du = (
+        -(vp[..., 2:] - vp[..., :-2]) / (2.0 * dx)
+        + reaction_f(u, p)
+        + (0.5 * rho * dx) * lap_u / dx2
+    )
     dv = (
-        -(rho * rho) * (up[2:] - up[:-2]) / (2.0 * dx)
+        -(rho * rho) * (up[..., 2:] - up[..., :-2]) / (2.0 * dx)
         - v / p.tau
         + (nu + 0.5 * rho * dx) * lap_v / dx2
     )
@@ -315,14 +374,14 @@ def rhs_kinetic_second_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarra
     s_plus = s + half * slope_s  # value at the right interface of cell i
 
     if cfg.boundary == "periodic":
-        r_minus_right = np.concatenate((r_minus[1:], r_minus[:1]))  # r_{i+1}^-
-        s_plus_left = np.concatenate((s_plus[-1:], s_plus[:-1]))  # s_{i-1}^+
+        r_minus_right = np.concatenate((r_minus[..., 1:], r_minus[..., :1]), axis=-1)  # r_{i+1}^-
+        s_plus_left = np.concatenate((s_plus[..., -1:], s_plus[..., :-1]), axis=-1)  # s_{i-1}^+
     else:
         # zero-gradient ghosts copy the adjacent value with zero slope
-        r_minus_right = np.concatenate((r_minus[1:], r[-1:]))
-        s_plus_left = np.concatenate((s[:1], s_plus[:-1]))
+        r_minus_right = np.concatenate((r_minus[..., 1:], r[..., -1:]), axis=-1)
+        s_plus_left = np.concatenate((s[..., :1], s_plus[..., :-1]), axis=-1)
 
-    fu = reaction_f(r + s, p)
+    fu = reaction_f(state.u, p)
     relax = (s - r) / (2.0 * p.tau)
     dr = rho * (r_minus_right - r_minus) / dx + 0.5 * fu + relax
     ds = -rho * (s_plus - s_plus_left) / dx + 0.5 * fu - relax
@@ -346,8 +405,8 @@ def _laplacian(values: np.ndarray, grid: Grid, boundary: str) -> np.ndarray:
     h_minus = xp[1:-1] - xp[:-2]
     h_plus = xp[2:] - xp[1:-1]
     # divided-difference form annihilates constants and linears exactly
-    forward = (vp[2:] - vp[1:-1]) / h_plus
-    backward = (vp[1:-1] - vp[:-2]) / h_minus
+    forward = (vp[..., 2:] - vp[..., 1:-1]) / h_plus
+    backward = (vp[..., 1:-1] - vp[..., :-2]) / h_minus
     return 2.0 * (forward - backward) / (h_minus + h_plus)
 
 
@@ -389,17 +448,20 @@ def rhs_onefield_alternative(state: State, cfg: SchemeConfig) -> tuple[np.ndarra
 
 
 def rhs_parabolic_reference(
-    u: GridFunction, params: ModelParams, cfg: SchemeConfig
+    u: GridFunction | State, params: ModelParams | ParamColumns, cfg: SchemeConfig
 ) -> np.ndarray:
-    """Reference discretization of the parabolic limit du/dt = mu L u + f(u)."""
-    return params.mu * _laplacian(u.values, u.grid, cfg.boundary) + reaction_f(u.values, params)
+    """Reference discretization of the parabolic limit du/dt = mu L u + f(u).
+
+    ``u`` is a GridFunction, or a state (an ensemble too) whose density it takes.
+    """
+    values = u.u if isinstance(u, State) else u.values
+    return params.mu * _laplacian(values, u.grid, cfg.boundary) + reaction_f(values, params)
 
 
-def _rhs_parabolic_state(state: State, cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """``rhs_parabolic_reference`` on a physical state, with the flux kept frozen."""
+def _rhs_parabolic_state(state: State, cfg: SchemeConfig) -> tuple[np.ndarray, None]:
+    """``rhs_parabolic_reference`` on a physical state; the flux stays frozen."""
     state._require(PHYSICAL)
-    du = rhs_parabolic_reference(state.u_function(), state.params, cfg)
-    return du, np.zeros_like(state.b)
+    return rhs_parabolic_reference(state, state.params, cfg), None
 
 
 def rhs_for_scheme(cfg: SchemeConfig):

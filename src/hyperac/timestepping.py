@@ -16,13 +16,18 @@ gives a 2N x 2N matrix of bandwidth 2 whose rows satisfy
 max-norm at most 1.  Its columns are diagonally dominant too while every
 alpha_i <= 1, and the banded LU then needs no row interchange; beyond that
 it may pivot at the zero-gradient ends, which its layout has room for.
+
+An ensemble of B members on one grid steps as (B, N) arrays: the explicit
+right-hand sides broadcast over the member axis, and the members' IMEX
+operators, side by side in the band layout, form one block-diagonal matrix of
+bandwidth 2 that one factorisation and one solve per step serve.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,7 +43,7 @@ from .diagnostics import (
     speeds_from_masses,
 )
 from .grid import Grid, GridFunction, project_cell_averages
-from .model import ModelParams, _max_abs_f_prime, reaction_f, reaction_f_prime
+from .model import ModelParams, ParamColumns, _max_abs_f_prime, reaction_f, reaction_f_prime
 from .schemes import (
     SCHEMES,
     SchemeConfig,
@@ -51,6 +56,7 @@ __all__ = [
     "BlowUpError",
     "ImexWorkspace",
     "RunResult",
+    "SolveError",
     "assemble_imex_matrix",
     "gershgorin_margins",
     "imex_step",
@@ -59,6 +65,7 @@ __all__ = [
     "suggest_dt",
     "suggest_dt_imex",
     "run",
+    "run_ensemble",
 ]
 
 _STATE_BOUND = 10.0  # the bistable cubic diverges cubically well inside this
@@ -66,15 +73,28 @@ _RESIDUAL_TOL = 1e-12
 
 
 class BlowUpError(RuntimeError):
-    """The discrete solution left the trust region or became non-finite."""
+    """The discrete solution left the trust region or became non-finite.
 
-    def __init__(self, message: str, step: int | None = None):
+    ``step`` is the step index and ``member`` the ensemble member, when known.
+    """
+
+    def __init__(self, message: str, step: int | None = None, member: int | None = None):
         super().__init__(message)
         self.step = step
+        self.member = member
+
+
+class SolveError(RuntimeError):
+    """A linear solve missed the residual bound its operator guarantees."""
+
+
+def _member(k: int, count: int) -> str:
+    """Message prefix naming member ``k``, for ensembles of two or more."""
+    return f"member {k}: " if count > 1 else ""
 
 
 def _imex_operator(
-    grid: Grid, dt: float, params: ModelParams, boundary: str
+    grid: Grid, dt: float, params: ModelParams | ParamColumns, boundary: str
 ) -> tuple[np.ndarray, sp.csr_matrix]:
     """The operator in dgbtrf's (7, 2N) band layout, and in CSR.
 
@@ -82,32 +102,40 @@ def _imex_operator(
     for the U factor's fill-in should the LU pivot.  The band closes with a
     zero gradient: the last r row and the first s row carry no transport.  A
     periodic operator adds it back, on their diagonals and in two wrap-around
-    entries outside the band.
+    entries outside the band.  For B members (``ParamColumns``) the members'
+    bands sit side by side, (7, 2NB): no entry couples two members, so that
+    is the block-diagonal operator of the ensemble.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    m = 2 * grid.n_cells
-    alpha = params.rho * dt / grid.cell_lengths
-    beta = dt / (2.0 * params.tau)
-    ab = np.zeros((7, m))
-    band = ab[2:]  # solve_banded's (5, 2N) layout: row 2 + i - j holds entry (i, j)
-    band[0, 2::2] = -alpha[:-1]  # r_i <- r_{i+1}
-    band[1, 1::2] = -beta  # r_i <- s_i
+    n = grid.n_cells
+    m = 2 * n
+    alpha = np.reshape(params.rho * dt / grid.cell_lengths, (-1, n))
+    beta = np.reshape(dt / (2.0 * params.tau), (-1, 1))
+    count = alpha.shape[0]
+    size = count * m
+    ab = np.zeros((7, size))
+    # solve_banded's (5, 2N) layout per member: row 2 + i - j holds entry (i, j)
+    band = ab[2:].reshape(5, count, m)
+    band[0, :, 2::2] = -alpha[:, :-1]  # r_i <- r_{i+1}
+    band[1, :, 1::2] = -beta  # r_i <- s_i
     band[2] = 1.0 + beta
-    band[2, 0:-2:2] += alpha[:-1]  # every r row but the last
-    band[2, 3::2] += alpha[1:]  # every s row but the first
-    band[3, 0::2] = -beta  # s_i <- r_i
-    band[4, 1:-2:2] = -alpha[1:]  # s_{i+1} <- s_i
-    matrix = sp.dia_matrix((band, [2, 1, 0, -1, -2]), shape=(m, m)).tocsr()
-    if boundary == "periodic":  # rows s_0 and r_{N-1}
-        rows, cols = [1, 1, m - 2, m - 2], [1, m - 1, m - 2, 0]
-        vals = [alpha[0], -alpha[0], alpha[-1], -alpha[-1]]
-        matrix = matrix + sp.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    band[2, :, 0:-2:2] += alpha[:, :-1]  # every r row but the last
+    band[2, :, 3::2] += alpha[:, 1:]  # every s row but the first
+    band[3, :, 0::2] = -beta  # s_i <- r_i
+    band[4, :, 1:-2:2] = -alpha[:, 1:]  # s_{i+1} <- s_i
+    matrix = sp.dia_matrix((ab[2:], [2, 1, 0, -1, -2]), shape=(size, size)).tocsr()
+    if boundary == "periodic":  # rows s_0 and r_{N-1} of every member
+        first = m * np.arange(count)[:, None]
+        rows, cols = first + [1, 1, m - 2, m - 2], first + [1, m - 1, m - 2, 0]
+        vals = np.column_stack((alpha[:, 0], -alpha[:, 0], alpha[:, -1], -alpha[:, -1]))
+        corners = (vals.ravel(), (rows.ravel(), cols.ravel()))
+        matrix = matrix + sp.csr_matrix(corners, shape=(size, size))
     return ab, matrix
 
 
 def assemble_imex_matrix(
-    grid: Grid, dt: float, params: ModelParams, boundary: str = "zero_gradient"
+    grid: Grid, dt: float, params: ModelParams | ParamColumns, boundary: str = "zero_gradient"
 ) -> sp.csr_matrix:
     """Implicit operator of the IMEX step on the interleaved (r, s) vector.
 
@@ -130,18 +158,20 @@ def gershgorin_margins(matrix: sp.spmatrix) -> np.ndarray:
 class ImexWorkspace:
     """Assembled implicit operator plus its LU factors, reused across steps.
 
-    Zero-gradient operators are factored once by LAPACK's banded LU
-    (``dgbtrf``), in the layout ``dgbtrs`` solves with; periodic ones, whose
-    wrap-around entries leave the band, by SuperLU.  ``matrix`` stays the
-    unfactored operator, which the residual guard checks every solve against.
+    Built for ``ParamColumns`` it holds the block-diagonal operator of the
+    ensemble, one block per member.  Zero-gradient operators are factored once
+    by LAPACK's banded LU (``dgbtrf``), in the layout ``dgbtrs`` solves with;
+    periodic ones, whose wrap-around entries leave the band, by one SuperLU
+    per member.  ``matrix`` stays the unfactored operator, which the residual
+    guard checks every solve against.
     """
 
     grid: Grid
-    params: ModelParams
+    params: ModelParams | ParamColumns
     dt: float
     boundary: str
     matrix: sp.csr_matrix
-    lu: object = field(repr=False)  # (7, 2N) dgbtrf factors, or a SuperLU
+    lu: object = field(repr=False)  # (7, 2NB) dgbtrf factors, or one SuperLU per member
     pivots: np.ndarray | None = field(default=None, repr=False)  # dgbtrf only
 
     @classmethod
@@ -149,13 +179,15 @@ class ImexWorkspace:
         cls,
         grid: Grid,
         dt: float,
-        params: ModelParams,
+        params: ModelParams | ParamColumns,
         boundary: str = "zero_gradient",
     ) -> "ImexWorkspace":
         ab, matrix = _imex_operator(grid, dt, params, boundary)
-        margins = gershgorin_margins(matrix)
-        if margins.min() < 1.0 - 1e-12:
+        m = 2 * grid.n_cells
+        lost = gershgorin_margins(matrix).reshape(-1, m).min(axis=1) < 1.0 - 1e-12
+        if lost.any():
             raise RuntimeError(
+                f"{_member(int(np.argmax(lost)), lost.size)}"
                 "implicit operator lost its Gershgorin row bound; assembly bug"
             )
         if boundary == "zero_gradient":
@@ -163,23 +195,27 @@ class ImexWorkspace:
             if info != 0:
                 raise RuntimeError(f"banded LU factorisation failed (dgbtrf info {info})")
         else:
-            lu, pivots = splu(matrix.tocsc()), None
+            blocks = range(0, matrix.shape[0], m)
+            lu, pivots = [splu(matrix[k : k + m, k : k + m].tocsc()) for k in blocks], None
         return cls(grid, params, dt, boundary, matrix, lu, pivots)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for one interleaved right-hand side, (2N,), or one per member, (B, 2N)."""
         if self.pivots is None:
-            return self.lu.solve(rhs)
-        return dgbtrs(self.lu, 2, 2, rhs, self.pivots)[0]
+            blocks = rhs.reshape(-1, 2 * self.grid.n_cells)
+            return np.stack([lu.solve(b) for lu, b in zip(self.lu, blocks)]).reshape(rhs.shape)
+        return dgbtrs(self.lu, 2, 2, rhs.reshape(-1), self.pivots)[0].reshape(rhs.shape)
 
-    def residual(self, x: np.ndarray, rhs: np.ndarray) -> float:
-        """Max-norm solve residual relative to the right-hand side."""
-        scale = np.abs(rhs).max() or 1.0
-        return float(np.abs(self.matrix @ x - rhs).max() / scale)
+    def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Max-norm solve residual of each member, relative to its right-hand side."""
+        misfit = np.abs((self.matrix @ x.reshape(-1)).reshape(rhs.shape) - rhs).max(axis=-1)
+        scale = np.abs(rhs).max(axis=-1)
+        return misfit / (scale + (scale == 0.0))  # a zero right-hand side counts as 1
 
     def matches(self, state: State, dt: float) -> bool:
         return (
             self.grid is state.grid
-            and self.params == state.params
+            and (self.params is state.params or self.params == state.params)
             and self.dt == dt
         )
 
@@ -187,8 +223,10 @@ class ImexWorkspace:
 def imex_step(state: State, dt: float, ws: ImexWorkspace | None = None) -> State:
     """One implicit-transport / explicit-reaction step in diagonal variables.
 
-    Raises ``BlowUpError`` when the solution is non-finite or its density
-    leaves the trust region, like ``explicit_step``.
+    Advances one state or an ensemble, whose members one solve serves.
+    Raises ``BlowUpError`` when a member's solution is non-finite or its
+    density leaves the trust region, like ``explicit_step``, and
+    ``SolveError`` when a member's solve misses the residual bound.
     """
     if state.kind != "diagonal":
         raise ValueError("the IMEX step advances diagonal states")
@@ -197,23 +235,24 @@ def imex_step(state: State, dt: float, ws: ImexWorkspace | None = None) -> State
     elif not ws.matches(state, dt):
         raise ValueError("workspace was built for different (grid, dt, params)")
     r, s = state.a, state.b
-    half_f = (0.5 * dt) * reaction_f(r + s, state.params)
-    rhs = np.empty(2 * state.grid.n_cells)
-    np.add(r, half_f, out=rhs[0::2])
-    np.add(s, half_f, out=rhs[1::2])
+    half_f = (0.5 * dt) * reaction_f(state.u, state.params)
+    rhs = np.empty(r.shape[:-1] + (2 * r.shape[-1],))
+    np.add(r, half_f, out=rhs[..., 0::2])
+    np.add(s, half_f, out=rhs[..., 1::2])
     x = ws.solve(rhs)
-    res = ws.residual(x, rhs)
-    if not res <= _RESIDUAL_TOL:  # true for NaN too
-        if not math.isfinite(res):
-            raise BlowUpError("solution became non-finite")
-        raise RuntimeError(
-            f"linear solve residual {res:.2e} exceeds {_RESIDUAL_TOL:.0e}; "
-            "the Gershgorin-dominant operator should solve to roundoff"
-        )
-    new = state.with_components(x[0::2].copy(), x[1::2].copy())
-    # the solve is finite here, so only the density bound can still fail
-    if not np.abs(new.u).max() <= _STATE_BOUND:
-        _check_finite(new)
+    res = ws.residual(x, rhs)  # a scalar for one state, one per member for an ensemble
+    solved = (res if res.ndim == 0 else res.max()) <= _RESIDUAL_TOL  # false for NaN too
+    if not solved:
+        # the band solve carries a non-finite member's NaN into its neighbours'
+        # blocks; solve without it, so that each member fails on its own
+        broken = ~np.isfinite(rhs).all(axis=-1)
+        if broken.any():
+            x = ws.solve(np.where(broken[..., None], 0.0, rhs))
+            res = ws.residual(x, rhs)
+    new = state.with_components(x[..., 0::2], x[..., 1::2])
+    # solved systems are finite, so only the density bound can still fail
+    if not (solved and np.abs(new.u).max() <= _STATE_BOUND):
+        _check_finite(new, res)
     return new
 
 
@@ -268,13 +307,35 @@ def imex_step_reduced_uniform(
     return state.with_components(r_new, s_new)
 
 
-def _check_finite(state: State) -> None:
+def _check_finite(state: State, residual: np.ndarray | None = None) -> None:
+    """Raise for the first member whose solve missed the residual bound (when
+    ``residual`` is given), or whose solution is non-finite or left the trust
+    region; each member in that order, as its own run would."""
     # auxiliary components (flux v, time-derivative w) legitimately spike
     # near sharp data, so the trust region bounds the density only
-    if not (np.isfinite(state.a).all() and np.isfinite(state.b).all()):
-        raise BlowUpError("solution became non-finite")
-    if np.max(np.abs(state.u)) > _STATE_BOUND:
-        raise BlowUpError(f"density left [-{_STATE_BOUND:g}, {_STATE_BOUND:g}]")
+    a, b, u = state.a, state.b, state.u
+    if residual is None and (
+        np.isfinite(a).all() and np.isfinite(b).all() and np.abs(u).max() <= _STATE_BOUND
+    ):
+        return
+    n = state.grid.n_cells
+    finite = np.isfinite(a.reshape(-1, n)).all(axis=1) & np.isfinite(b.reshape(-1, n)).all(axis=1)
+    inside = np.abs(u.reshape(-1, n)).max(axis=1) <= _STATE_BOUND
+    res = np.zeros(finite.size) if residual is None else np.reshape(residual, -1)
+    solved = res <= _RESIDUAL_TOL
+    failed = ~(solved & finite & inside)
+    if not failed.any():
+        return
+    k = int(np.argmax(failed))
+    prefix = _member(k, failed.size)
+    if not solved[k] and math.isfinite(res[k]):
+        raise SolveError(
+            f"{prefix}linear solve residual {res[k]:.2e} exceeds {_RESIDUAL_TOL:.0e}; "
+            "the Gershgorin-dominant operator should solve to roundoff"
+        )
+    if not (solved[k] and finite[k]):
+        raise BlowUpError(prefix + "solution became non-finite", member=k)
+    raise BlowUpError(f"{prefix}density left [-{_STATE_BOUND:g}, {_STATE_BOUND:g}]", member=k)
 
 
 def explicit_step(
@@ -283,17 +344,22 @@ def explicit_step(
     rhs: Callable[[State], tuple[np.ndarray, np.ndarray]],
     method: Literal["euler", "heun"] = "euler",
 ) -> State:
-    """One explicit step: forward Euler or Heun (trapezoidal RK2)."""
+    """One explicit step: forward Euler or Heun (trapezoidal RK2).
+
+    An ``rhs`` that returns None for the second component keeps it frozen.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if method not in ("euler", "heun"):
         raise ValueError(f"unknown explicit method {method!r}")
     da1, db1 = rhs(state)
-    new = state.with_components(state.a + dt * da1, state.b + dt * db1)
+    frozen = db1 is None
+    new = state.with_components(state.a + dt * da1, state.b if frozen else state.b + dt * db1)
     if method == "heun":  # the Euler state is the predictor
         da2, db2 = rhs(new)
         new = state.with_components(
-            state.a + 0.5 * dt * (da1 + da2), state.b + 0.5 * dt * (db1 + db2)
+            state.a + 0.5 * dt * (da1 + da2),
+            state.b if frozen else state.b + 0.5 * dt * (db1 + db2),
         )
     _check_finite(new)
     return new
@@ -336,8 +402,8 @@ class RunResult:
     diagnostics: DiagnosticsRecord
 
 
-def run(
-    initial: State,
+def run_ensemble(
+    initials: Sequence[State],
     scheme: SchemeConfig,
     integrator: Literal["imex", "euler", "heun"],
     T: float,
@@ -346,8 +412,14 @@ def run(
     reference: Callable | None = None,
     stabilization_window: int = 200,
     stabilization_tol: float = 1e-3,
-) -> RunResult:
-    """Advance a state from t = 0 to t = T, recording diagnostics each step.
+) -> list[RunResult]:
+    """Advance B states on one grid from t = 0 to t = T, recording diagnostics each step.
+
+    The members step together as the rows of (B, N) arrays, each with its
+    own parameters: one right-hand-side evaluation, or one solve of the
+    block-diagonal IMEX operator, per step serves them all, and each member's
+    result is bit for bit that of its own run.  The members share ``T``,
+    ``dt`` and their grid.
 
     The last step is shortened to land exactly on T.  Snapshots of the state
     are stored at t = 0 and every ``sample_every`` steps (0 disables them;
@@ -355,12 +427,16 @@ def run(
     optional profile whose cell averages feed the L2 / max-norm distance
     columns of the diagnostics.
 
-    Raises ``BlowUpError`` (carrying the step index) when the solution
+    Raises ``BlowUpError`` (carrying the step index and the member, which an
+    ensemble of two or more names in the message) when the first member
     leaves the trust region, and ``ValueError``, before any allocation, for
     a T or dt that is not positive and finite or a scheme/integrator
     combination that does not exist (IMEX applies to the kinds whose
     ``SchemeSpec`` says so).
     """
+    initials = list(initials)
+    if not initials:
+        raise ValueError("an ensemble needs at least one member")
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf):  # false for NaN too
         raise ValueError("T and dt must be positive and finite")
     if integrator not in ("imex", "euler", "heun"):
@@ -370,7 +446,8 @@ def run(
             f"the IMEX step does not discretize the {scheme.kind} scheme; "
             "use an explicit integrator"
         )
-    state = prepare_state_for_scheme(initial, scheme)
+    members = [prepare_state_for_scheme(st, scheme) for st in initials]
+    state = State.stack(members)
     p = state.params
     grid = state.grid
 
@@ -388,6 +465,13 @@ def run(
         def advance(state: State, h: float) -> State:
             return explicit_step(state, h, rhs, integrator)
 
+    count = len(members)
+    shape = (count, grid.n_cells)  # a member per row, whether or not the state is stacked
+
+    def split(state: State) -> list[State]:
+        rows = zip(state.a.reshape(shape), state.b.reshape(shape), members)
+        return [State(st.kind, a, b, st.grid, st.params) for a, b, st in rows]
+
     n_steps = max(1, int(round(T / dt)))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         n_steps = max(1, int(np.ceil((T - 1e-12 * max(1.0, T)) / dt)))
@@ -397,39 +481,72 @@ def run(
     times[-1] = T
 
     ref_values = None if reference is None else project_cell_averages(reference, grid).values
-    masses = np.empty(n_steps + 1)
-    l2 = np.full(n_steps, np.nan)
-    linf = np.full(n_steps, np.nan)
-    g_min = np.empty(n_steps)
-    snapshots: list[tuple[float, State]] = [(0.0, state)] if sample_every > 0 else []
+    masses = np.empty((count, n_steps + 1))
+    if ref_values is None:  # no distances: a read-only NaN view that holds no memory
+        l2 = linf = np.broadcast_to(np.nan, (count, n_steps))
+    else:
+        l2 = np.empty((count, n_steps))
+        linf = np.empty((count, n_steps))
+    max_f_prime = np.empty((count, n_steps))
+    snapshots = [[(0.0, st)] if sample_every > 0 else [] for st in members]
+    current = members  # the member states of the last snapshot
 
-    masses[0] = mass(state.u, grid)
-    for n in range(n_steps):
-        h = float(steps[n])
+    masses[:, 0] = [mass(st.u, grid) for st in members]
+    for n, h in enumerate(steps.tolist()):
         try:
             state = advance(state, h)
         except BlowUpError as err:
-            raise BlowUpError(f"{err} at step {n}", step=n) from None
+            raise BlowUpError(f"{err} at step {n}", step=n, member=err.member) from None
         u = state.u
-        masses[n + 1] = mass(u, grid)
-        # rounding is monotone and tau > 0, so this is g_profile(u).values.min() exactly
-        g_min[n] = 1.0 - p.tau * float(reaction_f_prime(u, p).max())
+        rows = u.reshape(shape)
+        for k in range(count):
+            masses[k, n + 1] = mass(rows[k], grid)
+        max_f_prime[:, n] = reaction_f_prime(u, p).max(axis=-1)
         if ref_values is not None:
-            u_function = GridFunction(u, grid)
-            l2[n] = l2_distance(u_function, ref_values)
-            linf[n] = linf_distance(u_function, ref_values)
+            for k, row in enumerate(rows):
+                u_function = GridFunction(row, grid)
+                l2[k, n] = l2_distance(u_function, ref_values)
+                linf[k, n] = linf_distance(u_function, ref_values)
         if sample_every > 0 and (n + 1) % sample_every == 0:
-            snapshots.append((float(times[n]), state))
+            current = split(state)
+            for snaps, st in zip(snapshots, current):
+                snaps.append((float(times[n]), st))
+    if not (sample_every > 0 and n_steps % sample_every == 0):
+        current = split(state)
+    # rounding is monotone and tau > 0, so this is g_profile(u).values.min() exactly;
+    # in place, as 1.0 - tau * max_f_prime
+    g_min = np.subtract(1.0, np.multiply(p.tau, max_f_prime, out=max_f_prime), out=max_f_prime)
 
-    speeds = speeds_from_masses(masses, steps)
-    record = DiagnosticsRecord(
-        times=times,
-        speeds=speeds,
-        l2=l2,
-        linf=linf,
-        g_min=g_min,
-        stabilized_at=detect_stabilization(
-            times, speeds, window=stabilization_window, tol=stabilization_tol
-        ),
-    )
-    return RunResult(final_state=state, snapshots=snapshots, diagnostics=record)
+    results = []
+    for k, final in enumerate(current):
+        speeds = speeds_from_masses(masses[k], steps)
+        record = DiagnosticsRecord(
+            times=times,
+            speeds=speeds,
+            l2=l2[k],
+            linf=linf[k],
+            g_min=g_min[k],
+            stabilized_at=detect_stabilization(
+                times, speeds, window=stabilization_window, tol=stabilization_tol
+            ),
+        )
+        results.append(RunResult(final_state=final, snapshots=snapshots[k], diagnostics=record))
+    return results
+
+
+def run(
+    initial: State,
+    scheme: SchemeConfig,
+    integrator: Literal["imex", "euler", "heun"],
+    T: float,
+    dt: float,
+    sample_every: int = 0,
+    reference: Callable | None = None,
+    stabilization_window: int = 200,
+    stabilization_tol: float = 1e-3,
+) -> RunResult:
+    """Advance a state from t = 0 to t = T: the one-member ``run_ensemble``."""
+    return run_ensemble(
+        [initial], scheme, integrator, T, dt, sample_every, reference,
+        stabilization_window, stabilization_tol,
+    )[0]

@@ -5,7 +5,9 @@ heavyweight table reproductions share session fixtures; the full module
 stays within a laptop-scale time budget.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +308,19 @@ def test_criterion_4_second_order_speeds(order1_rows, order2_rows):
         f"worst |speed - printed| = {worst:.4f} (tol 0.008), "
         f"order-2 errors below order-1 for tau=1: {improved}",
     )
+
+
+def test_order2_table_equals_benchmark_golden_file(order2_rows):
+    """Speeds and shooting speeds of ``run_order_comparison(2)`` equal the
+    ``order2-table`` entries of ``perfbench/golden.json`` exactly (the file is
+    only read), so roundoff drift below the benchmark's 1e-9 check shows here."""
+    golden_path = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+    golden = json.loads(golden_path.read_text(encoding="utf-8"))["order2-table"]
+    assert len(order2_rows) == 8
+    for row in order2_rows:
+        key = f"{row['tau']!r}|{row['alpha']!r}"
+        assert row["speed"] == golden[f"run|{key}"]["speed"], key
+        assert row["c_ref"] == golden[f"shoot|{key}"]["c_ref"], key
 
 
 # ------------------------------------------------------------- criterion 5 --

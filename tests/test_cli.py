@@ -124,3 +124,27 @@ def test_blow_up_exits_1(tmp_path, capsys):
     rc = cli_main(["run", str(cfg)])
     assert rc == 1
     assert "run failed" in capsys.readouterr().err
+
+
+def test_solve_residual_failure_exits_1(tmp_path, capsys):
+    """At dt = 1000 (alpha = rho dt / dx = 16000) the factored solve is
+    backward stable, yet its residual relative to the right-hand side exceeds
+    the guard's 1e-12: a run failure, not a traceback."""
+    cfg = tmp_path / "huge_dt.cfg"
+    cfg.write_text(
+        "\n".join(
+            [
+                "domain.xmin = 0",
+                "domain.xmax = 50",
+                "grid.n = 800",
+                "params.tau = 1",
+                "params.alpha = 0.9",
+                "time.T = 1000",
+                "time.dt = 1000",
+                "init.kind = riemann",
+            ]
+        )
+    )
+    rc = cli_main(["run", str(cfg)])
+    assert rc == 1
+    assert "run failed: linear solve residual" in capsys.readouterr().err

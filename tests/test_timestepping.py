@@ -12,6 +12,7 @@ from hyperac.schemes import (
     SchemeConfig,
     State,
     prepare_state_for_scheme,
+    rhs_for_scheme,
     rhs_kinetic_first_order,
 )
 from hyperac.timestepping import (
@@ -384,6 +385,18 @@ def test_explicit_step_identity_for_zero_rhs():
         new = explicit_step(st, 0.3, zero, method)
         assert np.array_equal(new.a, st.a)
         assert np.array_equal(new.b, st.b)
+
+
+def test_parabolic_reference_keeps_the_flux_frozen():
+    """The parabolic scheme's RHS has no flux derivative; both explicit
+    methods carry the flux array over untouched instead of adding h * 0."""
+    grid = build_uniform_grid(0.0, 4.0, 10)
+    st = State.physical(np.linspace(0.0, 1.0, 10), np.linspace(-1.0, 1.0, 10), grid,
+                        ModelParams(tau=1.0))
+    rhs = rhs_for_scheme(SchemeConfig("parabolic_reference"))
+    assert rhs(st)[1] is None
+    for method in ("euler", "heun"):
+        assert explicit_step(st, 0.01, rhs, method).b is st.b
 
 
 def test_heun_linear_growth_factor():
