@@ -2,7 +2,6 @@
 
 from .diagnostics import (
     DiagnosticsRecord,
-    average_speed,
     detect_stabilization,
     front_position_and_monotonicity,
     g_profile,
@@ -12,7 +11,6 @@ from .diagnostics import (
 )
 from .grid import (
     Grid,
-    GridFunction,
     build_graded_grid,
     build_uniform_grid,
     project_cell_averages,
@@ -50,7 +48,6 @@ from .scenarios import (
 from .schemes import (
     SchemeConfig,
     State,
-    limited_slopes,
     minmod,
     monotonized_central,
     prepare_state_for_scheme,
@@ -76,7 +73,6 @@ from .timestepping import (
     run,
     run_ensemble,
     suggest_dt,
-    suggest_dt_imex,
 )
 
 __version__ = "0.1.0"

@@ -88,6 +88,13 @@ def _scenario_from_args(args) -> Scenario:
     return Scenario.from_dict(values)
 
 
+def _params(**values) -> ModelParams:
+    try:
+        return ModelParams(**values)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
 def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -121,12 +128,16 @@ def cli_main(argv: list[str] | None = None) -> int:
                 )
             print(f"wrote CSV output to {args.out_dir}")
         elif args.command == "riemann-decay":
+            _params(tau=args.tau, alpha=0.5)  # the driver runs at alpha = 1/2
             out = run_riemann_decay(tau=args.tau, out_dir=args.out_dir)
             final = out["hyperbolic"].diagnostics
             print(f"final L2 distance {final.l2[-1]:.6g}, "
                   f"final max-norm distance {final.linf[-1]:.6g}")
             print(f"wrote CSV output to {args.out_dir}")
         elif args.command == "random-study":
+            _params(tau=1.0, alpha=args.alpha)  # the driver's own taus are valid
+            if args.seed < 0:
+                raise ConfigError("--seed must be non-negative")
             entries = run_random_study(
                 variant=args.variant, seed=args.seed, alpha=args.alpha,
                 out_dir=args.out_dir,
@@ -138,9 +149,11 @@ def cli_main(argv: list[str] | None = None) -> int:
                 )
             print(f"wrote CSV output to {args.out_dir}")
         elif args.command == "shoot":
-            params = ModelParams(
+            params = _params(
                 tau=args.tau, mu=args.mu, kappa=args.kappa, alpha=args.alpha
             )
+            if not args.tol > 0.0:
+                raise ConfigError("--tol must be positive")
             speed = hyperbolic_front_speed_shooting(
                 params, tol=args.tol, increasing=not args.decreasing
             )
@@ -151,9 +164,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (BlowUpError, SolveError, ShootingError) as err:
         print(f"run failed: {err}", file=sys.stderr)
         return EXIT_RUN_FAILURE
-    except ValueError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     return EXIT_OK
 
 

@@ -8,14 +8,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import Grid, GridFunction, project_cell_averages
+from .grid import Grid
 from .model import ModelParams, stability_indicator_g
 
 __all__ = [
     "DiagnosticsRecord",
     "mass",
     "speeds_from_masses",
-    "average_speed",
     "relative_speed_error",
     "l2_distance",
     "linf_distance",
@@ -50,20 +49,6 @@ class DiagnosticsRecord:
                 writer.writerow([f"{x:.17g}" for x in row])
 
 
-def _reference_averages(reference, grid: Grid) -> np.ndarray:
-    """Cell averages of a reference given as callable, GridFunction or array."""
-    if callable(reference):
-        return project_cell_averages(reference, grid).values
-    if isinstance(reference, GridFunction):
-        if reference.grid is not grid and reference.grid.n_cells != grid.n_cells:
-            raise ValueError("reference lives on an incompatible grid")
-        return reference.values
-    values = np.asarray(reference, dtype=float)
-    if values.shape != (grid.n_cells,):
-        raise ValueError("reference array must hold one value per cell")
-    return values
-
-
 def mass(values: np.ndarray, grid: Grid) -> float:
     """Integral sum_i dx_i u_i of cell averages on ``grid``."""
     return float(np.dot(grid.cell_lengths, values))
@@ -79,16 +64,6 @@ def speeds_from_masses(masses, dt):
     return (masses[:-1] - masses[1:]) / dt
 
 
-def average_speed(u_n: GridFunction, u_np1: GridFunction, dt: float) -> float:
-    """Average propagation speed between two consecutive solutions."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if u_n.grid.n_cells != u_np1.grid.n_cells:
-        raise ValueError("solutions live on different grids")
-    masses = [mass(u_n.values, u_n.grid), mass(u_np1.values, u_np1.grid)]
-    return float(speeds_from_masses(masses, dt)[0])
-
-
 def relative_speed_error(c: float, c_ref: float) -> float:
     """|c - c_ref| / |c_ref|; raises for a vanishing reference speed."""
     if c_ref == 0.0:
@@ -98,26 +73,20 @@ def relative_speed_error(c: float, c_ref: float) -> float:
     return abs(c - c_ref) / abs(c_ref)
 
 
-def l2_distance(u: GridFunction, reference) -> float:
-    """Discrete L2 distance sqrt(sum_i dx_i (u_i - ref_i)^2).
-
-    ``reference`` may be a callable (projected onto cell averages), a
-    GridFunction, or a plain array of cell values.
-    """
-    ref = _reference_averages(reference, u.grid)
-    diff = u.values - ref
-    return float(np.sqrt(np.sum(u.grid.cell_lengths * diff * diff)))
+def l2_distance(u: np.ndarray, ref: np.ndarray, grid: Grid) -> float:
+    """Discrete L2 distance sqrt(sum_i dx_i (u_i - ref_i)^2) of cell averages on ``grid``."""
+    diff = u - ref
+    return float(np.sqrt(np.sum(grid.cell_lengths * diff * diff)))
 
 
-def linf_distance(u: GridFunction, reference) -> float:
-    """Max-norm distance to the cell averages of a reference."""
-    ref = _reference_averages(reference, u.grid)
-    return float(np.max(np.abs(u.values - ref)))
+def linf_distance(u: np.ndarray, ref: np.ndarray) -> float:
+    """Max-norm distance between two arrays of cell averages."""
+    return float(np.max(np.abs(u - ref)))
 
 
-def g_profile(u: GridFunction, p: ModelParams) -> GridFunction:
+def g_profile(u: np.ndarray, p: ModelParams) -> np.ndarray:
     """Per-cell stability indicator g(u_i) = 1 - tau f'(u_i)."""
-    return GridFunction(stability_indicator_g(u.values, p), u.grid)
+    return stability_indicator_g(u, p)
 
 
 def detect_stabilization(
@@ -143,7 +112,7 @@ def detect_stabilization(
 
 
 def front_position_and_monotonicity(
-    u: GridFunction, alpha: float
+    u: np.ndarray, grid: Grid, alpha: float
 ) -> tuple[float | None, int]:
     """Interpolated location of the first alpha-crossing and the crossing count.
 
@@ -151,19 +120,17 @@ def front_position_and_monotonicity(
     (cells exactly at alpha are skipped); a formed front has exactly one.
     Returns (None, 0) when u never crosses alpha.
     """
-    values = u.values - alpha
+    values = u - alpha
     signs = np.sign(values)
     nonzero = signs[signs != 0.0]
     sign_changes = int(np.count_nonzero(np.diff(nonzero) != 0.0))
     crossing = None
+    x = grid.centers
     idx = np.nonzero((values[:-1] * values[1:]) < 0.0)[0]
     if values.size and np.any(values == 0.0):
         exact = np.nonzero(values == 0.0)[0]
-        crossing = float(u.grid.centers[exact[0]])
-    if idx.size and (crossing is None or u.grid.centers[idx[0]] < crossing):
+        crossing = float(x[exact[0]])
+    if idx.size and (crossing is None or x[idx[0]] < crossing):
         i = int(idx[0])
-        x = u.grid.centers
-        crossing = float(
-            x[i] + (alpha - u.values[i]) * (x[i + 1] - x[i]) / (u.values[i + 1] - u.values[i])
-        )
+        crossing = float(x[i] + (alpha - u[i]) * (x[i + 1] - x[i]) / (u[i + 1] - u[i]))
     return crossing, sign_changes

@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "GridFunction",
     "build_uniform_grid",
     "build_graded_grid",
     "project_cell_averages",
@@ -95,22 +94,6 @@ class Grid:
                 )
 
 
-@dataclass(frozen=True, eq=False)
-class GridFunction:
-    """One value per cell, interpreted as an approximate cell average."""
-
-    values: np.ndarray
-    grid: Grid
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n_cells,):
-            raise ValueError(
-                f"expected {self.grid.n_cells} cell values, got shape {values.shape}"
-            )
-        object.__setattr__(self, "values", values)
-
-
 def build_uniform_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
     """Equispaced cell-centered grid with ``n_cells`` cells on [x_min, x_max]."""
     if n_cells < 3:
@@ -142,7 +125,7 @@ def build_graded_grid(x_min: float, x_max: float, n_cells: int, ratio: float) ->
     return Grid(interfaces)
 
 
-def project_cell_averages(f: Callable[[np.ndarray], np.ndarray], grid: Grid) -> GridFunction:
+def project_cell_averages(f: Callable[[np.ndarray], np.ndarray], grid: Grid) -> np.ndarray:
     """Cell averages of ``f`` by 2-point Gauss-Legendre quadrature per cell.
 
     Exact for cubic polynomials, so the projection error stays below the
@@ -152,14 +135,6 @@ def project_cell_averages(f: Callable[[np.ndarray], np.ndarray], grid: Grid) -> 
     """
     centers = grid.centers
     offsets = _GAUSS_OFFSET * grid.cell_lengths
-    try:
-        left = np.asarray(f(centers - offsets), dtype=float)
-        right = np.asarray(f(centers + offsets), dtype=float)
-        values = 0.5 * (np.broadcast_to(left, centers.shape) + np.broadcast_to(right, centers.shape))
-    except (TypeError, ValueError):
-        # scalar-only callable: fall back to a per-cell loop
-        values = np.array(
-            [0.5 * (f(c - o) + f(c + o)) for c, o in zip(centers, offsets)],
-            dtype=float,
-        )
-    return GridFunction(values.copy(), grid)
+    left = np.asarray(f(centers - offsets), dtype=float)
+    right = np.asarray(f(centers + offsets), dtype=float)
+    return 0.5 * (np.broadcast_to(left, centers.shape) + np.broadcast_to(right, centers.shape))

@@ -21,7 +21,7 @@ from .diagnostics import front_position_and_monotonicity, g_profile, relative_sp
 from .grid import Grid, build_graded_grid, build_uniform_grid, project_cell_averages
 from .model import FrontProfile, ModelParams, hyperbolic_front_speed_shooting
 from .schemes import ONEFIELD, SchemeConfig, State
-from .timestepping import RunResult, run, run_ensemble
+from .timestepping import RunResult, check_run, run, run_ensemble
 
 __all__ = [
     "ConfigError",
@@ -74,8 +74,8 @@ def initial_exact_front(grid: Grid, params: ModelParams, shift: float = 0.0) -> 
     for alpha = 1/2 this datum is an equilibrium of the continuous model.
     """
     front = FrontProfile(params, shift=shift, increasing=True)
-    u = project_cell_averages(front, grid).values
-    v = project_cell_averages(lambda x: -params.mu * front.derivative(x), grid).values
+    u = project_cell_averages(front, grid)
+    v = project_cell_averages(lambda x: -params.mu * front.derivative(x), grid)
     return State.physical(u, v, grid, params)
 
 
@@ -153,16 +153,13 @@ def _table_initial(n_cells: int, params: ModelParams) -> State:
 
 
 def _reference_speeds(cases: dict) -> dict:
-    """Shooting reference speed per case; a 4th tuple entry overrides it."""
+    """Shooting reference speed per case."""
     speeds = {}
     for label, case in cases.items():
-        if len(case) >= 4 and case[3] is not None:
-            speeds[label] = float(case[3])
-        else:
-            tau, alpha = case[0], case[1]
-            speeds[label] = hyperbolic_front_speed_shooting(
-                ModelParams(tau=tau, alpha=alpha), increasing=True
-            )
+        tau, alpha = case[0], case[1]
+        speeds[label] = hyperbolic_front_speed_shooting(
+            ModelParams(tau=tau, alpha=alpha), increasing=True
+        )
     return speeds
 
 
@@ -377,18 +374,12 @@ def run_random_study(
     results = []
     for tau, params, result in zip(taus, members, ensemble):
         crossing, sign_changes = front_position_and_monotonicity(
-            result.final_state.u_function(), alpha
+            result.final_state.u, grid, alpha
         )
         profiles = {}
         for t, state in result.snapshots:
             if t in (10.0, 20.0):
-                u = state.u_function()
-                profiles[t] = {"u": u.values, "g": g_profile(u, params).values}
-        final_u = result.final_state.u_function()
-        profiles.setdefault(20.0, {
-            "u": final_u.values,
-            "g": g_profile(final_u, params).values,
-        })
+                profiles[t] = {"u": state.u, "g": g_profile(state.u, params)}
         results.append(
             {
                 "variant": variant,
@@ -525,14 +516,13 @@ class Scenario:
                 },
                 output_dir=Path(values["output.dir"]) if "output.dir" in values else None,
             )
+            check_run(scenario.scheme, scenario.integrator, scenario.T, scenario.dt)
         except ConfigError:
             raise
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        if scenario.integrator not in ("imex", "euler", "heun"):
-            raise ConfigError(f"unknown integrator {scenario.integrator!r}")
-        if scenario.T <= 0.0 or scenario.dt <= 0.0:
-            raise ConfigError("time.T and time.dt must be positive")
+        if scenario.sample_every < 0:
+            raise ConfigError("time.sample_every must be non-negative")
         if scenario.init_kind not in ("riemann", "exact_front", "random", "constant"):
             raise ConfigError(f"unknown init.kind {scenario.init_kind!r}")
         return scenario

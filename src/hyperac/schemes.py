@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid
 from .model import (
     ModelParams,
     ParamColumns,
@@ -37,7 +37,6 @@ __all__ = [
     "BOUNDARIES",
     "minmod",
     "monotonized_central",
-    "limited_slopes",
     "rhs_kinetic_first_order",
     "rhs_kinetic_first_order_uv",
     "rhs_kinetic_second_order",
@@ -86,7 +85,7 @@ SCHEMES = {
     ),
     "onefield_direct": SchemeSpec(ONEFIELD, "rhs_onefield_direct", diffusion=_mu_plus_nu),
     "onefield_alternative": SchemeSpec(ONEFIELD, "rhs_onefield_alternative", diffusion=_mu_plus_nu),
-    "parabolic_reference": SchemeSpec(PHYSICAL, "_rhs_parabolic_state", diffusion=_mu_plus_nu),
+    "parabolic_reference": SchemeSpec(PHYSICAL, "rhs_parabolic_reference", diffusion=_mu_plus_nu),
 }
 
 
@@ -176,9 +175,6 @@ class State:
             self.__dict__["_u"] = u
         return u
 
-    def u_function(self) -> GridFunction:
-        return GridFunction(self.u, self.grid)
-
     def with_components(self, a: np.ndarray, b: np.ndarray) -> "State":
         """The state with new component arrays of the same shape.
 
@@ -212,7 +208,7 @@ class State:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme kind, limiter (second-order kinetic only) and boundary closure."""
+    """Scheme kind, limiter (second-order kinetic only, which requires one) and boundary closure."""
 
     kind: str = "kinetic_first_order"
     limiter: str | None = "minmod"
@@ -223,6 +219,8 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.limiter is not None and self.limiter not in LIMITERS:
             raise ValueError(f"unknown limiter {self.limiter!r}")
+        if self.kind == "kinetic_second_order" and self.limiter is None:
+            raise ValueError("the second-order kinetic scheme requires a limiter")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary treatment {self.boundary!r}")
 
@@ -274,11 +272,6 @@ def _limited_slope_values(values: np.ndarray, centers: np.ndarray, limiter: str)
     slopes = np.zeros_like(values)
     slopes[..., 1:-1] = lmtr(diffs[..., 1:], diffs[..., :-1])
     return slopes
-
-
-def limited_slopes(w: GridFunction, limiter: str = "minmod") -> GridFunction:
-    """Slope-limited numerical derivative of a grid function, one per cell."""
-    return GridFunction(_limited_slope_values(w.values, w.grid.centers, limiter), w.grid)
 
 
 def rhs_kinetic_first_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -359,8 +352,6 @@ def rhs_kinetic_second_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarra
     exactly what the first-order one does.
     """
     state._require(DIAGONAL)
-    if cfg.limiter is None:
-        raise ValueError("the second-order kinetic scheme requires a limiter")
     p = state.params
     r, s = state.a, state.b
     grid = state.grid
@@ -447,21 +438,14 @@ def rhs_onefield_alternative(state: State, cfg: SchemeConfig) -> tuple[np.ndarra
     return du, dw
 
 
-def rhs_parabolic_reference(
-    u: GridFunction | State, params: ModelParams | ParamColumns, cfg: SchemeConfig
-) -> np.ndarray:
+def rhs_parabolic_reference(state: State, cfg: SchemeConfig) -> tuple[np.ndarray, None]:
     """Reference discretization of the parabolic limit du/dt = mu L u + f(u).
 
-    ``u`` is a GridFunction, or a state (an ensemble too) whose density it takes.
+    It evolves the density of a physical state; the flux stays frozen.
     """
-    values = u.u if isinstance(u, State) else u.values
-    return params.mu * _laplacian(values, u.grid, cfg.boundary) + reaction_f(values, params)
-
-
-def _rhs_parabolic_state(state: State, cfg: SchemeConfig) -> tuple[np.ndarray, None]:
-    """``rhs_parabolic_reference`` on a physical state; the flux stays frozen."""
     state._require(PHYSICAL)
-    return rhs_parabolic_reference(state, state.params, cfg), None
+    u, p = state.u, state.params
+    return p.mu * _laplacian(u, state.grid, cfg.boundary) + reaction_f(u, p), None
 
 
 def rhs_for_scheme(cfg: SchemeConfig):

@@ -42,7 +42,7 @@ from .diagnostics import (
     mass,
     speeds_from_masses,
 )
-from .grid import Grid, GridFunction, project_cell_averages
+from .grid import Grid, project_cell_averages
 from .model import ModelParams, ParamColumns, _max_abs_f_prime, reaction_f, reaction_f_prime
 from .schemes import (
     SCHEMES,
@@ -63,7 +63,7 @@ __all__ = [
     "imex_step_reduced_uniform",
     "explicit_step",
     "suggest_dt",
-    "suggest_dt_imex",
+    "check_run",
     "run",
     "run_ensemble",
 ]
@@ -365,32 +365,37 @@ def explicit_step(
     return new
 
 
-def _reaction_dt(params: ModelParams, safety: float) -> float:
-    """Reaction time scale 1 / max|f'| on [-0.1, 1.1], after checking ``safety``."""
-    if not 0.0 < safety <= 1.0:
-        raise ValueError("safety must lie in (0, 1]")
-    return 1.0 / _max_abs_f_prime(params)
-
-
 def suggest_dt(
     grid: Grid, params: ModelParams, cfg: SchemeConfig, safety: float = 0.9
 ) -> float:
     """Stable step size for an explicit integrator of the chosen scheme.
 
-    Every scheme is limited by the reaction scale, transport (min dx / rho)
-    and the relaxation scale 2 tau; a scheme with an explicit diffusion term
-    of coefficient D adds the parabolic bound min(dx)^2 / (2 D).
+    Every scheme is limited by the reaction scale 1 / max|f'|, transport
+    (min dx / rho) and the relaxation scale 2 tau; a scheme with an explicit
+    diffusion term of coefficient D adds the parabolic bound min(dx)^2 / (2 D).
     """
-    reaction = _reaction_dt(params, safety)
+    if not 0.0 < safety <= 1.0:
+        raise ValueError("safety must lie in (0, 1]")
+    reaction = 1.0 / _max_abs_f_prime(params)
     dx = grid.dx_min
     diffusion = SCHEMES[cfg.kind].diffusion
     parabolic = math.inf if diffusion is None else 0.5 * dx**2 / diffusion(params, dx)
     return safety * min(reaction, dx / params.rho, 2.0 * params.tau, parabolic)
 
 
-def suggest_dt_imex(params: ModelParams, safety: float = 0.9) -> float:
-    """Reaction-scale bound for the IMEX step (transport/relaxation implicit)."""
-    return safety * _reaction_dt(params, safety)
+def check_run(scheme: SchemeConfig, integrator: str, T: float, dt: float) -> None:
+    """Raise ``ValueError`` for a run that cannot start: a T or dt that is not
+    positive and finite, or a scheme/integrator combination that does not
+    exist (IMEX applies to the kinds whose ``SchemeSpec`` says so)."""
+    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):  # false for NaN too
+        raise ValueError("T and dt must be positive and finite")
+    if integrator not in ("imex", "euler", "heun"):
+        raise ValueError(f"unknown integrator {integrator!r}")
+    if integrator == "imex" and not SCHEMES[scheme.kind].imex:
+        raise ValueError(
+            f"the IMEX step does not discretize the {scheme.kind} scheme; "
+            "use an explicit integrator"
+        )
 
 
 @dataclass
@@ -410,8 +415,6 @@ def run_ensemble(
     dt: float,
     sample_every: int = 0,
     reference: Callable | None = None,
-    stabilization_window: int = 200,
-    stabilization_tol: float = 1e-3,
 ) -> list[RunResult]:
     """Advance B states on one grid from t = 0 to t = T, recording diagnostics each step.
 
@@ -430,22 +433,12 @@ def run_ensemble(
     Raises ``BlowUpError`` (carrying the step index and the member, which an
     ensemble of two or more names in the message) when the first member
     leaves the trust region, and ``ValueError``, before any allocation, for
-    a T or dt that is not positive and finite or a scheme/integrator
-    combination that does not exist (IMEX applies to the kinds whose
-    ``SchemeSpec`` says so).
+    the arguments ``check_run`` rejects.
     """
     initials = list(initials)
     if not initials:
         raise ValueError("an ensemble needs at least one member")
-    if not (0.0 < T < math.inf and 0.0 < dt < math.inf):  # false for NaN too
-        raise ValueError("T and dt must be positive and finite")
-    if integrator not in ("imex", "euler", "heun"):
-        raise ValueError(f"unknown integrator {integrator!r}")
-    if integrator == "imex" and not SCHEMES[scheme.kind].imex:
-        raise ValueError(
-            f"the IMEX step does not discretize the {scheme.kind} scheme; "
-            "use an explicit integrator"
-        )
+    check_run(scheme, integrator, T, dt)
     members = [prepare_state_for_scheme(st, scheme) for st in initials]
     state = State.stack(members)
     p = state.params
@@ -480,7 +473,7 @@ def run_ensemble(
     times = np.arange(1, n_steps + 1) * dt
     times[-1] = T
 
-    ref_values = None if reference is None else project_cell_averages(reference, grid).values
+    ref_values = None if reference is None else project_cell_averages(reference, grid)
     masses = np.empty((count, n_steps + 1))
     if ref_values is None:  # no distances: a read-only NaN view that holds no memory
         l2 = linf = np.broadcast_to(np.nan, (count, n_steps))
@@ -504,16 +497,15 @@ def run_ensemble(
         max_f_prime[:, n] = reaction_f_prime(u, p).max(axis=-1)
         if ref_values is not None:
             for k, row in enumerate(rows):
-                u_function = GridFunction(row, grid)
-                l2[k, n] = l2_distance(u_function, ref_values)
-                linf[k, n] = linf_distance(u_function, ref_values)
+                l2[k, n] = l2_distance(row, ref_values, grid)
+                linf[k, n] = linf_distance(row, ref_values)
         if sample_every > 0 and (n + 1) % sample_every == 0:
             current = split(state)
             for snaps, st in zip(snapshots, current):
                 snaps.append((float(times[n]), st))
     if not (sample_every > 0 and n_steps % sample_every == 0):
         current = split(state)
-    # rounding is monotone and tau > 0, so this is g_profile(u).values.min() exactly;
+    # rounding is monotone and tau > 0, so this is g_profile(u).min() exactly;
     # in place, as 1.0 - tau * max_f_prime
     g_min = np.subtract(1.0, np.multiply(p.tau, max_f_prime, out=max_f_prime), out=max_f_prime)
 
@@ -526,9 +518,7 @@ def run_ensemble(
             l2=l2[k],
             linf=linf[k],
             g_min=g_min[k],
-            stabilized_at=detect_stabilization(
-                times, speeds, window=stabilization_window, tol=stabilization_tol
-            ),
+            stabilized_at=detect_stabilization(times, speeds),
         )
         results.append(RunResult(final_state=final, snapshots=snapshots[k], diagnostics=record))
     return results
@@ -542,11 +532,6 @@ def run(
     dt: float,
     sample_every: int = 0,
     reference: Callable | None = None,
-    stabilization_window: int = 200,
-    stabilization_tol: float = 1e-3,
 ) -> RunResult:
     """Advance a state from t = 0 to t = T: the one-member ``run_ensemble``."""
-    return run_ensemble(
-        [initial], scheme, integrator, T, dt, sample_every, reference,
-        stabilization_window, stabilization_tol,
-    )[0]
+    return run_ensemble([initial], scheme, integrator, T, dt, sample_every, reference)[0]

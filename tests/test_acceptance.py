@@ -498,8 +498,8 @@ def _convergence_order(cfg_kind, limiter, mesher, ref_grid, ref_state):
 
 def _smooth_run(grid, kind, limiter):
     p = ModelParams(tau=0.5, alpha=0.5)
-    u0 = project_cell_averages(lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x), grid).values
-    v0 = project_cell_averages(lambda x: 0.1 * np.cos(2 * np.pi * x), grid).values
+    u0 = project_cell_averages(lambda x: 0.5 + 0.25 * np.sin(2 * np.pi * x), grid)
+    v0 = project_cell_averages(lambda x: 0.1 * np.cos(2 * np.pi * x), grid)
     st = State.physical(u0, v0, grid, p)
     cfg = SchemeConfig(kind, limiter=limiter, boundary="periodic")
     dt = 0.35 * grid.dx_min / p.rho

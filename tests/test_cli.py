@@ -148,3 +148,59 @@ def test_solve_residual_failure_exits_1(tmp_path, capsys):
     rc = cli_main(["run", str(cfg)])
     assert rc == 1
     assert "run failed: linear solve residual" in capsys.readouterr().err
+
+
+def _write_config(path):
+    path.write_text(
+        "domain.xmin = 0\ndomain.xmax = 2\ngrid.n = 16\nparams.tau = 1.0\n"
+        "time.T = 0.2\ntime.dt = 0.02\ninit.kind = riemann\n"
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["time.sample_every=-3"],
+        ["scheme.kind=gk_pseudo_kinetic"],  # IMEX, the default integrator
+        ["scheme.kind=kinetic_second_order", "scheme.limiter=none", "integrator=euler"],
+    ],
+)
+def test_invalid_run_exits_2_before_the_run_starts(tmp_path, capsys, overrides):
+    argv = ["run", _write_config(tmp_path / "base.cfg"), "--out-dir", str(tmp_path / "out")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shoot", "--tau", "-1", "--alpha", "0.9"],
+        ["shoot", "--tau", "1", "--alpha", "1.5"],
+        ["shoot", "--tau", "1", "--alpha", "0.9", "--tol", "0"],
+        ["riemann-decay", "--tau", "0"],
+        ["random-study", "--alpha", "1.2"],
+        ["random-study", "--seed", "-1"],
+    ],
+)
+def test_invalid_driver_arguments_exit_2(tmp_path, capsys, argv):
+    if argv[0] != "shoot":
+        argv = argv + ["--out-dir", str(tmp_path / "out")]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_value_error_inside_a_run_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    from hyperac import timestepping
+
+    def broken_step(*args, **kwargs):
+        raise ValueError("bug deep in a run")
+
+    monkeypatch.setattr(timestepping, "imex_step", broken_step)
+    with pytest.raises(ValueError, match="bug deep in a run"):
+        cli_main(["run", _write_config(tmp_path / "base.cfg")])
+    assert "config error" not in capsys.readouterr().err

@@ -78,7 +78,7 @@ def test_ensemble_equals_solo_runs_bitwise(kind, integrator, boundary, members, 
     dt = 0.5 * min(suggest_dt(_GRID, p, cfg) for p in members)
     T = (7 + last) * dt
     initials = _initials(members, seed)
-    kwargs = dict(sample_every=3, reference=_REFERENCE, stabilization_window=2)
+    kwargs = dict(sample_every=3, reference=_REFERENCE)
     ensemble = run_ensemble(initials, cfg, integrator, T, dt, **kwargs)
     assert len(ensemble) == len(members)
     for initial, got in zip(initials, ensemble):

@@ -5,7 +5,6 @@ import pytest
 
 from hyperac.grid import (
     Grid,
-    GridFunction,
     build_graded_grid,
     build_uniform_grid,
     project_cell_averages,
@@ -88,29 +87,28 @@ def test_interfaces_must_increase():
 def test_projection_constant_exact():
     grid = build_graded_grid(0.0, 1.0, 5, 1.3)
     w = project_cell_averages(lambda x: 3.0, grid)
-    assert np.array_equal(w.values, np.full(5, 3.0))
+    assert np.array_equal(w, np.full(5, 3.0))
 
 
 def test_projection_linear_equals_center_values():
     grid = build_graded_grid(-1.0, 2.0, 6, 0.7)
     w = project_cell_averages(lambda x: 2.5 * x - 1.0, grid)
-    assert np.allclose(w.values, 2.5 * grid.centers - 1.0, atol=1e-14)
+    assert np.allclose(w, 2.5 * grid.centers - 1.0, atol=1e-14)
 
 
 def test_projection_quadratic_exact():
     # cell [0, 1] of a 3-cell grid: the average of x^2 is exactly 1/3
     grid = build_uniform_grid(0.0, 3.0, 3)
     w = project_cell_averages(lambda x: x**2, grid)
-    assert abs(w.values[0] - 1.0 / 3.0) <= 1e-15
+    assert abs(w[0] - 1.0 / 3.0) <= 1e-15
 
 
-def test_projection_scalar_only_callable():
-    import math
-
+def test_projection_propagates_callable_errors():
+    # the callable is evaluated on arrays of points; one that cannot take an
+    # array fails here instead of being retried cell by cell
     grid = build_uniform_grid(0.0, 1.0, 4)
-    w = project_cell_averages(lambda x: math.sin(x), grid)
-    ref = project_cell_averages(np.sin, grid)
-    assert np.allclose(w.values, ref.values, atol=1e-15)
+    with pytest.raises(TypeError):
+        project_cell_averages(lambda x: float(x), grid)
 
 
 def test_projection_second_order_convergence():
@@ -119,16 +117,10 @@ def test_projection_second_order_convergence():
         grid = build_uniform_grid(0.0, 1.0, n)
         w = project_cell_averages(lambda x: np.sin(3.0 * x) + x**4, grid)
         exact = np.sin(3.0 * grid.centers) + grid.centers**4
-        errors.append(np.max(np.abs(w.values - exact)))
+        errors.append(np.max(np.abs(w - exact)))
         widths.append(grid.dx_max)
     slope = np.polyfit(np.log(widths), np.log(errors), 1)[0]
     assert slope >= 1.9
-
-
-def test_grid_function_length_check():
-    grid = build_uniform_grid(0.0, 1.0, 4)
-    with pytest.raises(ValueError):
-        GridFunction(np.zeros(5), grid)
 
 
 def test_grid_csv_round_trip(tmp_path):

@@ -8,7 +8,6 @@ from hyperac.schemes import (
     SCHEMES,
     SchemeConfig,
     State,
-    limited_slopes,
     minmod,
     monotonized_central,
     prepare_state_for_scheme,
@@ -21,7 +20,6 @@ from hyperac.schemes import (
     rhs_onefield_direct,
     rhs_parabolic_reference,
 )
-from hyperac.grid import GridFunction
 
 EPS = np.finfo(float).eps
 
@@ -224,11 +222,11 @@ def test_limiter_bounds_random_pairs():
 
 def test_limited_slopes_constant_and_linear():
     grid = build_uniform_grid(0.0, 1.0, 8)
-    const = limited_slopes(GridFunction(np.full(8, 2.3), grid))
-    assert np.array_equal(const.values, np.zeros(8))
-    linear = limited_slopes(GridFunction(1.7 * grid.centers, grid))
-    assert np.allclose(linear.values[1:-1], 1.7, atol=1e-13)
-    assert linear.values[0] == 0.0 and linear.values[-1] == 0.0
+    const = schemes._limited_slope_values(np.full(8, 2.3), grid.centers, "minmod")
+    assert np.array_equal(const, np.zeros(8))
+    linear = schemes._limited_slope_values(1.7 * grid.centers, grid.centers, "minmod")
+    assert np.allclose(linear[1:-1], 1.7, atol=1e-13)
+    assert linear[0] == 0.0 and linear[-1] == 0.0
 
 
 # --------------------------------------------------------------- first order --
@@ -381,7 +379,7 @@ def test_second_order_reconstruction_preserves_cell_average():
     grid = build_graded_grid(0.0, 1.0, 8, 0.9)
     rng = np.random.Generator(np.random.PCG64(2))
     values = rng.uniform(0.0, 1.0, 8)
-    slopes = limited_slopes(GridFunction(values, grid)).values
+    slopes = schemes._limited_slope_values(values, grid.centers, "minmod")
     half = 0.5 * grid.cell_lengths
     means = 0.5 * ((values - half * slopes) + (values + half * slopes))
     assert np.allclose(means, values, atol=2 * EPS)
@@ -507,12 +505,18 @@ def test_nonuniform_laplacian_consistency():
 # ------------------------------------------------------- parabolic reference --
 
 
+def _parabolic_rhs(u, grid, p):
+    """The parabolic reference's du of a physical state with density u."""
+    st = State.physical(u, np.zeros_like(u), grid, p)
+    du, dv = rhs_parabolic_reference(st, SchemeConfig("parabolic_reference"))
+    assert dv is None  # the flux stays frozen
+    return du
+
+
 def test_parabolic_equilibrium():
     grid = build_uniform_grid(0.0, 1.0, 5)
     p = ModelParams(tau=1.0, alpha=0.3)
-    du = rhs_parabolic_reference(
-        GridFunction(np.ones(5), grid), p, SchemeConfig("parabolic_reference")
-    )
+    du = _parabolic_rhs(np.ones(5), grid, p)
     assert np.array_equal(du, np.zeros(5))
 
 
@@ -524,8 +528,7 @@ def test_parabolic_stationary_front_residual_second_order():
     residuals, widths = [], []
     for n in (100, 200, 400):
         grid = build_uniform_grid(-20.0, 20.0, n)
-        u = GridFunction(front(grid.centers), grid)
-        du = rhs_parabolic_reference(u, p, SchemeConfig("parabolic_reference"))
+        du = _parabolic_rhs(front(grid.centers), grid, p)
         residuals.append(np.max(np.abs(du)))
         widths.append(grid.dx_max)
     slope = np.polyfit(np.log(widths), np.log(residuals), 1)[0]
@@ -536,7 +539,7 @@ def test_parabolic_three_cell_oracle():
     grid = build_uniform_grid(0.0, 3.0, 3)
     p = ModelParams(tau=1.0, mu=2.0, kappa=1.0, alpha=0.5)
     u = np.array([0.1, 0.7, 0.4])
-    du = rhs_parabolic_reference(GridFunction(u, grid), p, SchemeConfig("parabolic_reference"))
+    du = _parabolic_rhs(u, grid, p)
     f = lambda q: q * (q - 0.5) * (1 - q)
     expected = [
         2.0 * (u[1] - 2 * u[0] + u[0]) + f(u[0]),

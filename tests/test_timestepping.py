@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbtrf
 
-from hyperac.diagnostics import average_speed, g_profile, l2_distance, linf_distance
+from hyperac.diagnostics import g_profile, l2_distance, linf_distance, mass, speeds_from_masses
 from hyperac.grid import build_graded_grid, build_uniform_grid, project_cell_averages
 from hyperac.model import FrontProfile, ModelParams, _max_abs_f_prime, reaction_f
 from hyperac.schemes import (
@@ -25,7 +25,6 @@ from hyperac.timestepping import (
     imex_step_reduced_uniform,
     run,
     suggest_dt,
-    suggest_dt_imex,
 )
 
 EPS = np.finfo(float).eps
@@ -463,9 +462,12 @@ def test_suggest_dt_parabolic_diffusive_bound():
 
 def test_suggest_dt_imex_reaction_only():
     p = ModelParams(tau=1.0, mu=1.0, kappa=1.0, alpha=0.9)
-    dt = suggest_dt_imex(p, safety=1.0)
     # max |f'| over [-0.1, 1.1] sits at u = -0.1 for alpha = 0.9
     fp = abs(p.kappa * (-3 * 0.01 + 2 * 1.9 * -0.1 - 0.9))
+    assert _max_abs_f_prime(p) == pytest.approx(fp, rel=1e-12)
+    # on a coarse grid the reaction scale is the binding bound
+    grid = build_uniform_grid(0.0, 10.0, 10)
+    dt = suggest_dt(grid, p, SchemeConfig("kinetic_first_order"), safety=1.0)
     assert dt == pytest.approx(1.0 / fp, rel=1e-12)
 
 
@@ -596,17 +598,19 @@ def test_run_diagnostics_are_the_diagnostics_functions(integrator, kind):
     grid = build_graded_grid(-5.0, 5.0, 60, 1.01)
     p = ModelParams(tau=2.0, alpha=0.6, nu=0.3)
     front = FrontProfile(p, increasing=True)
-    u0 = project_cell_averages(front, grid).values
+    u0 = project_cell_averages(front, grid)
     T, dt = 0.25, 0.02
     out = run(State.physical(u0, np.zeros(60), grid, p), SchemeConfig(kind), integrator,
               T=T, dt=dt, sample_every=1, reference=front)
     d = out.diagnostics
-    us = [state.u_function() for _t, state in out.snapshots]
+    us = [state.u for _t, state in out.snapshots]
+    ref = project_cell_averages(front, grid)
     n = d.times.size
     assert n == 13 and len(us) == n + 1
     steps = [dt] * (n - 1) + [T - (n - 1) * dt]
     for k in range(n):
-        assert d.speeds[k] == average_speed(us[k], us[k + 1], steps[k])
-        assert d.l2[k] == l2_distance(us[k + 1], front)
-        assert d.linf[k] == linf_distance(us[k + 1], front)
-        assert d.g_min[k] == g_profile(us[k + 1], p).values.min()
+        masses = [mass(us[k], grid), mass(us[k + 1], grid)]
+        assert d.speeds[k] == speeds_from_masses(masses, steps[k])[0]
+        assert d.l2[k] == l2_distance(us[k + 1], ref, grid)
+        assert d.linf[k] == linf_distance(us[k + 1], ref)
+        assert d.g_min[k] == g_profile(us[k + 1], p).min()
