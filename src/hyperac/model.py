@@ -59,7 +59,7 @@ class ModelParams:
     mu : diffusivity (> 0)
     kappa : reaction intensity (> 0)
     alpha : unstable zero of the cubic, in (0, 1)
-    nu : Guyer-Krumhansl flux-diffusion coefficient (>= 0)
+    nu : Guyer-Krumhansl flux-diffusion coefficient (>= 0, finite)
     """
 
     tau: float
@@ -77,8 +77,8 @@ class ModelParams:
             raise ValueError("kappa must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
-        if self.nu < 0.0:
-            raise ValueError("nu must be non-negative")
+        if not (self.nu >= 0.0 and math.isfinite(self.nu)):
+            raise ValueError("nu must be non-negative and finite")
 
     @property
     def rho(self) -> float:

@@ -152,15 +152,16 @@ def _table_initial(n_cells: int, params: ModelParams) -> State:
     return initial_riemann(grid, params, jump_location=_TABLE_ELL / 2.0)
 
 
-def _reference_speeds(cases: dict) -> dict:
-    """Shooting reference speed per case."""
-    speeds = {}
-    for label, case in cases.items():
-        tau, alpha = case[0], case[1]
-        speeds[label] = hyperbolic_front_speed_shooting(
-            ModelParams(tau=tau, alpha=alpha), increasing=True
-        )
-    return speeds
+def _output_dir(out_dir: str | Path | None) -> Path | None:
+    """The output directory, created before any run starts; ``ConfigError`` if it cannot be."""
+    if out_dir is None:
+        return None
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {out}: {err.strerror or err}") from err
+    return out
 
 
 def run_speed_table(
@@ -171,28 +172,44 @@ def run_speed_table(
 ) -> list[dict]:
     """Relative front-speed error of the IMEX scheme over a (dt, dx) grid.
 
-    Every row carries the measured final average speed, the shooting
-    reference speed and the relative error recomputed from those two values
-    at emission time, plus the run's whole per-step speed series under
-    ``"speeds"`` (not written out).  Writes a tidy CSV plus a pivot in the
-    layout of the error table (one row per (dt, case), one column per dx).
+    Each (dt, dx) cell runs its cases as one ensemble with one stop time per
+    case: a case leaves the ensemble at its own T, and its row is bit for bit
+    that of a run of its own.  Rows come in (dt, case, dx) order.  Every row
+    carries the measured final average speed, the shooting reference speed
+    and the relative error recomputed from those two values at emission time,
+    plus the run's whole per-step speed series under ``"speeds"`` (not
+    written out).  Writes a tidy CSV plus a pivot in the layout of the error
+    table (one row per (dt, case), one column per dx).
     """
     dx_list = list(dx_list) if dx_list is not None else [1.0, 0.5, 0.25, 0.125, 0.0625]
     dt_list = list(dt_list) if dt_list is not None else [1e-1, 1e-2, 1e-3]
     cases = dict(cases) if cases is not None else dict(SPEED_TABLE_CASES)
-    c_refs = _reference_speeds(cases)
+    members = {label: ModelParams(tau=case[0], alpha=case[1]) for label, case in cases.items()}
+    out = _output_dir(out_dir)
+    c_refs = {
+        label: hyperbolic_front_speed_shooting(params, increasing=True)
+        for label, params in members.items()
+    }
+    speeds_of = {}  # the speed series of each (dt, dx, case) run
+    for dt in dt_list:
+        for dx in dx_list:
+            n = int(round(2.0 * _TABLE_ELL / dx))
+            ensemble = run_ensemble(
+                [_table_initial(n, params) for params in members.values()],
+                SchemeConfig("kinetic_first_order"),
+                "imex",
+                T=[case[2] for case in cases.values()],
+                dt=dt,
+            )
+            for label, result in zip(cases, ensemble):
+                speeds_of[dt, dx, label] = result.diagnostics.speeds
     rows = []
     for dt in dt_list:
         for label, case in cases.items():
             tau, alpha, T = case[0], case[1], case[2]
             for dx in dx_list:
-                n = int(round(2.0 * _TABLE_ELL / dx))
-                params = ModelParams(tau=tau, alpha=alpha)
-                initial = _table_initial(n, params)
-                result = run(
-                    initial, SchemeConfig("kinetic_first_order"), "imex", T=T, dt=dt
-                )
-                speed = float(result.diagnostics.speeds[-1])
+                speeds = speeds_of[dt, dx, label]
+                speed = float(speeds[-1])
                 rows.append(
                     {
                         "case": label,
@@ -204,12 +221,10 @@ def run_speed_table(
                         "speed": speed,
                         "c_ref": c_refs[label],
                         "rel_error": relative_speed_error(speed, c_refs[label]),
-                        "speeds": result.diagnostics.speeds,
+                        "speeds": speeds,
                     }
                 )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         _write_rows(
             out / "speed_table_full.csv",
             ["case", "tau", "alpha", "T", "dt", "dx", "speed", "c_ref", "rel_error"],
@@ -259,6 +274,7 @@ def run_order_comparison(
     else:
         scheme, integrator = SchemeConfig("kinetic_second_order", limiter="minmod"), "euler"
     members = [ModelParams(tau=tau, alpha=alpha) for tau in taus for alpha in alphas]
+    out = _output_dir(out_dir)
     results = run_ensemble(
         [_table_initial(400, params) for params in members], scheme, integrator, T=40.0, dt=0.01
     )
@@ -276,9 +292,7 @@ def run_order_comparison(
                 "rel_error": relative_speed_error(speed, c_ref),
             }
         )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         _write_rows(
             out / f"order{order}_speeds.csv",
             ["order", "tau", "alpha", "speed", "c_ref", "rel_error"],
@@ -301,6 +315,7 @@ def run_riemann_decay(
     ell = _TABLE_ELL
     grid = build_uniform_grid(-ell, ell, int(round(2.0 * ell / 0.125)))
     params = ModelParams(tau=tau, alpha=0.5)
+    out = _output_dir(out_dir)
     front = FrontProfile(params, shift=0.0, increasing=True)
     initial = initial_riemann(grid, params, jump_location=0.0)
     hyperbolic = run(
@@ -331,9 +346,7 @@ def run_riemann_decay(
             times, parabolic.diagnostics.times, parabolic.diagnostics.l2
         ),
     }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         _write_rows(
             out / "riemann_decay_l2.csv",
             ["t", "l2_hyperbolic", "l2_parabolic"],
@@ -363,6 +376,7 @@ def run_random_study(
     ell = _TABLE_ELL
     grid = build_uniform_grid(-ell, 2.0 * ell, int(round(3.0 * ell / 0.125)))
     members = [ModelParams(tau=tau, alpha=alpha) for tau in taus]
+    out = _output_dir(out_dir)
     ensemble = run_ensemble(
         [initial_random(grid, params, ell, seed, variant) for params in members],
         SchemeConfig("kinetic_first_order"),
@@ -391,9 +405,7 @@ def run_random_study(
                 "profiles": profiles,
             }
         )
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         for entry in results:
             tag = f"{variant}_seed{seed}_tau{entry['tau']:g}"
             rows = []
@@ -554,6 +566,7 @@ class Scenario:
             initial = self.initial_state()
         except ValueError as err:
             raise ConfigError(str(err)) from err
+        out = _output_dir(self.output_dir)
         result = run(
             initial,
             self.scheme,
@@ -562,9 +575,7 @@ class Scenario:
             dt=self.dt,
             sample_every=self.sample_every,
         )
-        if self.output_dir is not None:
-            out = self.output_dir
-            out.mkdir(parents=True, exist_ok=True)
+        if out is not None:
             self.grid.to_csv(out / "grid.csv")
             result.diagnostics.to_csv(out / "diagnostics.csv")
             write_snapshots_csv(out / "snapshots.csv", result)

@@ -20,7 +20,8 @@ it may pivot at the zero-gradient ends, which its layout has room for.
 An ensemble of B members on one grid steps as (B, N) arrays: the explicit
 right-hand sides broadcast over the member axis, and the members' IMEX
 operators, side by side in the band layout, form one block-diagonal matrix of
-bandwidth 2 that one factorisation and one solve per step serve.
+bandwidth 2 that one factorisation and one solve per step serve.  A step size
+may be a (B, 1) column, one step per member.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from typing import Callable, Literal, Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 from .diagnostics import (
@@ -85,7 +87,14 @@ class BlowUpError(RuntimeError):
 
 
 class SolveError(RuntimeError):
-    """A linear solve missed the residual bound its operator guarantees."""
+    """A linear solve missed the residual bound its operator guarantees.
+
+    ``member`` is the ensemble member whose solve missed it, when known.
+    """
+
+    def __init__(self, message: str, member: int | None = None):
+        super().__init__(message)
+        self.member = member
 
 
 def _member(k: int, count: int) -> str:
@@ -94,7 +103,7 @@ def _member(k: int, count: int) -> str:
 
 
 def _imex_operator(
-    grid: Grid, dt: float, params: ModelParams | ParamColumns, boundary: str
+    grid: Grid, dt: float | np.ndarray, params: ModelParams | ParamColumns, boundary: str
 ) -> tuple[np.ndarray, sp.csr_matrix]:
     """The operator in dgbtrf's (7, 2N) band layout, and in CSR.
 
@@ -104,9 +113,10 @@ def _imex_operator(
     periodic operator adds it back, on their diagonals and in two wrap-around
     entries outside the band.  For B members (``ParamColumns``) the members'
     bands sit side by side, (7, 2NB): no entry couples two members, so that
-    is the block-diagonal operator of the ensemble.
+    is the block-diagonal operator of the ensemble, and ``dt`` may be a (B, 1)
+    column of per-member steps.
     """
-    if dt <= 0.0:
+    if np.any(np.less_equal(dt, 0.0)):
         raise ValueError("dt must be positive")
     n = grid.n_cells
     m = 2 * n
@@ -168,7 +178,7 @@ class ImexWorkspace:
 
     grid: Grid
     params: ModelParams | ParamColumns
-    dt: float
+    dt: float | np.ndarray  # a (B, 1) column for per-member steps
     boundary: str
     matrix: sp.csr_matrix
     lu: object = field(repr=False)  # (7, 2NB) dgbtrf factors, or one SuperLU per member
@@ -178,7 +188,7 @@ class ImexWorkspace:
     def build(
         cls,
         grid: Grid,
-        dt: float,
+        dt: float | np.ndarray,
         params: ModelParams | ParamColumns,
         boundary: str = "zero_gradient",
     ) -> "ImexWorkspace":
@@ -207,23 +217,32 @@ class ImexWorkspace:
         return dgbtrs(self.lu, 2, 2, rhs.reshape(-1), self.pivots)[0].reshape(rhs.shape)
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Max-norm solve residual of each member, relative to its right-hand side."""
-        misfit = np.abs((self.matrix @ x.reshape(-1)).reshape(rhs.shape) - rhs).max(axis=-1)
+        """Max-norm solve residual of each member, relative to its right-hand side.
+
+        The product is scipy's CSR kernel called on a zeroed buffer, as
+        ``matrix @ x`` does after its dispatch: the same bits at a third of
+        the cost at small N.
+        """
+        a = self.matrix
+        product = np.zeros(rhs.size)
+        _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, x.reshape(-1), product)
+        misfit = np.abs(product.reshape(rhs.shape) - rhs).max(axis=-1)
         scale = np.abs(rhs).max(axis=-1)
         return misfit / (scale + (scale == 0.0))  # a zero right-hand side counts as 1
 
-    def matches(self, state: State, dt: float) -> bool:
+    def matches(self, state: State, dt: float | np.ndarray) -> bool:
         return (
             self.grid is state.grid
             and (self.params is state.params or self.params == state.params)
-            and self.dt == dt
+            and (self.dt is dt or np.array_equal(self.dt, dt))
         )
 
 
-def imex_step(state: State, dt: float, ws: ImexWorkspace | None = None) -> State:
+def imex_step(state: State, dt: float | np.ndarray, ws: ImexWorkspace | None = None) -> State:
     """One implicit-transport / explicit-reaction step in diagonal variables.
 
-    Advances one state or an ensemble, whose members one solve serves.
+    Advances one state or an ensemble, whose members one solve serves; for an
+    ensemble ``dt`` may be a (B, 1) column, one step per member.
     Raises ``BlowUpError`` when a member's solution is non-finite or its
     density leaves the trust region, like ``explicit_step``, and
     ``SolveError`` when a member's solve misses the residual bound.
@@ -331,7 +350,8 @@ def _check_finite(state: State, residual: np.ndarray | None = None) -> None:
     if not solved[k] and math.isfinite(res[k]):
         raise SolveError(
             f"{prefix}linear solve residual {res[k]:.2e} exceeds {_RESIDUAL_TOL:.0e}; "
-            "the Gershgorin-dominant operator should solve to roundoff"
+            "the Gershgorin-dominant operator should solve to roundoff",
+            member=k,
         )
     if not (solved[k] and finite[k]):
         raise BlowUpError(prefix + "solution became non-finite", member=k)
@@ -340,15 +360,16 @@ def _check_finite(state: State, residual: np.ndarray | None = None) -> None:
 
 def explicit_step(
     state: State,
-    dt: float,
+    dt: float | np.ndarray,
     rhs: Callable[[State], tuple[np.ndarray, np.ndarray]],
     method: Literal["euler", "heun"] = "euler",
 ) -> State:
     """One explicit step: forward Euler or Heun (trapezoidal RK2).
 
     An ``rhs`` that returns None for the second component keeps it frozen.
+    For an ensemble ``dt`` may be a (B, 1) column, one step per member.
     """
-    if dt <= 0.0:
+    if (dt if isinstance(dt, float) else np.min(dt)) <= 0.0:  # a float, or a column
         raise ValueError("dt must be positive")
     if method not in ("euler", "heun"):
         raise ValueError(f"unknown explicit method {method!r}")
@@ -407,64 +428,8 @@ class RunResult:
     diagnostics: DiagnosticsRecord
 
 
-def run_ensemble(
-    initials: Sequence[State],
-    scheme: SchemeConfig,
-    integrator: Literal["imex", "euler", "heun"],
-    T: float,
-    dt: float,
-    sample_every: int = 0,
-    reference: Callable | None = None,
-) -> list[RunResult]:
-    """Advance B states on one grid from t = 0 to t = T, recording diagnostics each step.
-
-    The members step together as the rows of (B, N) arrays, each with its
-    own parameters: one right-hand-side evaluation, or one solve of the
-    block-diagonal IMEX operator, per step serves them all, and each member's
-    result is bit for bit that of its own run.  The members share ``T``,
-    ``dt`` and their grid.
-
-    The last step is shortened to land exactly on T.  Snapshots of the state
-    are stored at t = 0 and every ``sample_every`` steps (0 disables them;
-    the final state is always available separately).  ``reference`` is an
-    optional profile whose cell averages feed the L2 / max-norm distance
-    columns of the diagnostics.
-
-    Raises ``BlowUpError`` (carrying the step index and the member, which an
-    ensemble of two or more names in the message) when the first member
-    leaves the trust region, and ``ValueError``, before any allocation, for
-    the arguments ``check_run`` rejects.
-    """
-    initials = list(initials)
-    if not initials:
-        raise ValueError("an ensemble needs at least one member")
-    check_run(scheme, integrator, T, dt)
-    members = [prepare_state_for_scheme(st, scheme) for st in initials]
-    state = State.stack(members)
-    p = state.params
-    grid = state.grid
-
-    if integrator == "imex":
-        ws = ImexWorkspace.build(grid, dt, p, scheme.boundary)
-
-        def advance(state: State, h: float) -> State:
-            # the shortened last step gets an operator of its own
-            step_ws = ws if h == ws.dt else ImexWorkspace.build(grid, h, p, scheme.boundary)
-            return imex_step(state, h, step_ws)
-
-    else:
-        rhs = rhs_for_scheme(scheme)
-
-        def advance(state: State, h: float) -> State:
-            return explicit_step(state, h, rhs, integrator)
-
-    count = len(members)
-    shape = (count, grid.n_cells)  # a member per row, whether or not the state is stacked
-
-    def split(state: State) -> list[State]:
-        rows = zip(state.a.reshape(shape), state.b.reshape(shape), members)
-        return [State(st.kind, a, b, st.grid, st.params) for a, b, st in rows]
-
+def _schedule(T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Step sizes and end times of a run to T: steps of dt, the last one shortened to land on T."""
     n_steps = max(1, int(round(T / dt)))
     if abs(n_steps * dt - T) > 1e-9 * max(1.0, abs(T)):
         n_steps = max(1, int(np.ceil((T - 1e-12 * max(1.0, T)) / dt)))
@@ -472,52 +437,156 @@ def run_ensemble(
     steps[-1] = T - (n_steps - 1) * dt
     times = np.arange(1, n_steps + 1) * dt
     times[-1] = T
+    return steps, times
+
+
+def run_ensemble(
+    initials: Sequence[State],
+    scheme: SchemeConfig,
+    integrator: Literal["imex", "euler", "heun"],
+    T: float | Sequence[float],
+    dt: float,
+    sample_every: int = 0,
+    reference: Callable | None = None,
+) -> list[RunResult]:
+    """Advance B states on one grid from t = 0 to their stop times, recording diagnostics each step.
+
+    The members step together as the rows of (B, N) arrays, each with its
+    own parameters: one right-hand-side evaluation, or one solve of the
+    block-diagonal IMEX operator, per step serves them all, and each member's
+    result is bit for bit that of its own run.  The members share ``dt`` and
+    their grid; ``T`` is one stop time for all of them or one per member.
+
+    Each member takes the steps of its own run: steps of ``dt``, the last one
+    shortened to land exactly on its T.  Where some members take their last
+    step, the step size is a (B, 1) column (the IMEX path builds an operator
+    for it); those members then leave the stack, and the rest go on as a
+    smaller ensemble, for which the IMEX operator is factored anew.  Each
+    member's diagnostics, snapshots and final state end at its own T.
+
+    Snapshots of the state are stored at t = 0 and every ``sample_every``
+    steps (0 disables them; the final state is always available separately).
+    ``reference`` is an optional profile whose cell averages feed the L2 /
+    max-norm distance columns of the diagnostics.
+
+    Raises ``BlowUpError`` (carrying the step index and the member, which an
+    ensemble of two or more names in the message) when the first member
+    leaves the trust region, and ``ValueError``, before any allocation, for
+    the arguments ``check_run`` rejects and for a T that does not give one
+    stop time per member.
+    """
+    initials = list(initials)
+    if not initials:
+        raise ValueError("an ensemble needs at least one member")
+    count = len(initials)
+    stops = [float(stop) for stop in ([T] * count if np.ndim(T) == 0 else T)]
+    if len(stops) != count:
+        raise ValueError("T must be one stop time, or one per member")
+    for stop in set(stops):
+        check_run(scheme, integrator, stop, dt)
+    members = [prepare_state_for_scheme(st, scheme) for st in initials]
+    state = State.stack(members)
+    grid = state.grid
+    cells = grid.n_cells
+
+    schedules = {stop: _schedule(stop, dt) for stop in stops}
+    lengths = [schedules[stop][0].size for stop in stops]
+    n_max = max(lengths)
+    # at each step where some member takes its last step: the step size of
+    # every member still running, one float if they agree
+    last_steps: dict[int, float | np.ndarray] = {}
+    for end in set(lengths):
+        sizes = [float(schedules[s][0][end - 1]) for s, size in zip(stops, lengths) if size >= end]
+        if len(set(sizes)) > 1:
+            last_steps[end - 1] = np.array(sizes)[:, None]
+        else:  # the step dt itself reuses the workspace
+            last_steps[end - 1] = dt if sizes[0] == dt else sizes[0]
+
+    if integrator == "imex":
+        ws = ImexWorkspace.build(grid, dt, state.params, scheme.boundary)
+    else:
+        rhs = rhs_for_scheme(scheme)
+
+    def split(state: State, ids: list[int]) -> list[State]:
+        rows = zip(state.a.reshape(len(ids), cells), state.b.reshape(len(ids), cells), ids)
+        return [State(members[k].kind, a, b, members[k].grid, members[k].params)
+                for a, b, k in rows]
 
     ref_values = None if reference is None else project_cell_averages(reference, grid)
-    masses = np.empty((count, n_steps + 1))
+    masses = np.empty((count, n_max + 1))
     if ref_values is None:  # no distances: a read-only NaN view that holds no memory
-        l2 = linf = np.broadcast_to(np.nan, (count, n_steps))
+        l2 = linf = np.broadcast_to(np.nan, (count, n_max))
     else:
-        l2 = np.empty((count, n_steps))
-        linf = np.empty((count, n_steps))
-    max_f_prime = np.empty((count, n_steps))
+        l2 = np.empty((count, n_max))
+        linf = np.empty((count, n_max))
+    max_f_prime = np.empty((count, n_max))
     snapshots = [[(0.0, st)] if sample_every > 0 else [] for st in members]
-    current = members  # the member states of the last snapshot
+    finals: list[State | None] = [None] * count
+    ids = list(range(count))  # the member in each row of the stack
+    rows_of = slice(None)  # the same, as an index of the per-member arrays
 
     masses[:, 0] = [mass(st.u, grid) for st in members]
-    for n, h in enumerate(steps.tolist()):
+    for n in range(n_max):
+        h = last_steps.get(n, dt)
         try:
-            state = advance(state, h)
-        except BlowUpError as err:
-            raise BlowUpError(f"{err} at step {n}", step=n, member=err.member) from None
+            if integrator != "imex":
+                state = explicit_step(state, h, rhs, integrator)
+            else:
+                if h is not dt:  # a last step: its own operator, until members leave
+                    del ws  # old factors go before new ones are built: a lower memory peak
+                    ws = ImexWorkspace.build(state.grid, h, state.params, scheme.boundary)
+                state = imex_step(state, h, ws)
+        except (BlowUpError, SolveError) as err:
+            k = ids[err.member]  # named by its place in the whole ensemble
+            message = _member(k, count) + str(err).removeprefix(_member(err.member, len(ids)))
+            if isinstance(err, SolveError):
+                raise SolveError(message, member=k) from None
+            raise BlowUpError(f"{message} at step {n}", step=n, member=k) from None
         u = state.u
-        rows = u.reshape(shape)
-        for k in range(count):
-            masses[k, n + 1] = mass(rows[k], grid)
-        max_f_prime[:, n] = reaction_f_prime(u, p).max(axis=-1)
+        rows = u.reshape(len(ids), cells)
+        for k, row in zip(ids, rows):
+            masses[k, n + 1] = mass(row, grid)
+        max_f_prime[rows_of, n] = reaction_f_prime(u, state.params).max(axis=-1)
         if ref_values is not None:
-            for k, row in enumerate(rows):
+            for k, row in zip(ids, rows):
                 l2[k, n] = l2_distance(row, ref_values, grid)
                 linf[k, n] = linf_distance(row, ref_values)
-        if sample_every > 0 and (n + 1) % sample_every == 0:
-            current = split(state)
-            for snaps, st in zip(snapshots, current):
-                snaps.append((float(times[n]), st))
-    if not (sample_every > 0 and n_steps % sample_every == 0):
-        current = split(state)
-    # rounding is monotone and tau > 0, so this is g_profile(u).min() exactly;
-    # in place, as 1.0 - tau * max_f_prime
-    g_min = np.subtract(1.0, np.multiply(p.tau, max_f_prime, out=max_f_prime), out=max_f_prime)
+        sampled = sample_every > 0 and (n + 1) % sample_every == 0
+        if sampled:
+            current = split(state, ids)
+            for k, st in zip(ids, current):
+                snapshots[k].append((float(schedules[stops[k]][1][n]), st))
+        if n in last_steps:  # some members took their last step: they leave the stack
+            if not sampled:
+                current = split(state, ids)
+            going_on = []
+            for k, st in zip(ids, current):
+                if lengths[k] == n + 1:
+                    finals[k] = st
+                else:
+                    going_on.append(st)
+            ids = [k for k in ids if lengths[k] > n + 1]
+            rows_of = np.array(ids, dtype=int)
+            if going_on:
+                state = State.stack(going_on)
+                if integrator == "imex":
+                    del ws
+                    ws = ImexWorkspace.build(state.grid, dt, state.params, scheme.boundary)
 
     results = []
-    for k, final in enumerate(current):
-        speeds = speeds_from_masses(masses[k], steps)
+    for k, (stop, size, final) in enumerate(zip(stops, lengths, finals)):
+        steps, times = schedules[stop]
+        speeds = speeds_from_masses(masses[k, : size + 1], steps)
+        # rounding is monotone and tau > 0, so this is g_profile(u).min() exactly;
+        # in place, as 1.0 - tau * max_f_prime
+        g_min = max_f_prime[k, :size]
+        np.subtract(1.0, np.multiply(members[k].params.tau, g_min, out=g_min), out=g_min)
         record = DiagnosticsRecord(
             times=times,
             speeds=speeds,
-            l2=l2[k],
-            linf=linf[k],
-            g_min=g_min[k],
+            l2=l2[k, :size],
+            linf=linf[k, :size],
+            g_min=g_min,
             stabilized_at=detect_stabilization(times, speeds),
         )
         results.append(RunResult(final_state=final, snapshots=snapshots[k], diagnostics=record))

@@ -204,3 +204,32 @@ def test_value_error_inside_a_run_is_not_a_config_error(tmp_path, capsys, monkey
     with pytest.raises(ValueError, match="bug deep in a run"):
         cli_main(["run", _write_config(tmp_path / "base.cfg")])
     assert "config error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "CONFIG"],
+        ["speed-table"],
+        ["order-table", "--order", "1"],
+        ["riemann-decay"],
+        ["random-study"],
+    ],
+)
+def test_unusable_out_dir_exits_2_before_the_run_starts(tmp_path, capsys, monkeypatch, argv):
+    """An --out-dir under a file cannot be created: exit 2, a config error,
+    and neither a run nor a shooting speed is started."""
+    from hyperac import scenarios
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output directory was checked")
+
+    for name in ("run", "run_ensemble", "hyperbolic_front_speed_shooting"):
+        monkeypatch.setattr(scenarios, name, no_work)
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory")
+    argv = [_write_config(tmp_path / "base.cfg") if a == "CONFIG" else a for a in argv]
+    assert cli_main(argv + ["--out-dir", str(afile / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory ")
+    assert afile.read_text() == "not a directory"

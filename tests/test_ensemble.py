@@ -46,7 +46,13 @@ def _same_bits(x, y) -> bool:
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def _final_is_last_snapshot(result) -> bool:
+    return bool(result.snapshots) and result.final_state is result.snapshots[-1][1]
+
+
 def _assert_same_run(got, want):
+    # a final state sampled at the last step is that snapshot, as in its own run
+    assert _final_is_last_snapshot(got) == _final_is_last_snapshot(want)
     assert _same_bits(got.final_state.a, want.final_state.a)
     assert _same_bits(got.final_state.b, want.final_state.b)
     assert got.final_state.kind == want.final_state.kind
@@ -68,23 +74,67 @@ def _initials(members, seed):
     ]
 
 
+# a member's stop time is (steps + fraction) * dt: the pool makes equal stop
+# times, stop times less than one dt apart and whole multiples of dt common
+_stops = st.lists(
+    st.tuples(st.integers(5, 7), st.sampled_from([0.3, 0.6, 1.0]) | st.floats(0.05, 0.95)),
+    min_size=4,
+    max_size=4,
+)
+
+
 @pytest.mark.parametrize("kind, integrator, boundary", _CASES)
 @settings(max_examples=20, deadline=None)
-@given(members=_members, seed=st.integers(0, 2**16), last=st.floats(0.05, 0.95))
-def test_ensemble_equals_solo_runs_bitwise(kind, integrator, boundary, members, seed, last):
+@given(members=_members, seed=st.integers(0, 2**16), stops=_stops)
+def test_ensemble_equals_solo_runs_bitwise(kind, integrator, boundary, members, seed, stops):
     """Speeds, g_min, the reference distances, snapshots and final states of
-    every member are those of its own run, with a shortened last step."""
+    every member are those of its own run to its own stop time, with a
+    shortened last step."""
     cfg = SchemeConfig(kind, boundary=boundary)
     dt = 0.5 * min(suggest_dt(_GRID, p, cfg) for p in members)
-    T = (7 + last) * dt
+    stops = stops[: len(members)]
+    T = [(steps + fraction) * dt for steps, fraction in stops]
     initials = _initials(members, seed)
     kwargs = dict(sample_every=3, reference=_REFERENCE)
     ensemble = run_ensemble(initials, cfg, integrator, T, dt, **kwargs)
     assert len(ensemble) == len(members)
-    for initial, got in zip(initials, ensemble):
-        want = run(initial, cfg, integrator, T, dt, **kwargs)
-        assert want.diagnostics.times.size == 8
+    for initial, stop, (steps, _), got in zip(initials, T, stops, ensemble):
+        want = run(initial, cfg, integrator, stop, dt, **kwargs)
+        assert want.diagnostics.times.size == steps + 1
         _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize("integrator", ["imex", "euler", "heun"])
+def test_ensemble_member_stabilises_as_in_its_solo_run(integrator):
+    """Member 0's front is stationary (alpha = 1/2) and its speed series
+    flattens within the 200-step window; the ensemble reports the same
+    stabilisation time as the member's own run, next to members that stop
+    earlier or do not stabilise."""
+    members = [ModelParams(tau=1.0), ModelParams(tau=2.0, alpha=0.6), ModelParams(tau=0.5)]
+    cfg = SchemeConfig("kinetic_first_order")
+    dt = 0.5 * min(suggest_dt(_GRID, p, cfg) for p in members)
+    T = [300 * dt, 250.5 * dt, 299.7 * dt]
+    front = 0.5 * (1.0 + np.tanh(_GRID.centers - 4.0))
+    initials = [State.physical(front, np.zeros(_N), _GRID, p) for p in members]
+    ensemble = run_ensemble(initials, cfg, integrator, T, dt)
+    solo = [run(initial, cfg, integrator, stop, dt) for initial, stop in zip(initials, T)]
+    assert solo[0].diagnostics.stabilized_at is not None
+    for got, want in zip(ensemble, solo):
+        assert got.diagnostics.stabilized_at == want.diagnostics.stabilized_at
+        _assert_same_run(got, want)
+
+
+def test_run_ensemble_takes_one_stop_time_per_member():
+    p = ModelParams(tau=1.0)
+    initial = State.physical(np.zeros(_N), np.zeros(_N), _GRID, p)
+    cfg = SchemeConfig("kinetic_first_order")
+    with pytest.raises(ValueError, match="one per member"):
+        run_ensemble([initial, initial], cfg, "imex", T=[1.0, 2.0, 3.0], dt=0.1)
+    with pytest.raises(ValueError, match="positive and finite"):
+        run_ensemble([initial, initial], cfg, "imex", T=[1.0, float("nan")], dt=0.1)
+    short, long = run_ensemble([initial, initial], cfg, "imex", T=[0.25, 1.0], dt=0.1)
+    assert short.diagnostics.times.tolist() == [0.1, 0.2, 0.25]
+    assert long.diagnostics.times.size == 10 and long.diagnostics.times[-1] == 1.0
 
 
 def _blow_up(call):
@@ -111,6 +161,23 @@ def test_ensemble_blow_up_names_the_member_and_its_solo_step(integrator):
     assert (err.member, err.step) == (1, solo[0].step)
     assert str(err) == f"member 1: {solo[0]}"
     assert solo[0].member == 0 and not str(solo[0]).startswith("member")
+
+
+@pytest.mark.parametrize("integrator", ["imex", "euler", "heun"])
+def test_blow_up_after_a_member_left_names_the_member_in_the_whole_ensemble(integrator):
+    """Member 0 stops at t = 0.3; member 2 overshoots later, as row 1 of the
+    re-stacked ensemble, and is reported as member 2 at its solo step."""
+    grid = build_uniform_grid(0.0, 4.0, 8)
+    initials = [
+        State.physical(np.full(8, 1.01), np.zeros(8), grid, ModelParams(tau=1.0, kappa=k))
+        for k in (1.0, 1.0, 100.0)
+    ]
+    cfg = SchemeConfig("kinetic_first_order")
+    solo = _blow_up(lambda: run(initials[2], cfg, integrator, T=10.0, dt=0.1))
+    assert solo.step > 3
+    err = _blow_up(lambda: run_ensemble(initials, cfg, integrator, [0.3, 10.0, 10.0], dt=0.1))
+    assert (err.member, err.step) == (2, solo.step)
+    assert str(err) == f"member 2: {solo}"
 
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)

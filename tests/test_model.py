@@ -32,6 +32,12 @@ def test_params_validation():
         ModelParams(tau=1.0, nu=-0.1)
 
 
+@pytest.mark.parametrize("nu", [float("nan"), float("inf")])
+def test_params_reject_non_finite_nu(nu):
+    with pytest.raises(ValueError, match="nu must be non-negative and finite"):
+        ModelParams(tau=1.0, nu=nu)
+
+
 def test_rho_consistency():
     p = ModelParams(tau=4.0, mu=9.0)
     assert p.rho**2 * p.tau == pytest.approx(p.mu, rel=1e-15)

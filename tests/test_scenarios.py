@@ -249,6 +249,24 @@ def test_speed_table_rows_are_self_consistent(tmp_path):
     assert float(pivot[1][2]) == pytest.approx(row["rel_error"])
 
 
+def test_speed_table_cells_equal_solo_runs(tmp_path):
+    """Each (dt, dx) cell runs its cases as one ensemble that they leave at
+    their own T; the rows come in (dt, case, dx) order, each the solo run's."""
+    cases = {"B": (2.0, 0.6, 1.5), "A": (1.0, 0.9, 2.0), "C": (4.0, 0.7, 1.75)}
+    rows = run_speed_table(dx_list=[1.0, 0.5], dt_list=[0.1, 0.04], cases=cases)
+    order = [(dt, label, dx) for dt in (0.1, 0.04) for label in cases for dx in (1.0, 0.5)]
+    assert [(r["dt"], r["case"], r["dx"]) for r in rows] == order
+    for row in rows:
+        tau, alpha, T = cases[row["case"]]
+        params = ModelParams(tau=tau, alpha=alpha)
+        grid = build_uniform_grid(0.0, 50.0, int(round(50.0 / row["dx"])))
+        initial = initial_riemann(grid, params, 12.5)
+        solo = run(initial, SchemeConfig("kinetic_first_order"), "imex", T=T, dt=row["dt"])
+        assert row["T"] == T
+        assert row["speeds"].tobytes() == solo.diagnostics.speeds.tobytes()
+        assert row["speed"] == float(solo.diagnostics.speeds[-1])
+
+
 def test_scenario_runs_are_reproducible():
     values = _base_config()
     values.update({"init.kind": "random", "init.seed": "7", "init.ell": "0.5",

@@ -6,7 +6,7 @@ from scipy.linalg.lapack import dgbtrf
 
 from hyperac.diagnostics import g_profile, l2_distance, linf_distance, mass, speeds_from_masses
 from hyperac.grid import build_graded_grid, build_uniform_grid, project_cell_averages
-from hyperac.model import FrontProfile, ModelParams, _max_abs_f_prime, reaction_f
+from hyperac.model import FrontProfile, ModelParams, ParamColumns, _max_abs_f_prime, reaction_f
 from hyperac.schemes import (
     SCHEMES,
     SchemeConfig,
@@ -293,6 +293,32 @@ def test_linear_solve_residual_is_tiny():
     rhs[1::2] = st.b + 0.5 * dt * fn
     x = ws.solve(rhs)
     assert ws.residual(x, rhs) <= 1e-12
+
+
+@pytest.mark.parametrize("layout", ["uniform", "graded", "periodic"])
+@pytest.mark.parametrize("n", [3, 50, 800])
+@pytest.mark.parametrize("members", [1, 3])
+def test_residual_product_is_the_sparse_matrix_product_bitwise(layout, n, members):
+    """The residual guard calls scipy's CSR kernel directly: its product is
+    ``matrix @ x`` bit for bit, so the residual against that product is 0 and
+    the residual against any right-hand side is the one ``matrix @ x`` gives."""
+    if layout == "graded":  # largest over smallest cell about e^2 at every n
+        grid = build_graded_grid(0.0, 50.0, n, 1.0 + 2.0 / n)
+    else:
+        grid = build_uniform_grid(0.0, 50.0, n)
+    params = [ModelParams(tau=0.5 + k, alpha=0.3 + 0.2 * k) for k in range(members)]
+    p = params[0] if members == 1 else ParamColumns(tuple(params))
+    boundary = "periodic" if layout == "periodic" else "zero_gradient"
+    ws = ImexWorkspace.build(grid, 0.1, p, boundary)
+    shape = (2 * n,) if members == 1 else (members, 2 * n)
+    rng = np.random.default_rng(n + members)
+    x, rhs = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
+    product = (ws.matrix @ x.reshape(-1)).reshape(shape)
+    assert np.all(ws.residual(x, product) == 0.0)
+    misfit = np.abs(product - rhs).max(axis=-1)
+    want = misfit / np.abs(rhs).max(axis=-1)
+    assert np.shape(ws.residual(x, rhs)) == np.shape(want)
+    assert np.asarray(ws.residual(x, rhs)).tobytes() == np.asarray(want).tobytes()
 
 
 def _solve_banded_layout(matrix):
