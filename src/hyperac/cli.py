@@ -161,7 +161,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (BlowUpError, SolveError, ShootingError) as err:
+    except (BlowUpError, SolveError, ShootingError, MemoryError) as err:
         print(f"run failed: {err}", file=sys.stderr)
         return EXIT_RUN_FAILURE
     return EXIT_OK

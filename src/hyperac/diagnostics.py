@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .csvout import float_rows, write_csv
 from .grid import Grid
 from .model import ModelParams, stability_indicator_g
 
@@ -42,11 +42,8 @@ class DiagnosticsRecord:
 
     def to_csv(self, path: str | Path) -> None:
         """Write columns ``t,c_n,l2,linf,g_min``, one row per step."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "c_n", "l2", "linf", "g_min"])
-            for row in zip(self.times, self.speeds, self.l2, self.linf, self.g_min):
-                writer.writerow([f"{x:.17g}" for x in row])
+        columns = (self.times, self.speeds, self.l2, self.linf, self.g_min)
+        write_csv(path, ["t", "c_n", "l2", "linf", "g_min"], float_rows(columns))
 
 
 def mass(values: np.ndarray, grid: Grid) -> float:

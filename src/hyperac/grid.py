@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+
+from .csvout import float_rows, write_csv
 
 __all__ = [
     "Grid",
@@ -79,19 +80,10 @@ class Grid:
 
     def to_csv(self, path: str | Path) -> None:
         """Write one row per cell with columns ``i,x_left,x_center,x_right,dx``."""
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["i", "x_left", "x_center", "x_right", "dx"])
-            for i in range(self.n_cells):
-                writer.writerow(
-                    [
-                        i,
-                        f"{self.interfaces[i]:.17g}",
-                        f"{self._centers[i]:.17g}",
-                        f"{self.interfaces[i + 1]:.17g}",
-                        f"{self._lengths[i]:.17g}",
-                    ]
-                )
+        # the index goes in as a float: FLOAT prints an integral float as an integer
+        columns = (np.arange(self.n_cells), self.interfaces[:-1], self._centers,
+                   self.interfaces[1:], self._lengths)
+        write_csv(path, ["i", "x_left", "x_center", "x_right", "dx"], float_rows(columns))
 
 
 def build_uniform_grid(x_min: float, x_max: float, n_cells: int) -> Grid:

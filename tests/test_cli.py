@@ -164,6 +164,8 @@ def _write_config(path):
         ["time.sample_every=-3"],
         ["scheme.kind=gk_pseudo_kinetic"],  # IMEX, the default integrator
         ["scheme.kind=kinetic_second_order", "scheme.limiter=none", "integrator=euler"],
+        ["time.dt=1e-320"],  # T / dt overflows to inf
+        ["time.T=1e300"],  # 5e301 steps: more than an array can index
     ],
 )
 def test_invalid_run_exits_2_before_the_run_starts(tmp_path, capsys, overrides):
@@ -192,6 +194,15 @@ def test_invalid_driver_arguments_exit_2(tmp_path, capsys, argv):
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_unallocatable_run_exits_1_without_a_traceback(tmp_path, capsys):
+    """T = 1e15 at dt = 0.02 is 5e16 steps: a valid count whose per-step arrays
+    (400 PB) fail to allocate at once."""
+    argv = ["run", _write_config(tmp_path / "base.cfg"), "--set", "time.T=1e15"]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: Unable to allocate ") and err.count("\n") == 1
 
 
 def test_value_error_inside_a_run_is_not_a_config_error(tmp_path, capsys, monkeypatch):
