@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -152,8 +153,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             params = _params(
                 tau=args.tau, mu=args.mu, kappa=args.kappa, alpha=args.alpha
             )
-            if not args.tol > 0.0:
-                raise ConfigError("--tol must be positive")
+            if not (args.tol > 0.0 and math.isfinite(args.tol)):
+                raise ConfigError("--tol must be positive and finite")
             speed = hyperbolic_front_speed_shooting(
                 params, tol=args.tol, increasing=not args.decreasing
             )

@@ -323,6 +323,18 @@ def test_order2_table_equals_benchmark_golden_file(order2_rows):
         assert row["c_ref"] == golden[f"shoot|{key}"]["c_ref"], key
 
 
+def test_speed_table_oracle_equals_benchmark_golden_file(shooting_speeds):
+    """The increasing-front shooting speeds of cases A, B and C equal the
+    ``speed-table`` ``c_ref`` entries of ``perfbench/golden.json`` exactly (the
+    file is only read)."""
+    golden_path = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+    golden = json.loads(golden_path.read_text(encoding="utf-8"))["speed-table"]
+    speeds, _runtimes = shooting_speeds
+    assert sorted(speeds) == ["A", "B", "C"]
+    for label, c in speeds.items():
+        assert c == golden[f"shoot|{label}"]["c_ref"], label
+
+
 # ------------------------------------------------------------- criterion 5 --
 
 

@@ -186,6 +186,8 @@ def test_invalid_run_exits_2_before_the_run_starts(tmp_path, capsys, overrides):
         ["riemann-decay", "--tau", "0"],
         ["random-study", "--alpha", "1.2"],
         ["random-study", "--seed", "-1"],
+        ["shoot", "--tau", "1", "--alpha", "0.7", "--tol", "inf"],
+        ["shoot", "--tau", "1", "--alpha", "0.7", "--tol", "nan"],
     ],
 )
 def test_invalid_driver_arguments_exit_2(tmp_path, capsys, argv):

@@ -225,3 +225,32 @@ def test_shooting_bracket_failure():
     # positive speeds classifies identically at both ends
     with pytest.raises(BracketError):
         hyperbolic_front_speed_shooting(p, bracket=(0.3, 0.6))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol": 0.0},
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"eps": 0.0},
+        {"eps": -1e-6},
+        {"eps": 1.0},
+        {"eps": float("nan")},
+        {"xi_max": 0.0},
+        {"xi_max": float("inf")},
+        {"xi_max": float("nan")},
+    ],
+)
+def test_shooting_rejects_invalid_inputs(kwargs):
+    """A tol or xi_max that is not positive and finite, or an eps outside
+    (0, 1), is refused rather than answered with a speed or a long run."""
+    with pytest.raises(ValueError):
+        hyperbolic_front_speed_shooting(ModelParams(tau=1.0, alpha=0.7), **kwargs)
+
+
+def test_shooting_tolerance_below_float_spacing_ends():
+    """Bisection ends at adjacent floats even when tol is below their spacing."""
+    p = ModelParams(tau=1.0, alpha=0.7)
+    c = hyperbolic_front_speed_shooting(p, tol=1e-300)
+    assert abs(c - hyperbolic_front_speed_shooting(p)) <= 1e-6
