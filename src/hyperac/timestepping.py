@@ -17,11 +17,18 @@ max-norm at most 1.  Its columns are diagonally dominant too while every
 alpha_i <= 1, and the banded LU then needs no row interchange; beyond that
 it may pivot at the zero-gradient ends, which its layout has room for.
 
+A solve takes one of three paths.  A zero-gradient operator whose LU moved
+no row is solved by two BLAS triangular sweeps (``dtbsv``) over its L and U
+bands, which is ``dgbtrs``'s arithmetic without its pivot loop; one whose LU
+moved rows by ``dgbtrs``; a periodic operator, whose wrap-around entries
+leave the band, by SuperLU.
+
 An ensemble of B members on one grid steps as (B, N) arrays: the explicit
-right-hand sides broadcast over the member axis, and the members' IMEX
-operators, side by side in the band layout, form one block-diagonal matrix of
-bandwidth 2 that one factorisation and one solve per step serve.  A step size
-may be a (B, 1) column, one step per member.
+right-hand sides broadcast over the member axis, and the members'
+zero-gradient IMEX operators, side by side in the band layout, form one
+block-diagonal matrix of bandwidth 2 that one factorisation and one solve per
+step serve.  A step size may be a (B, 1) column, one step per member.  A
+periodic IMEX operator serves one member only.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
@@ -102,6 +110,13 @@ def _member(k: int, count: int) -> str:
     return f"member {k}: " if count > 1 else ""
 
 
+def _check_step(dt: float | np.ndarray) -> None:
+    """Raise ``ValueError`` unless every step size in ``dt`` is positive and finite."""
+    low, high = (dt, dt) if isinstance(dt, float) else (np.min(dt), np.max(dt))
+    if not 0.0 < low <= high < math.inf:  # false for NaN too
+        raise ValueError("dt must be positive and finite")
+
+
 def _imex_operator(
     grid: Grid, dt: float | np.ndarray, params: ModelParams | ParamColumns, boundary: str
 ) -> tuple[np.ndarray, sp.csr_matrix]:
@@ -114,10 +129,11 @@ def _imex_operator(
     entries outside the band.  For B members (``ParamColumns``) the members'
     bands sit side by side, (7, 2NB): no entry couples two members, so that
     is the block-diagonal operator of the ensemble, and ``dt`` may be a (B, 1)
-    column of per-member steps.
+    column of per-member steps.  A periodic operator is single-member.
     """
-    if np.any(np.less_equal(dt, 0.0)):
-        raise ValueError("dt must be positive")
+    _check_step(dt)
+    if boundary == "periodic" and isinstance(params, ParamColumns) and len(params.members) > 1:
+        raise ValueError("a periodic IMEX operator serves one member, not an ensemble")
     n = grid.n_cells
     m = 2 * n
     alpha = np.reshape(params.rho * dt / grid.cell_lengths, (-1, n))
@@ -135,12 +151,10 @@ def _imex_operator(
     band[3, :, 0::2] = -beta  # s_i <- r_i
     band[4, :, 1:-2:2] = -alpha[:, 1:]  # s_{i+1} <- s_i
     matrix = sp.dia_matrix((ab[2:], [2, 1, 0, -1, -2]), shape=(size, size)).tocsr()
-    if boundary == "periodic":  # rows s_0 and r_{N-1} of every member
-        first = m * np.arange(count)[:, None]
-        rows, cols = first + [1, 1, m - 2, m - 2], first + [1, m - 1, m - 2, 0]
-        vals = np.column_stack((alpha[:, 0], -alpha[:, 0], alpha[:, -1], -alpha[:, -1]))
-        corners = (vals.ravel(), (rows.ravel(), cols.ravel()))
-        matrix = matrix + sp.csr_matrix(corners, shape=(size, size))
+    if boundary == "periodic":  # rows s_0 and r_{N-1}
+        rows, cols = [1, 1, m - 2, m - 2], [1, m - 1, m - 2, 0]
+        vals = [alpha[0, 0], -alpha[0, 0], alpha[0, -1], -alpha[0, -1]]
+        matrix = matrix + sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
     return ab, matrix
 
 
@@ -169,11 +183,17 @@ class ImexWorkspace:
     """Assembled implicit operator plus its LU factors, reused across steps.
 
     Built for ``ParamColumns`` it holds the block-diagonal operator of the
-    ensemble, one block per member.  Zero-gradient operators are factored once
-    by LAPACK's banded LU (``dgbtrf``), in the layout ``dgbtrs`` solves with;
-    periodic ones, whose wrap-around entries leave the band, by one SuperLU
-    per member.  ``matrix`` stays the unfactored operator, which the residual
-    guard checks every solve against.
+    ensemble, one block per member.  ``solve`` takes one of three paths:
+
+    - zero-gradient, no row moved by ``dgbtrf``: two ``dtbsv`` sweeps over
+      ``bands``, Fortran-ordered copies of the L and U rows of ``lu`` made
+      once (f2py would copy row slices on every call).  ``dgbtrs`` makes the
+      same U call and the same L products and sums, so the bits are its bits;
+    - zero-gradient, rows moved: ``dgbtrs`` on ``lu`` and ``pivots``;
+    - periodic, one member only: a SuperLU, in ``lu``.
+
+    ``matrix`` stays the unfactored operator, which the residual guard checks
+    every solve against.
     """
 
     grid: Grid
@@ -181,8 +201,9 @@ class ImexWorkspace:
     dt: float | np.ndarray  # a (B, 1) column for per-member steps
     boundary: str
     matrix: sp.csr_matrix
-    lu: object = field(repr=False)  # (7, 2NB) dgbtrf factors, or one SuperLU per member
+    lu: object = field(repr=False)  # (7, 2NB) dgbtrf factors, or a SuperLU
     pivots: np.ndarray | None = field(default=None, repr=False)  # dgbtrf only
+    bands: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)  # L, U
 
     @classmethod
     def build(
@@ -194,27 +215,33 @@ class ImexWorkspace:
     ) -> "ImexWorkspace":
         ab, matrix = _imex_operator(grid, dt, params, boundary)
         m = 2 * grid.n_cells
-        lost = gershgorin_margins(matrix).reshape(-1, m).min(axis=1) < 1.0 - 1e-12
+        lost = ~(gershgorin_margins(matrix).reshape(-1, m).min(axis=1) >= 1.0 - 1e-12)  # NaN too
         if lost.any():
             raise RuntimeError(
                 f"{_member(int(np.argmax(lost)), lost.size)}"
                 "implicit operator lost its Gershgorin row bound; assembly bug"
             )
-        if boundary == "zero_gradient":
-            lu, pivots, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
-            if info != 0:
-                raise RuntimeError(f"banded LU factorisation failed (dgbtrf info {info})")
-        else:
-            blocks = range(0, matrix.shape[0], m)
-            lu, pivots = [splu(matrix[k : k + m, k : k + m].tocsc()) for k in blocks], None
-        return cls(grid, params, dt, boundary, matrix, lu, pivots)
+        if boundary != "zero_gradient":
+            return cls(grid, params, dt, boundary, matrix, splu(matrix.tocsc()))
+        lu, pivots, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
+        if info != 0:
+            raise RuntimeError(f"banded LU factorisation failed (dgbtrf info {info})")
+        bands = None
+        if np.array_equal(pivots, np.arange(pivots.size)):
+            bands = np.asfortranarray(lu[4:7]), np.asfortranarray(lu[0:5])
+        return cls(grid, params, dt, boundary, matrix, lu, pivots, bands)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for one interleaved right-hand side, (2N,), or one per member, (B, 2N)."""
-        if self.pivots is None:
-            blocks = rhs.reshape(-1, 2 * self.grid.n_cells)
-            return np.stack([lu.solve(b) for lu, b in zip(self.lu, blocks)]).reshape(rhs.shape)
-        return dgbtrs(self.lu, 2, 2, rhs.reshape(-1), self.pivots)[0].reshape(rhs.shape)
+        b = rhs.reshape(-1)
+        if self.bands is not None:
+            lower, upper = self.bands
+            x = dtbsv(4, upper, dtbsv(2, lower, b, lower=1, diag=1), overwrite_x=1)
+        elif self.pivots is not None:
+            x = dgbtrs(self.lu, 2, 2, b, self.pivots)[0]
+        else:
+            x = self.lu.solve(b)
+        return x.reshape(rhs.shape)
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Max-norm solve residual of each member, relative to its right-hand side.
@@ -369,8 +396,7 @@ def explicit_step(
     An ``rhs`` that returns None for the second component keeps it frozen.
     For an ensemble ``dt`` may be a (B, 1) column, one step per member.
     """
-    if (dt if isinstance(dt, float) else np.min(dt)) <= 0.0:  # a float, or a column
-        raise ValueError("dt must be positive")
+    _check_step(dt)
     if method not in ("euler", "heun"):
         raise ValueError(f"unknown explicit method {method!r}")
     da1, db1 = rhs(state)
@@ -474,8 +500,8 @@ def run_ensemble(
     Raises ``BlowUpError`` (carrying the step index and the member, which an
     ensemble of two or more names in the message) when the first member
     leaves the trust region, and ``ValueError``, before any allocation, for
-    the arguments ``check_run`` rejects and for a T that does not give one
-    stop time per member.
+    the arguments ``check_run`` rejects, for a T that does not give one stop
+    time per member and for a periodic IMEX ensemble of two or more members.
     """
     initials = list(initials)
     if not initials:
@@ -484,6 +510,8 @@ def run_ensemble(
     stops = [float(stop) for stop in ([T] * count if np.ndim(T) == 0 else T)]
     if len(stops) != count:
         raise ValueError("T must be one stop time, or one per member")
+    if integrator == "imex" and scheme.boundary == "periodic" and count > 1:
+        raise ValueError("a periodic IMEX operator serves one member, not an ensemble")
     for stop in set(stops):
         check_run(scheme, integrator, stop, dt)
     members = [prepare_state_for_scheme(st, scheme) for st in initials]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hyperac import timestepping
 from hyperac.grid import build_graded_grid, build_uniform_grid
 from hyperac.model import FrontProfile, ModelParams, ParamColumns, reaction_f
-from hyperac.schemes import BOUNDARIES, SCHEMES, SchemeConfig, State
+from hyperac.schemes import SCHEMES, SchemeConfig, State
 from hyperac.timestepping import (
     BlowUpError,
     ImexWorkspace,
@@ -23,9 +23,10 @@ _N = 16
 _GRID = build_uniform_grid(0.0, 8.0, _N)
 _REFERENCE = FrontProfile(ModelParams(tau=1.0), shift=4.0, increasing=True)
 
-# every scheme kind with both explicit integrators, and IMEX with both closures
+# every scheme kind with both explicit integrators, and IMEX (a periodic IMEX
+# operator is single-member, so IMEX ensembles are zero-gradient)
 _CASES = [(kind, method, "zero_gradient") for kind in SCHEMES for method in ("euler", "heun")]
-_CASES += [("kinetic_first_order", "imex", boundary) for boundary in BOUNDARIES]
+_CASES += [("kinetic_first_order", "imex", "zero_gradient")]
 
 _members = st.lists(
     st.builds(
@@ -180,7 +181,7 @@ def test_blow_up_after_a_member_left_names_the_member_in_the_whole_ensemble(inte
     assert str(err) == f"member 2: {solo}"
 
 
-@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("boundary", ["zero_gradient"])  # periodic IMEX is single-member
 def test_ensemble_nan_member_fails_alone(boundary):
     """A NaN in member 2 fails member 2 at step 0; the shared band solve
     does not let it fail members 0 and 1 first."""
@@ -244,15 +245,27 @@ def test_ensemble_band_is_the_members_bands_side_by_side(n, dt):
     assert np.all(ws.residual(x, rhs) <= 1e-12)
 
 
-def test_periodic_ensemble_solves_each_member_with_its_own_factor():
+def test_periodic_imex_ensemble_is_rejected(monkeypatch):
+    """A periodic IMEX operator serves one member: an ensemble of two or more
+    is rejected before any work, and the one-member and explicit periodic
+    ensembles still run."""
     grid = build_uniform_grid(0.0, 10.0, 40)
     members = _members(3)
-    ws = ImexWorkspace.build(grid, 0.05, ParamColumns(tuple(members)), "periodic")
-    assert len(ws.lu) == 3
-    rhs = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 80))
-    x = ws.solve(rhs)
-    for k, p in enumerate(members):
-        assert _same_bits(x[k], ImexWorkspace.build(grid, 0.05, p, "periodic").solve(rhs[k]))
+    with pytest.raises(ValueError, match="serves one member"):
+        ImexWorkspace.build(grid, 0.05, ParamColumns(tuple(members)), "periodic")
+    with pytest.raises(ValueError, match="serves one member"):
+        timestepping.assemble_imex_matrix(grid, 0.05, ParamColumns(tuple(members)), "periodic")
+    initials = [State.physical(np.full(40, 0.5), np.zeros(40), grid, p) for p in members]
+    cfg = SchemeConfig("kinetic_first_order", boundary="periodic")
+    assert len(run_ensemble(initials, cfg, "euler", T=0.1, dt=0.05)) == 3
+    assert len(run_ensemble(initials[:1], cfg, "imex", T=0.1, dt=0.05)) == 1
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the ensemble was prepared before it was rejected")
+
+    monkeypatch.setattr(timestepping, "prepare_state_for_scheme", no_work)
+    with pytest.raises(ValueError, match="serves one member"):
+        run_ensemble(initials, cfg, "imex", T=0.1, dt=0.05)
 
 
 def test_residual_guard_names_the_member():
@@ -263,7 +276,7 @@ def test_residual_guard_names_the_member():
     )
     ws = ImexWorkspace.build(grid, 0.05, state.params)
     imex_step(state, 0.05, ws)
-    ws.lu[4, 80 + 17] *= 1.0 + 1e-6  # one diagonal entry of member 1's U
+    ws.bands[1][4, 80 + 17] *= 1.0 + 1e-6  # one diagonal entry of member 1's U
     with pytest.raises(SolveError, match="^member 1: linear solve residual"):
         imex_step(state, 0.05, ws)
 
@@ -278,6 +291,19 @@ def test_gershgorin_build_check_names_the_member(monkeypatch):
 
     monkeypatch.setattr(timestepping, "gershgorin_margins", lost_in_member_2)
     with pytest.raises(RuntimeError, match="^member 2: implicit operator lost"):
+        ImexWorkspace.build(grid, 0.1, ParamColumns(tuple(_members(3))))
+
+
+def test_gershgorin_build_check_counts_a_nan_margin_as_lost(monkeypatch):
+    grid = build_uniform_grid(0.0, 1.0, 5)
+
+    def nan_in_member_1(matrix):
+        margins = np.ones(matrix.shape[0])
+        margins[10 + 4] = np.nan
+        return margins
+
+    monkeypatch.setattr(timestepping, "gershgorin_margins", nan_in_member_1)
+    with pytest.raises(RuntimeError, match="^member 1: implicit operator lost"):
         ImexWorkspace.build(grid, 0.1, ParamColumns(tuple(_members(3))))
 
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst  # st names a State here
 from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbtrf
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from hyperac.diagnostics import g_profile, l2_distance, linf_distance, mass, speeds_from_masses
 from hyperac.grid import build_graded_grid, build_uniform_grid, project_cell_averages
@@ -18,6 +20,7 @@ from hyperac.schemes import (
 from hyperac.timestepping import (
     BlowUpError,
     ImexWorkspace,
+    SolveError,
     assemble_imex_matrix,
     explicit_step,
     gershgorin_margins,
@@ -295,10 +298,17 @@ def test_linear_solve_residual_is_tiny():
     assert ws.residual(x, rhs) <= 1e-12
 
 
-@pytest.mark.parametrize("layout", ["uniform", "graded", "periodic"])
-@pytest.mark.parametrize("n", [3, 50, 800])
-@pytest.mark.parametrize("members", [1, 3])
-def test_residual_product_is_the_sparse_matrix_product_bitwise(layout, n, members):
+@pytest.mark.parametrize(
+    "members, n, layout",
+    [
+        (members, n, layout)
+        for layout in ("uniform", "graded", "periodic")
+        for n in (3, 50, 800)
+        for members in (1, 3)
+        if not (layout == "periodic" and members > 1)  # a periodic operator is single-member
+    ],
+)
+def test_residual_product_is_the_sparse_matrix_product_bitwise(members, n, layout):
     """The residual guard calls scipy's CSR kernel directly: its product is
     ``matrix @ x`` bit for bit, so the residual against that product is 0 and
     the residual against any right-hand side is the one ``matrix @ x`` gives."""
@@ -351,15 +361,98 @@ def test_factored_solve_equals_solve_banded(n, graded):
         assert no_swaps == (dt == dt_column_dominant)
 
 
+_members_pool = hst.builds(
+    ModelParams,
+    tau=hst.floats(0.3, 5.0),
+    mu=hst.floats(0.5, 2.0),
+    alpha=hst.floats(0.1, 0.9),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=hst.integers(3, 400),
+    graded=hst.booleans(),
+    members=hst.lists(_members_pool, min_size=1, max_size=4),
+    factor=hst.sampled_from([0.25, 1.0]) | hst.floats(0.1, 1.0) | hst.floats(1.5, 20.0),
+    seed=hst.integers(0, 2**16),
+)
+@example(n=400, graded=False, members=[ModelParams(tau=1.0)] * 3, factor=10.0, seed=0)
+@example(n=400, graded=True, members=[ModelParams(tau=1.0)] * 3, factor=0.5, seed=0)
+def test_solve_is_dgbtrs_bitwise_on_both_paths(n, graded, members, factor, seed):
+    """``solve`` equals ``dgbtrs`` on the workspace's factors bit for bit.  A
+    workspace whose LU moved no row solves by the two triangular sweeps, any
+    other by ``dgbtrs``; with every alpha_i = rho dt / dx_i <= 1 no row moves."""
+    grid = (
+        build_graded_grid(0.0, 10.0, n, 1.0 + 2.0 / n)
+        if graded
+        else build_uniform_grid(0.0, 10.0, n)
+    )
+    p = members[0] if len(members) == 1 else ParamColumns(tuple(members))
+    dt = factor * grid.dx_min / max(q.rho for q in members)
+    ws = ImexWorkspace.build(grid, dt, p)
+    no_swaps = np.array_equal(ws.pivots, np.arange(2 * n * len(members)))
+    assert (ws.bands is not None) == no_swaps
+    if factor <= 1.0:
+        assert no_swaps
+    if ws.bands is not None:
+        lower, upper = ws.bands
+        assert lower.flags.f_contiguous and upper.flags.f_contiguous
+        assert np.array_equal(lower, ws.lu[4:7]) and np.array_equal(upper, ws.lu[0:5])
+    shape = (2 * n,) if len(members) == 1 else (len(members), 2 * n)
+    rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    before = rhs.copy()
+    want = dgbtrs(ws.lu, 2, 2, rhs.reshape(-1), ws.pivots)[0].reshape(shape)
+    assert ws.solve(rhs).tobytes() == want.tobytes()
+    assert rhs.tobytes() == before.tobytes()  # the right-hand side is left as it was
+
+
 def test_residual_guard_catches_corrupted_factor():
     grid = build_uniform_grid(0.0, 10.0, 40)
     p = ModelParams(tau=1.0, alpha=0.7)
     ws = ImexWorkspace.build(grid, 0.05, p)
     st = _random_diagonal(grid, p, 11)
     imex_step(st, 0.05, ws)
-    ws.lu[4, 17] *= 1.0 + 1e-6  # one diagonal entry of U
+    ws.bands[1][4, 17] *= 1.0 + 1e-6  # one diagonal entry of U, as the sweeps read it
     with pytest.raises(RuntimeError, match="residual"):
         imex_step(st, 0.05, ws)
+
+
+def test_residual_guard_catches_corrupted_pivoted_factor():
+    grid = build_uniform_grid(0.0, 10.0, 40)
+    p = ModelParams(tau=1.0, alpha=0.7)
+    dt = 4.0 * grid.dx_min / p.rho
+    ws = ImexWorkspace.build(grid, dt, p)
+    assert ws.bands is None  # rows moved: dgbtrs solves with lu and pivots
+    st = _random_diagonal(grid, p, 11)
+    imex_step(st, dt, ws)
+    ws.lu[4, 17] *= 1.0 + 1e-6  # one diagonal entry of U
+    with pytest.raises(SolveError, match="^linear solve residual"):
+        imex_step(st, dt, ws)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -0.1, 0.0, np.array([[0.1], [np.nan]])])
+def test_step_apis_reject_a_dt_that_is_not_positive_and_finite(dt):
+    """The IMEX operator and the explicit step reject a NaN or infinite step,
+    also one member's in a (B, 1) column, instead of stepping with it."""
+    grid = build_uniform_grid(0.0, 1.0, 8)
+    members = (ModelParams(tau=1.0), ModelParams(tau=2.0))
+    params = ParamColumns(members)
+    with pytest.raises(ValueError, match="positive and finite"):
+        ImexWorkspace.build(grid, dt, params)
+    with pytest.raises(ValueError, match="positive and finite"):
+        assemble_imex_matrix(grid, dt, params)
+    if np.ndim(dt) == 0:
+        with pytest.raises(ValueError, match="positive and finite"):
+            ImexWorkspace.build(grid, dt, members[0], "periodic")
+    state = State.stack([State.physical(np.zeros(8), np.zeros(8), grid, q) for q in members])
+
+    def never(_):
+        raise AssertionError("a rejected step evaluates no right-hand side")
+
+    for method in ("euler", "heun"):
+        with pytest.raises(ValueError, match="positive and finite"):
+            explicit_step(state, dt, never, method)
 
 
 @pytest.mark.parametrize("boundary", ["zero_gradient", "periodic"])
