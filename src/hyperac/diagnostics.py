@@ -29,8 +29,9 @@ class DiagnosticsRecord:
     """Per-step time series collected during a run.
 
     ``speeds[n]`` is the average speed between steps n and n+1, recorded at
-    ``times[n]``; the distance and stability columns are NaN when the run had
-    no reference profile.
+    ``times[n]``, and ``g_min[n]`` the least g(u) = 1 - tau f'(u) after step
+    n.  The distance columns ``l2`` and ``linf`` are NaN when the run had no
+    reference profile; ``g_min`` is always computed.
     """
 
     times: np.ndarray = field(default_factory=lambda: np.empty(0))

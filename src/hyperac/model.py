@@ -89,22 +89,31 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ParamColumns:
-    """The ``ModelParams`` of B ensemble members as (B, 1) columns.
+    """The ``ModelParams`` of B ensemble members as columns.
 
-    Each column broadcasts against (B, N) cell arrays, so the formulas written
-    for one member evaluate every member at once; each entry is that member's
-    own scalar (``rho`` included), so the results are the one-member ones.
+    Each column is (B, 1) and broadcasts against (B, N) cell arrays; with the
+    members' cell counts in ``sizes`` it holds each member's scalar once per
+    cell of that member, for the flat arrays of members side by side on grids
+    of their own.  Either way the formulas written for one member evaluate
+    every member at once; each entry is that member's own scalar (``rho``
+    included), so the results are the one-member ones.
     """
 
     members: tuple[ModelParams, ...]
+    sizes: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("an ensemble needs at least one member")
         for name in ("tau", "mu", "kappa", "alpha", "nu", "rho"):
-            column = np.array([[getattr(m, name)] for m in self.members])
+            column = self.column([getattr(m, name) for m in self.members])
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+
+    def column(self, values) -> np.ndarray:
+        """One value per member, as a column of this layout."""
+        values = np.asarray(values)
+        return values[:, None] if self.sizes is None else np.repeat(values, self.sizes)
 
 
 def reaction_f(u, p: ModelParams):

@@ -167,14 +167,14 @@ def run_speed_table(
 ) -> list[dict]:
     """Relative front-speed error of the IMEX scheme over a (dt, dx) grid.
 
-    Each (dt, dx) cell runs its cases as one ensemble with one stop time per
-    case: a case leaves the ensemble at its own T, and its row is bit for bit
-    that of a run of its own.  Rows come in (dt, case, dx) order.  Every row
-    carries the measured final average speed, the shooting reference speed
-    and the relative error recomputed from those two values at emission time,
-    plus the run's whole per-step speed series under ``"speeds"`` (not
-    written out).  Writes a tidy CSV plus a pivot in the layout of the error
-    table (one row per (dt, case), one column per dx).
+    Each dt row runs its (dx, case) cells as one IMEX ensemble, each with its
+    own grid and stop time: a cell leaves the ensemble at its own T, and its
+    row is bit for bit that of a run of its own.  Rows come in (dt, case, dx)
+    order.  Every row carries the measured final average speed, the shooting
+    reference speed and the relative error recomputed from those two values at
+    emission time, plus the run's whole per-step speed series under
+    ``"speeds"`` (not written out).  Writes a tidy CSV plus a pivot in the
+    layout of the error table (one row per (dt, case), one column per dx).
     """
     dx_list = list(dx_list) if dx_list is not None else [1.0, 0.5, 0.25, 0.125, 0.0625]
     dt_list = list(dt_list) if dt_list is not None else [1e-1, 1e-2, 1e-3]
@@ -186,18 +186,17 @@ def run_speed_table(
         for label, params in members.items()
     }
     speeds_of = {}  # the speed series of each (dt, dx, case) run
+    cells = [(dx, label) for dx in dx_list for label in cases]
     for dt in dt_list:
-        for dx in dx_list:
-            n = int(round(2.0 * _TABLE_ELL / dx))
-            ensemble = run_ensemble(
-                [_table_initial(n, params) for params in members.values()],
-                SchemeConfig("kinetic_first_order"),
-                "imex",
-                T=[case[2] for case in cases.values()],
-                dt=dt,
-            )
-            for label, result in zip(cases, ensemble):
-                speeds_of[dt, dx, label] = result.diagnostics.speeds
+        ensemble = run_ensemble(
+            [_table_initial(round(2.0 * _TABLE_ELL / dx), members[c]) for dx, c in cells],
+            SchemeConfig("kinetic_first_order"),
+            "imex",
+            T=[cases[c][2] for _, c in cells],
+            dt=dt,
+        )
+        for (dx, label), result in zip(cells, ensemble):
+            speeds_of[dt, dx, label] = result.diagnostics.speeds
     rows = []
     for dt in dt_list:
         for label, case in cases.items():

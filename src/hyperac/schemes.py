@@ -97,23 +97,29 @@ class State:
     physical : (u, v), density and flux
     onefield : (u, w), density and the auxiliary variable of a one-field form
 
-    With ``ParamColumns`` for ``params`` the state is an ensemble: (B, N)
-    arrays, one row per member (see ``stack``).  States are immutable; the
-    density ``u`` is formed once, on first use.
+    With ``ParamColumns`` for ``params`` the state is an ensemble (see
+    ``stack``): (B, N) arrays, one row per member, or with a tuple of the
+    members' grids for ``grid``, flat arrays of the members side by side.
+    States are immutable; the density ``u`` is formed once, on first use.
     """
 
     kind: str
     a: np.ndarray
     b: np.ndarray
-    grid: Grid
+    grid: Grid | tuple[Grid, ...]
     params: ModelParams
 
     def __post_init__(self) -> None:
         if self.kind not in _REPRESENTATIONS:
             raise ValueError(f"unknown representation {self.kind!r}")
-        shape = (self.grid.n_cells,)
-        if isinstance(self.params, ParamColumns):
-            shape = (len(self.params.members),) + shape
+        if isinstance(self.grid, tuple):
+            shape = (sum(g.n_cells for g in self.grid),)
+            if getattr(self.params, "sizes", None) != tuple(g.n_cells for g in self.grid):
+                raise ValueError("flat ensemble parameters must cover each member's cells")
+        else:
+            shape = (self.grid.n_cells,)
+            if isinstance(self.params, ParamColumns):
+                shape = (len(self.params.members),) + shape
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
         if a.shape != shape or b.shape != shape:
@@ -135,27 +141,25 @@ class State:
 
     @classmethod
     def stack(cls, states: Sequence["State"]) -> "State":
-        """Members in one representation on one grid, as one ensemble state.
+        """Members in one representation, as one ensemble state.
 
-        A lone state is returned as it is: it already is a one-member ensemble.
+        Members on one grid are the rows of (B, N) arrays; members on grids of
+        their own sit side by side in flat arrays, with the tuple of their
+        grids for ``grid``.  A lone state is returned as it is: it already is
+        a one-member ensemble.
         """
         first = states[0]
         if len(states) == 1:
             return first
-        for st in states[1:]:
-            if st.kind != first.kind:
-                raise ValueError("ensemble members must share one representation")
-            if st.grid is not first.grid and not np.array_equal(
-                st.grid.interfaces, first.grid.interfaces
-            ):
-                raise ValueError("ensemble members must share one grid")
-        return cls(
-            first.kind,
-            np.stack([st.a for st in states]),
-            np.stack([st.b for st in states]),
-            first.grid,
-            ParamColumns(tuple(st.params for st in states)),
-        )
+        if any(st.kind != first.kind for st in states):
+            raise ValueError("ensemble members must share one representation")
+        grids = tuple(st.grid for st in states)
+        shared = all(np.array_equal(g.interfaces, grids[0].interfaces) for g in grids)
+        sizes = None if shared else tuple(g.n_cells for g in grids)
+        join = np.stack if shared else np.concatenate
+        a, b = join([st.a for st in states]), join([st.b for st in states])
+        params = ParamColumns(tuple(st.params for st in states), sizes)
+        return cls(first.kind, a, b, grids[0] if shared else grids, params)
 
     def _require(self, kind: str) -> None:
         if self.kind != kind:

@@ -23,12 +23,13 @@ bands, which is ``dgbtrs``'s arithmetic without its pivot loop; one whose LU
 moved rows by ``dgbtrs``; a periodic operator, whose wrap-around entries
 leave the band, by SuperLU.
 
-An ensemble of B members on one grid steps as (B, N) arrays: the explicit
-right-hand sides broadcast over the member axis, and the members'
-zero-gradient IMEX operators, side by side in the band layout, form one
-block-diagonal matrix of bandwidth 2 that one factorisation and one solve per
-step serve.  A step size may be a (B, 1) column, one step per member.  A
-periodic IMEX operator serves one member only.
+An ensemble (``State.stack``) of members on one grid steps as (B, N) arrays,
+over whose member axis the explicit right-hand sides broadcast.  The IMEX
+step sees its members' cells in flat order, so it also takes members on
+grids of their own, side by side: their zero-gradient operators form one
+block-diagonal band that one factorisation and one solve per step serve, and
+its per-member checks reduce over each member's cells.  A step size may be a
+column of per-member steps.  A periodic IMEX operator serves one member only.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ __all__ = [
     "run_ensemble",
 ]
 
+Grids = Grid | tuple[Grid, ...]  # one grid, or the grid of each member side by side
 _STATE_BOUND = 10.0  # the bistable cubic diverges cubically well inside this
 _RESIDUAL_TOL = 1e-12
 
@@ -117,49 +119,59 @@ def _check_step(dt: float | np.ndarray) -> None:
         raise ValueError("dt must be positive and finite")
 
 
+def _bounds(grid: Grids, params: ModelParams | ParamColumns) -> np.ndarray:
+    """Each member's first cell in the flat cell order of a state, then the cell count."""
+    if isinstance(grid, Grid):
+        grid = (grid,) * (len(params.members) if isinstance(params, ParamColumns) else 1)
+    return np.cumsum([0] + [g.n_cells for g in grid])
+
+
 def _imex_operator(
-    grid: Grid, dt: float | np.ndarray, params: ModelParams | ParamColumns, boundary: str
+    grid: Grids, dt: float | np.ndarray, params: ModelParams | ParamColumns, boundary: str
 ) -> tuple[np.ndarray, sp.csr_matrix]:
-    """The operator in dgbtrf's (7, 2N) band layout, and in CSR.
+    """The operator in dgbtrf's (7, 2C) band layout, and in CSR, for C cells.
 
     Row 4 + i - j of the band holds entry (i, j); the two top rows are room
-    for the U factor's fill-in should the LU pivot.  The band closes with a
-    zero gradient: the last r row and the first s row carry no transport.  A
-    periodic operator adds it back, on their diagonals and in two wrap-around
-    entries outside the band.  For B members (``ParamColumns``) the members'
-    bands sit side by side, (7, 2NB): no entry couples two members, so that
-    is the block-diagonal operator of the ensemble, and ``dt`` may be a (B, 1)
-    column of per-member steps.  A periodic operator is single-member.
+    for the U factor's fill-in should the LU pivot.  The unknowns are the
+    interleaved (r, s) of the members' cells in flat order, and ``dt`` may be
+    a column of per-member steps.  Each member's band closes with a zero
+    gradient: its last r row and first s row carry no transport, and no entry
+    couples two members, so the operator is block-diagonal.  A periodic
+    operator is single-member: it adds the transport back, on those two
+    diagonals and in two wrap-around entries outside the band.
     """
     _check_step(dt)
     if boundary == "periodic" and isinstance(params, ParamColumns) and len(params.members) > 1:
         raise ValueError("a periodic IMEX operator serves one member, not an ensemble")
-    n = grid.n_cells
-    m = 2 * n
-    alpha = np.reshape(params.rho * dt / grid.cell_lengths, (-1, n))
-    beta = np.reshape(dt / (2.0 * params.tau), (-1, 1))
-    count = alpha.shape[0]
-    size = count * m
-    ab = np.zeros((7, size))
-    # solve_banded's (5, 2N) layout per member: row 2 + i - j holds entry (i, j)
-    band = ab[2:].reshape(5, count, m)
-    band[0, :, 2::2] = -alpha[:, :-1]  # r_i <- r_{i+1}
-    band[1, :, 1::2] = -beta  # r_i <- s_i
-    band[2] = 1.0 + beta
-    band[2, :, 0:-2:2] += alpha[:, :-1]  # every r row but the last
-    band[2, :, 3::2] += alpha[:, 1:]  # every s row but the first
-    band[3, :, 0::2] = -beta  # s_i <- r_i
-    band[4, :, 1:-2:2] = -alpha[:, 1:]  # s_{i+1} <- s_i
-    matrix = sp.dia_matrix((ab[2:], [2, 1, 0, -1, -2]), shape=(size, size)).tocsr()
+    grids = grid if isinstance(grid, tuple) else (grid,)  # broadcast over (B, N) rows
+    alpha = params.rho * dt / np.concatenate([g.cell_lengths for g in grids])
+    beta = np.broadcast_to(dt / (2.0 * params.tau), alpha.shape).reshape(-1)
+    alpha = alpha.reshape(-1)
+    bounds = _bounds(grid, params)
+    first, last = bounds[:-1], bounds[1:] - 1
+    size = 2 * alpha.size
+    ab = np.zeros((7, size), order="F")  # dgbtrf factors it in place
+    band = ab[2:]  # solve_banded's (5, 2C) layout: row 2 + i - j holds entry (i, j)
+    band[0, 2::2] = -alpha[:-1]  # r_i <- r_{i+1}
+    band[1, 1::2] = -beta  # r_i <- s_i
+    band[2] = np.repeat((1.0 + beta) + alpha, 2)  # the members' ends are set below
+    band[3, 0::2] = -beta  # s_i <- r_i
+    band[4, 1:-2:2] = -alpha[1:]  # s_{i+1} <- s_i
+    band[0, 2 * first] = 0.0  # no member's last r row reaches into the next member
+    band[4, 2 * last + 1] = 0.0  # nor its last s into the next member's first s row
+    band[2, 2 * last] = 1.0 + beta[last]
+    band[2, 2 * first + 1] = 1.0 + beta[first]
+    # by way of CSC, whose conversion from DIA holds fewer temporaries than COO's
+    matrix = sp.dia_matrix((ab[2:], [2, 1, 0, -1, -2]), shape=(size, size)).tocsc().tocsr()
     if boundary == "periodic":  # rows s_0 and r_{N-1}
-        rows, cols = [1, 1, m - 2, m - 2], [1, m - 1, m - 2, 0]
-        vals = [alpha[0, 0], -alpha[0, 0], alpha[0, -1], -alpha[0, -1]]
+        rows, cols = [1, 1, size - 2, size - 2], [1, size - 1, size - 2, 0]
+        vals = [alpha[0], -alpha[0], alpha[-1], -alpha[-1]]
         matrix = matrix + sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
     return ab, matrix
 
 
 def assemble_imex_matrix(
-    grid: Grid, dt: float, params: ModelParams | ParamColumns, boundary: str = "zero_gradient"
+    grid: Grids, dt: float, params: ModelParams | ParamColumns, boundary: str = "zero_gradient"
 ) -> sp.csr_matrix:
     """Implicit operator of the IMEX step on the interleaved (r, s) vector.
 
@@ -183,7 +195,8 @@ class ImexWorkspace:
     """Assembled implicit operator plus its LU factors, reused across steps.
 
     Built for ``ParamColumns`` it holds the block-diagonal operator of the
-    ensemble, one block per member.  ``solve`` takes one of three paths:
+    ensemble, one block per member, whose first unknowns ``starts`` holds.
+    ``solve`` takes one of three paths:
 
     - zero-gradient, no row moved by ``dgbtrf``: two ``dtbsv`` sweeps over
       ``bands``, Fortran-ordered copies of the L and U rows of ``lu`` made
@@ -196,43 +209,44 @@ class ImexWorkspace:
     every solve against.
     """
 
-    grid: Grid
+    grid: Grids
     params: ModelParams | ParamColumns
-    dt: float | np.ndarray  # a (B, 1) column for per-member steps
+    dt: float | np.ndarray  # a column of per-member steps
     boundary: str
     matrix: sp.csr_matrix
-    lu: object = field(repr=False)  # (7, 2NB) dgbtrf factors, or a SuperLU
+    starts: np.ndarray
+    lu: object = field(repr=False)  # (7, 2C) dgbtrf factors, or a SuperLU
     pivots: np.ndarray | None = field(default=None, repr=False)  # dgbtrf only
     bands: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)  # L, U
 
     @classmethod
     def build(
         cls,
-        grid: Grid,
+        grid: Grids,
         dt: float | np.ndarray,
         params: ModelParams | ParamColumns,
         boundary: str = "zero_gradient",
     ) -> "ImexWorkspace":
         ab, matrix = _imex_operator(grid, dt, params, boundary)
-        m = 2 * grid.n_cells
-        lost = ~(gershgorin_margins(matrix).reshape(-1, m).min(axis=1) >= 1.0 - 1e-12)  # NaN too
+        starts = 2 * _bounds(grid, params)[:-1]
+        lost = ~(np.minimum.reduceat(gershgorin_margins(matrix), starts) >= 1.0 - 1e-12)  # NaN too
         if lost.any():
             raise RuntimeError(
                 f"{_member(int(np.argmax(lost)), lost.size)}"
                 "implicit operator lost its Gershgorin row bound; assembly bug"
             )
         if boundary != "zero_gradient":
-            return cls(grid, params, dt, boundary, matrix, splu(matrix.tocsc()))
+            return cls(grid, params, dt, boundary, matrix, starts, splu(matrix.tocsc()))
         lu, pivots, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
         if info != 0:
             raise RuntimeError(f"banded LU factorisation failed (dgbtrf info {info})")
         bands = None
         if np.array_equal(pivots, np.arange(pivots.size)):
             bands = np.asfortranarray(lu[4:7]), np.asfortranarray(lu[0:5])
-        return cls(grid, params, dt, boundary, matrix, lu, pivots, bands)
+        return cls(grid, params, dt, boundary, matrix, starts, lu, pivots, bands)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for one interleaved right-hand side, (2N,), or one per member, (B, 2N)."""
+        """Solve for the interleaved right-hand side of every member, in the layout of ``rhs``."""
         b = rhs.reshape(-1)
         if self.bands is not None:
             lower, upper = self.bands
@@ -246,16 +260,18 @@ class ImexWorkspace:
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Max-norm solve residual of each member, relative to its right-hand side.
 
-        The product is scipy's CSR kernel called on a zeroed buffer, as
+        One value per member of an ensemble, a scalar for one state.  The
+        product is scipy's CSR kernel called on a zeroed buffer, as
         ``matrix @ x`` does after its dispatch: the same bits at a third of
         the cost at small N.
         """
-        a = self.matrix
-        product = np.zeros(rhs.size)
+        a, b = self.matrix, rhs.reshape(-1)
+        product = np.zeros(b.size)
         _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, x.reshape(-1), product)
-        misfit = np.abs(product.reshape(rhs.shape) - rhs).max(axis=-1)
-        scale = np.abs(rhs).max(axis=-1)
-        return misfit / (scale + (scale == 0.0))  # a zero right-hand side counts as 1
+        misfit = np.maximum.reduceat(np.abs(product - b), self.starts)
+        scale = np.maximum.reduceat(np.abs(b), self.starts)
+        res = misfit / (scale + (scale == 0.0))  # a zero right-hand side counts as 1
+        return res if isinstance(self.params, ParamColumns) else res[0]
 
     def matches(self, state: State, dt: float | np.ndarray) -> bool:
         return (
@@ -268,8 +284,8 @@ class ImexWorkspace:
 def imex_step(state: State, dt: float | np.ndarray, ws: ImexWorkspace | None = None) -> State:
     """One implicit-transport / explicit-reaction step in diagonal variables.
 
-    Advances one state or an ensemble, whose members one solve serves; for an
-    ensemble ``dt`` may be a (B, 1) column, one step per member.
+    Advances one state or an ensemble in either layout, whose members one
+    solve serves; for an ensemble ``dt`` may be a column of per-member steps.
     Raises ``BlowUpError`` when a member's solution is non-finite or its
     density leaves the trust region, like ``explicit_step``, and
     ``SolveError`` when a member's solve misses the residual bound.
@@ -290,10 +306,10 @@ def imex_step(state: State, dt: float | np.ndarray, ws: ImexWorkspace | None = N
     solved = (res if res.ndim == 0 else res.max()) <= _RESIDUAL_TOL  # false for NaN too
     if not solved:
         # the band solve carries a non-finite member's NaN into its neighbours'
-        # blocks; solve without it, so that each member fails on its own
-        broken = ~np.isfinite(rhs).all(axis=-1)
-        if broken.any():
-            x = ws.solve(np.where(broken[..., None], 0.0, rhs))
+        # blocks; solve with those entries zeroed, so that each member fails on its own
+        finite = np.isfinite(rhs)
+        if not finite.all():
+            x = ws.solve(np.where(finite, rhs, 0.0))
             res = ws.residual(x, rhs)
     new = state.with_components(x[..., 0::2], x[..., 1::2])
     # solved systems are finite, so only the density bound can still fail
@@ -364,9 +380,9 @@ def _check_finite(state: State, residual: np.ndarray | None = None) -> None:
         np.isfinite(a).all() and np.isfinite(b).all() and np.abs(u).max() <= _STATE_BOUND
     ):
         return
-    n = state.grid.n_cells
-    finite = np.isfinite(a.reshape(-1, n)).all(axis=1) & np.isfinite(b.reshape(-1, n)).all(axis=1)
-    inside = np.abs(u.reshape(-1, n)).max(axis=1) <= _STATE_BOUND
+    starts = _bounds(state.grid, state.params)[:-1]
+    finite = np.logical_and.reduceat((np.isfinite(a) & np.isfinite(b)).reshape(-1), starts)
+    inside = np.maximum.reduceat(np.abs(u).reshape(-1), starts) <= _STATE_BOUND
     res = np.zeros(finite.size) if residual is None else np.reshape(residual, -1)
     solved = res <= _RESIDUAL_TOL
     failed = ~(solved & finite & inside)
@@ -477,20 +493,20 @@ def run_ensemble(
     sample_every: int = 0,
     reference: Callable | None = None,
 ) -> list[RunResult]:
-    """Advance B states on one grid from t = 0 to their stop times, recording diagnostics each step.
+    """Advance B states from t = 0 to their stop times, recording diagnostics each step.
 
-    The members step together as the rows of (B, N) arrays, each with its
-    own parameters: one right-hand-side evaluation, or one solve of the
-    block-diagonal IMEX operator, per step serves them all, and each member's
-    result is bit for bit that of its own run.  The members share ``dt`` and
-    their grid; ``T`` is one stop time for all of them or one per member.
+    The members step together as one ensemble state (``State.stack``), each
+    with its own parameters: one right-hand-side evaluation, or one solve of
+    the block-diagonal IMEX operator, per step serves them all, and each
+    member's result is bit for bit that of its own run.  The members share
+    ``dt``; ``T`` is one stop time for all of them or one per member.
 
     Each member takes the steps of its own run: steps of ``dt``, the last one
     shortened to land exactly on its T.  Where some members take their last
-    step, the step size is a (B, 1) column (the IMEX path builds an operator
-    for it); those members then leave the stack, and the rest go on as a
-    smaller ensemble, for which the IMEX operator is factored anew.  Each
-    member's diagnostics, snapshots and final state end at its own T.
+    step, the step size is a column of per-member steps (the IMEX path builds
+    an operator for it); those members then leave the stack, and the rest go
+    on as a smaller ensemble, for which the IMEX operator is factored anew.
+    Each member's diagnostics, snapshots and final state end at its own T.
 
     Snapshots of the state are stored at t = 0 and every ``sample_every``
     steps (0 disables them; the final state is always available separately).
@@ -501,7 +517,8 @@ def run_ensemble(
     ensemble of two or more names in the message) when the first member
     leaves the trust region, and ``ValueError``, before any allocation, for
     the arguments ``check_run`` rejects, for a T that does not give one stop
-    time per member and for a periodic IMEX ensemble of two or more members.
+    time per member and for a periodic IMEX ensemble of two or more members;
+    explicit members must share one grid, IMEX ones may each have their own.
     """
     initials = list(initials)
     if not initials:
@@ -516,8 +533,8 @@ def run_ensemble(
         check_run(scheme, integrator, stop, dt)
     members = [prepare_state_for_scheme(st, scheme) for st in initials]
     state = State.stack(members)
-    grid = state.grid
-    cells = grid.n_cells
+    if integrator != "imex" and isinstance(state.grid, tuple):
+        raise ValueError("explicit stencils need ensemble members that share one grid")
 
     schedules = {stop: _schedule(stop, dt) for stop in stops}
     lengths = [schedules[stop][0].size for stop in stops]
@@ -528,23 +545,29 @@ def run_ensemble(
     for end in set(lengths):
         sizes = [float(schedules[s][0][end - 1]) for s, size in zip(stops, lengths) if size >= end]
         if len(set(sizes)) > 1:
-            last_steps[end - 1] = np.array(sizes)[:, None]
+            last_steps[end - 1] = np.array(sizes)  # laid out as a column of the stack
         else:  # the step dt itself reuses the workspace
             last_steps[end - 1] = dt if sizes[0] == dt else sizes[0]
 
     if integrator == "imex":
-        ws = ImexWorkspace.build(grid, dt, state.params, scheme.boundary)
+        ws = ImexWorkspace.build(state.grid, dt, state.params, scheme.boundary)
     else:
         rhs = rhs_for_scheme(scheme)
 
-    def split(state: State, ids: list[int]) -> list[State]:
-        rows = zip(state.a.reshape(len(ids), cells), state.b.reshape(len(ids), cells), ids)
-        return [State(members[k].kind, a, b, members[k].grid, members[k].params)
-                for a, b, k in rows]
+    def layout(state: State) -> tuple[np.ndarray, list]:
+        """Each row's first cell in the flat cell order, and its (member, grid, cells)."""
+        ends = _bounds(state.grid, state.params)
+        return ends[:-1], [(k, members[k].grid, slice(*ends[j : j + 2])) for j, k in enumerate(ids)]
 
-    ref_values = None if reference is None else project_cell_averages(reference, grid)
+    def split(state: State) -> list[State]:
+        a, b = state.a.reshape(-1), state.b.reshape(-1)
+        return [State(members[k].kind, a[c], b[c], grid, members[k].params) for k, grid, c in rows]
+
+    refs = {}  # the reference's cell averages on each member's grid
+    if reference is not None:
+        refs = {st.grid: project_cell_averages(reference, st.grid) for st in members}
     masses = np.empty((count, n_max + 1))
-    if ref_values is None:  # no distances: a read-only NaN view that holds no memory
+    if not refs:  # no distances: a read-only NaN view that holds no memory
         l2 = linf = np.broadcast_to(np.nan, (count, n_max))
     else:
         l2 = np.empty((count, n_max))
@@ -554,10 +577,13 @@ def run_ensemble(
     finals: list[State | None] = [None] * count
     ids = list(range(count))  # the member in each row of the stack
     rows_of = slice(None)  # the same, as an index of the per-member arrays
+    starts, rows = layout(state)
 
-    masses[:, 0] = [mass(st.u, grid) for st in members]
+    masses[:, 0] = [mass(st.u, st.grid) for st in members]
     for n in range(n_max):
         h = last_steps.get(n, dt)
+        if isinstance(h, np.ndarray):
+            h = state.params.column(h)
         try:
             if integrator != "imex":
                 state = explicit_step(state, h, rhs, integrator)
@@ -572,23 +598,23 @@ def run_ensemble(
             if isinstance(err, SolveError):
                 raise SolveError(message, member=k) from None
             raise BlowUpError(f"{message} at step {n}", step=n, member=k) from None
-        u = state.u
-        rows = u.reshape(len(ids), cells)
-        for k, row in zip(ids, rows):
-            masses[k, n + 1] = mass(row, grid)
-        max_f_prime[rows_of, n] = reaction_f_prime(u, state.params).max(axis=-1)
-        if ref_values is not None:
-            for k, row in zip(ids, rows):
-                l2[k, n] = l2_distance(row, ref_values, grid)
-                linf[k, n] = linf_distance(row, ref_values)
+        u = state.u.reshape(-1)
+        for k, grid, c in rows:
+            masses[k, n + 1] = mass(u[c], grid)
+        f_prime = reaction_f_prime(state.u, state.params).reshape(-1)
+        max_f_prime[rows_of, n] = np.maximum.reduceat(f_prime, starts)
+        if refs:
+            for k, grid, c in rows:
+                l2[k, n] = l2_distance(u[c], refs[grid], grid)
+                linf[k, n] = linf_distance(u[c], refs[grid])
         sampled = sample_every > 0 and (n + 1) % sample_every == 0
         if sampled:
-            current = split(state, ids)
+            current = split(state)
             for k, st in zip(ids, current):
                 snapshots[k].append((float(schedules[stops[k]][1][n]), st))
         if n in last_steps:  # some members took their last step: they leave the stack
             if not sampled:
-                current = split(state, ids)
+                current = split(state)
             going_on = []
             for k, st in zip(ids, current):
                 if lengths[k] == n + 1:
@@ -599,6 +625,7 @@ def run_ensemble(
             rows_of = np.array(ids, dtype=int)
             if going_on:
                 state = State.stack(going_on)
+                starts, rows = layout(state)
                 if integrator == "imex":
                     del ws
                     ws = ImexWorkspace.build(state.grid, dt, state.params, scheme.boundary)

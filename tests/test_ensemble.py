@@ -1,8 +1,12 @@
-"""Ensemble stepping: B members advanced as (B, N) arrays equal their own runs bit for bit."""
+"""Ensemble stepping: B members advanced as one ensemble state equal their own runs bit for bit.
+
+Members on one grid step as (B, N) arrays; IMEX members on grids of their own
+step side by side in flat arrays.
+"""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperac import timestepping
@@ -28,18 +32,15 @@ _REFERENCE = FrontProfile(ModelParams(tau=1.0), shift=4.0, increasing=True)
 _CASES = [(kind, method, "zero_gradient") for kind in SCHEMES for method in ("euler", "heun")]
 _CASES += [("kinetic_first_order", "imex", "zero_gradient")]
 
-_members = st.lists(
-    st.builds(
-        ModelParams,
-        tau=st.floats(0.3, 5.0),
-        mu=st.floats(0.5, 2.0),
-        kappa=st.floats(0.5, 2.0),
-        alpha=st.floats(0.1, 0.9),
-        nu=st.floats(0.0, 0.5),
-    ),
-    min_size=1,
-    max_size=4,
+_params = st.builds(
+    ModelParams,
+    tau=st.floats(0.3, 5.0),
+    mu=st.floats(0.5, 2.0),
+    kappa=st.floats(0.5, 2.0),
+    alpha=st.floats(0.1, 0.9),
+    nu=st.floats(0.0, 0.5),
 )
+_members = st.lists(_params, min_size=1, max_size=4)
 
 
 def _same_bits(x, y) -> bool:
@@ -200,21 +201,130 @@ def test_ensemble_nan_member_fails_alone(boundary):
         run(initial, cfg, "imex", T=1.0, dt=0.1)
 
 
+def _ramp(grid, params):
+    """A physical state rising from 0 to 1 across ``grid``, with a small flux."""
+    u = np.linspace(0.0, 1.0, grid.n_cells)
+    return State.physical(u, 0.1 * u * (1.0 - u), grid, params)
+
+
 def test_run_ensemble_rejects_members_that_do_not_share_a_grid():
+    """Explicit stencils would reach across member boundaries, so euler and
+    heun ensembles need one grid; IMEX members on grids of their own (N = 12,
+    or graded) step side by side, and each equals its own run."""
     p, q = ModelParams(tau=1.0), ModelParams(tau=2.0)
-    a = State.physical(np.zeros(10), np.zeros(10), build_uniform_grid(0.0, 1.0, 10), p)
-    same = State.physical(np.zeros(10), np.zeros(10), build_uniform_grid(0.0, 1.0, 10), q)
+    a = _ramp(build_uniform_grid(0.0, 1.0, 10), p)
+    same = _ramp(build_uniform_grid(0.0, 1.0, 10), q)
     cfg = SchemeConfig("kinetic_first_order")
     assert len(run_ensemble([a, same], cfg, "imex", T=0.2, dt=0.1)) == 2
     graded = build_graded_grid(0.0, 1.0, 10, 1.1)
-    for other in (
-        State.physical(np.zeros(12), np.zeros(12), build_uniform_grid(0.0, 1.0, 12), q),
-        State.physical(np.zeros(10), np.zeros(10), graded, q),
-    ):
-        with pytest.raises(ValueError, match="share one grid"):
-            run_ensemble([a, other], cfg, "imex", T=0.2, dt=0.1)
+    for other in (_ramp(build_uniform_grid(0.0, 1.0, 12), q), _ramp(graded, q)):
+        for integrator in ("euler", "heun"):
+            with pytest.raises(ValueError, match="share one grid"):
+                run_ensemble([a, other], cfg, integrator, T=0.2, dt=0.05)
+        ragged = run_ensemble([a, other, same], cfg, "imex", T=[0.2, 0.25, 0.3], dt=0.1)
+        for initial, stop, got in zip((a, other, same), (0.2, 0.25, 0.3), ragged):
+            _assert_same_run(got, run(initial, cfg, "imex", T=stop, dt=0.1))
     with pytest.raises(ValueError, match="at least one member"):
         run_ensemble([], cfg, "imex", T=0.2, dt=0.1)
+
+
+def _ragged_grids():
+    return [
+        build_uniform_grid(0.0, 4.0, 12),
+        build_graded_grid(0.0, 4.0, 9, 1.2),
+        build_uniform_grid(0.0, 4.0, 20),
+        build_graded_grid(0.0, 4.0, 15, 0.9),
+    ]
+
+
+def test_ragged_ensemble_nan_member_fails_alone():
+    """Members on four different grids; a NaN in member 2 fails member 2 at
+    step 0, named by its place in the whole ensemble, and the shared band
+    solve does not let it fail its neighbours first."""
+    initials = [
+        _ramp(grid, ModelParams(tau=2.0, alpha=0.3 + 0.1 * k))
+        for k, grid in enumerate(_ragged_grids())
+    ]
+    u = initials[2].a.copy()
+    u[5] = np.nan
+    initials[2] = State.physical(u, initials[2].b, initials[2].grid, initials[2].params)
+    cfg = SchemeConfig("kinetic_first_order")
+    err = _blow_up(lambda: run_ensemble(initials, cfg, "imex", T=1.0, dt=0.1))
+    assert (err.member, err.step) == (2, 0)
+    assert str(err) == "member 2: solution became non-finite at step 0"
+    others = initials[:2] + initials[3:]  # they run to the end, as on their own
+    for initial, got in zip(others, run_ensemble(others, cfg, "imex", T=1.0, dt=0.1)):
+        _assert_same_run(got, run(initial, cfg, "imex", T=1.0, dt=0.1))
+
+
+def test_ragged_residual_guard_names_the_member():
+    """A corrupted U entry inside member 1's segment of the flat band fails
+    member 1's residual check, and only its."""
+    members = _members(4)
+    state = State.stack(
+        [State.diagonal(np.full(g.n_cells, 0.2), np.full(g.n_cells, 0.3), g, p)
+         for g, p in zip(_ragged_grids(), members)]
+    )
+    assert isinstance(state.grid, tuple) and state.a.shape == (12 + 9 + 20 + 15,)
+    ws = ImexWorkspace.build(state.grid, 0.05, state.params)
+    assert ws.bands is not None  # every alpha_i <= 1: the sweeps solve
+    imex_step(state, 0.05, ws)
+    ws.bands[1][4, 2 * 12 + 5] *= 1.0 + 1e-6  # one diagonal entry of member 1's U
+    with pytest.raises(SolveError, match="^member 1: linear solve residual") as excinfo:
+        imex_step(state, 0.05, ws)
+    assert excinfo.value.member == 1
+
+
+# a member: its cell count (a few shared ones, so that some members share a
+# grid), its grading (1 + g / N, uniform for g = 0), parameters and stop time
+_ragged = st.lists(
+    st.tuples(
+        st.sampled_from([12, 40]) | st.integers(3, 200),
+        st.sampled_from([0.0, 2.0, -1.5]),
+        _params,
+        st.tuples(st.integers(2, 6), st.sampled_from([1.0, 0.5]) | st.floats(0.05, 0.95)),
+    ),
+    min_size=2,
+    max_size=5,
+)
+
+_PAIR = [(40, 0.0, ModelParams(tau=1.0), (3, 1.0)), (7, 2.0, ModelParams(tau=2.0), (4, 0.5))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    members=_ragged,
+    courant=st.sampled_from([0.5, 2.5]) | st.floats(0.2, 3.0),
+    seed=st.integers(0, 2**16),
+)
+@example(members=_PAIR, courant=0.5, seed=1)  # no row moved: the sweeps solve
+@example(members=_PAIR, courant=2.5, seed=1)  # rows moved: dgbtrs solves the whole band
+def test_ragged_imex_ensemble_equals_solo_runs_bitwise(members, courant, seed):
+    """IMEX members on uniform and graded grids of their own, each with its own
+    stop time, step side by side as one ensemble: every member's final state,
+    snapshots, speeds, g_min, reference distances and stabilisation time are
+    those of its own run, bit for bit, whatever the order of the members.
+    The step dt is ``courant`` times the smallest dx / rho, so the band's LU
+    moves rows (alpha_i > 1 somewhere) in some examples and not in others."""
+    rng = np.random.default_rng(seed)
+    initials = []
+    for n, grading, p, _ in members:
+        grid = build_graded_grid(0.0, 8.0, n, 1.0 + grading / n)
+        front = 0.5 * (1.0 + np.tanh(grid.centers - 4.0))
+        u, v = front + rng.uniform(-0.05, 0.05, n), rng.uniform(-0.1, 0.1, n)
+        initials.append(State.physical(u, v, grid, p))
+    dt = courant * min(st.grid.dx_min / st.params.rho for st in initials)
+    T = [(steps + fraction) * dt for *_, (steps, fraction) in members]
+    cfg = SchemeConfig("kinetic_first_order")
+    kwargs = dict(sample_every=2, reference=_REFERENCE)
+    ensemble = run_ensemble(initials, cfg, "imex", T, dt, **kwargs)
+    for initial, stop, got in zip(initials, T, ensemble):
+        _assert_same_run(got, run(initial, cfg, "imex", stop, dt, **kwargs))
+    perm = rng.permutation(len(members))
+    initials, T = [initials[k] for k in perm], [T[k] for k in perm]
+    shuffled = run_ensemble(initials, cfg, "imex", T, dt, **kwargs)
+    for k, got in zip(perm, shuffled):
+        _assert_same_run(got, ensemble[k])
 
 
 def _members(count):
@@ -305,6 +415,16 @@ def test_gershgorin_build_check_counts_a_nan_margin_as_lost(monkeypatch):
     monkeypatch.setattr(timestepping, "gershgorin_margins", nan_in_member_1)
     with pytest.raises(RuntimeError, match="^member 1: implicit operator lost"):
         ImexWorkspace.build(grid, 0.1, ParamColumns(tuple(_members(3))))
+
+
+def test_flat_state_needs_parameter_columns_over_its_members_cells():
+    grids = (build_uniform_grid(0.0, 1.0, 4), build_uniform_grid(0.0, 1.0, 6))
+    members = tuple(_members(2))
+    flat = State.diagonal(np.zeros(10), np.zeros(10), grids, ParamColumns(members, (4, 6)))
+    assert flat.params.tau.tolist() == [members[0].tau] * 4 + [members[1].tau] * 6
+    for params in (ParamColumns(members), ParamColumns(members, (6, 4)), members[0]):
+        with pytest.raises(ValueError, match="cover each member's cells"):
+            State.diagonal(np.zeros(10), np.zeros(10), grids, params)
 
 
 def test_density_is_formed_once_per_state():
