@@ -272,10 +272,13 @@ def _classify_orbit(c: float, p: ModelParams, eps: float, xi_max: float) -> int:
     b = c * (1.0 - p.tau * fp1) / m
     lam_plus = 0.5 * (-b + math.sqrt(b * b - 4.0 * fp1 / m))
 
+    # f' and f inlined on Python floats, cheaper than numpy scalars; same operations, same order
+    tau, kappa, alpha, two_one_alpha = p.tau, p.kappa, p.alpha, 2.0 * (1.0 + p.alpha)
+
     def rhs(_xi, y):
-        phi, psi = y
-        g = 1.0 - p.tau * reaction_f_prime(phi, p)
-        return (psi, -(c * g * psi + reaction_f(phi, p)) / m)
+        phi, psi = y.tolist()
+        g = 1.0 - tau * (kappa * (-3.0 * phi * phi + two_one_alpha * phi - alpha))
+        return (psi, -(c * g * psi + kappa * phi * (phi - alpha) * (1.0 - phi)) / m)
 
     return solve_ivp(rhs, (1.0 - eps, -eps * lam_plus), xi_max)
 

@@ -242,16 +242,16 @@ def _pad(values: np.ndarray, boundary: str) -> np.ndarray:
     raise ValueError(f"unknown boundary treatment {boundary!r}")
 
 
-def _as_float_or_array(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
-
-
 def minmod(a, b):
-    """Zero on sign disagreement, else the argument of smaller magnitude."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) <= np.abs(b), a, b))
-    return _as_float_or_array(out)
+    """Zero on sign disagreement, else the argument of smaller magnitude.
+
+    For finite arguments: +0.0 (never -0.0) unless a*b > 0, so also when the
+    product underflows; else the smaller of |a| and |b| with the common sign.
+    NaN if either argument is NaN; an infinite argument counts as the larger.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.copysign(np.minimum(np.abs(a), np.abs(b)), a) * (a * b > 0.0) + 0.0
+    return float(out) if out.ndim == 0 else out
 
 
 def monotonized_central(a, b):
@@ -260,7 +260,7 @@ def monotonized_central(a, b):
     b = np.asarray(b, dtype=float)
     mag = np.minimum(0.5 * np.abs(a + b), 2.0 * np.minimum(np.abs(a), np.abs(b)))
     out = np.where(a * b <= 0.0, 0.0, np.sign(a) * mag)
-    return _as_float_or_array(out)
+    return float(out) if out.ndim == 0 else out
 
 
 LIMITERS = {"minmod": minmod, "mc": monotonized_central}
@@ -269,12 +269,15 @@ LIMITERS = {"minmod": minmod, "mc": monotonized_central}
 def _limited_slope_values(values: np.ndarray, centers: np.ndarray, limiter: str) -> np.ndarray:
     """Per-cell limited slopes from one-sided difference quotients.
 
-    Boundary cells fall back to slope zero (first-order closure).
+    Boundary cells fall back to slope zero (first-order closure): each row's
+    quotients end in a zero, which limits to zero with either neighbour, so a
+    single limiter pass over all rows in flat order gives that closure too.
     """
-    lmtr = LIMITERS[limiter]
-    diffs = (values[..., 1:] - values[..., :-1]) / (centers[1:] - centers[:-1])
-    slopes = np.zeros_like(values)
-    slopes[..., 1:-1] = lmtr(diffs[..., 1:], diffs[..., :-1])
+    quotients = np.zeros(values.shape)
+    np.divide(values[..., 1:] - values[..., :-1], np.diff(centers), out=quotients[..., :-1])
+    flat = quotients.reshape(-1)
+    slopes = np.zeros(values.shape)
+    slopes.reshape(-1)[1:] = LIMITERS[limiter](flat[1:], flat[:-1])
     return slopes
 
 
@@ -358,29 +361,29 @@ def rhs_kinetic_second_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarra
     state._require(DIAGONAL)
     p = state.params
     r, s = state.a, state.b
-    grid = state.grid
-    dx = grid.cell_lengths
-    rho = p.rho
+    dx = state.grid.cell_lengths
 
-    slope_r = _limited_slope_values(r, grid.centers, cfg.limiter)
-    slope_s = _limited_slope_values(s, grid.centers, cfg.limiter)
-    half = 0.5 * dx
-    r_minus = r - half * slope_r  # value at the left interface of cell i
-    s_plus = s + half * slope_s  # value at the right interface of cell i
-
+    # one slope pass for r and s; the interfaces hold r_i^- then a ghost, and a
+    # ghost then s_i^+, so their difference is r_{i+1}^- - r_i^- and s_i^+ - s_{i-1}^+
+    rs = np.array((r, s))
+    half_slopes = 0.5 * dx * _limited_slope_values(rs, state.grid.centers, cfg.limiter)
+    iface = np.empty(rs.shape[:-1] + (rs.shape[-1] + 1,))
+    np.subtract(r, half_slopes[0], out=iface[0, ..., :-1])
+    np.add(s, half_slopes[1], out=iface[1, ..., 1:])
     if cfg.boundary == "periodic":
-        r_minus_right = np.concatenate((r_minus[..., 1:], r_minus[..., :1]), axis=-1)  # r_{i+1}^-
-        s_plus_left = np.concatenate((s_plus[..., -1:], s_plus[..., :-1]), axis=-1)  # s_{i-1}^+
-    else:
-        # zero-gradient ghosts copy the adjacent value with zero slope
-        r_minus_right = np.concatenate((r_minus[..., 1:], r[..., -1:]), axis=-1)
-        s_plus_left = np.concatenate((s[..., :1], s_plus[..., :-1]), axis=-1)
+        iface[0, ..., -1], iface[1, ..., 0] = iface[0, ..., 0], iface[1, ..., -1]
+    else:  # zero-gradient ghosts copy the adjacent value with zero slope
+        iface[0, ..., -1], iface[1, ..., 0] = r[..., -1], s[..., 0]
 
-    fu = reaction_f(state.u, p)
+    # (rho * diff) / dx + f/2 + relax and (-rho * diff) / dx + f/2 - relax
+    out = iface[..., 1:] - iface[..., :-1]
+    out *= np.multiply.outer((1.0, -1.0), np.atleast_1d(p.rho))
+    out /= dx
+    out += 0.5 * reaction_f(state.u, p)
     relax = (s - r) / (2.0 * p.tau)
-    dr = rho * (r_minus_right - r_minus) / dx + 0.5 * fu + relax
-    ds = -rho * (s_plus - s_plus_left) / dx + 0.5 * fu - relax
-    return dr, ds
+    out[0] += relax
+    out[1] -= relax
+    return out[0], out[1]
 
 
 def _laplacian(values: np.ndarray, grid: Grid, boundary: str) -> np.ndarray:

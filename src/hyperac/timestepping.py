@@ -55,13 +55,7 @@ from .diagnostics import (
 )
 from .grid import Grid, project_cell_averages
 from .model import ModelParams, ParamColumns, _max_abs_f_prime, reaction_f, reaction_f_prime
-from .schemes import (
-    SCHEMES,
-    SchemeConfig,
-    State,
-    prepare_state_for_scheme,
-    rhs_for_scheme,
-)
+from .schemes import SCHEMES, SchemeConfig, State, prepare_state_for_scheme, rhs_for_scheme
 
 __all__ = [
     "BlowUpError",
@@ -374,11 +368,11 @@ def _check_finite(state: State, residual: np.ndarray | None = None) -> None:
     ``residual`` is given), or whose solution is non-finite or left the trust
     region; each member in that order, as its own run would."""
     # auxiliary components (flux v, time-derivative w) legitimately spike
-    # near sharp data, so the trust region bounds the density only
+    # near sharp data, so the trust region bounds the density only; a bounded
+    # u is finite, and so are both components of a diagonal state (u = a + b)
     a, b, u = state.a, state.b, state.u
-    if residual is None and (
-        np.isfinite(a).all() and np.isfinite(b).all() and np.abs(u).max() <= _STATE_BOUND
-    ):
+    bounded = np.abs(u).max() <= _STATE_BOUND
+    if residual is None and bounded and (state.kind == "diagonal" or np.isfinite(b).all()):
         return
     starts = _bounds(state.grid, state.params)[:-1]
     finite = np.logical_and.reduceat((np.isfinite(a) & np.isfinite(b)).reshape(-1), starts)

@@ -7,7 +7,9 @@ only: both take the same steps, so they must classify every orbit alike.
 """
 
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,3 +112,36 @@ def test_both_events_in_one_step(monkeypatch, y0):
     assert len(roots) == 2
     assert side == _reference_integrate(rhs, y0, 50.0)
     assert side == (model._OVERSHOOT if y0[0] <= -y0[1] else model._UNDERSHOOT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    phi=st.floats(-2.0, 2.0),
+    psi=st.floats(-2.0, 2.0),
+    fraction=st.floats(-0.99, 0.99),
+    tau=st.floats(0.1, 10.0),
+    mu=st.floats(0.2, 5.0),
+    kappa=st.floats(0.2, 5.0),
+    alpha=st.floats(0.01, 0.99),
+)
+def test_orbit_rhs_is_the_phase_plane_system_bitwise(phi, psi, fraction, tau, mu, kappa, alpha):
+    """The closure ``_classify_orbit`` integrates returns the bits of
+    (psi, -(c g(phi) psi + f(phi)) / m), g = 1 - tau f'(phi), evaluated with
+    ``reaction_f`` and ``reaction_f_prime`` on the float64 entries of y."""
+    p = ModelParams(tau=tau, mu=mu, kappa=kappa, alpha=alpha)
+    c = fraction * p.rho
+    captured = []
+
+    def capture(rhs, y0, xi_max):
+        captured.append(rhs)
+        return model._OVERSHOOT
+
+    with mock.patch.object(model, "solve_ivp", capture):
+        model._classify_orbit(c, p, 1e-6, 5000.0)
+    y = np.array([phi, psi])
+    phi64, psi64 = y
+    m = p.mu - p.tau * c * c
+    g = 1.0 - p.tau * reaction_f_prime(phi64, p)
+    want = np.array((psi64, -(c * g * psi64 + reaction_f(phi64, p)) / m))
+    got = np.array(captured[0](0.0, y))
+    assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))

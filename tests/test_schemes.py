@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hyperac.grid import Grid, build_graded_grid, build_uniform_grid
-from hyperac.model import ModelParams, from_diagonal
+from hyperac.model import ModelParams, ParamColumns, from_diagonal, reaction_f
 from hyperac import schemes
 from hyperac.schemes import (
     SCHEMES,
@@ -220,6 +223,60 @@ def test_limiter_bounds_random_pairs():
     assert np.all(np.abs(mm) <= np.abs(mc) + 1e-15)
 
 
+def _same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+def _where_minmod(a, b):
+    """The minmod limiter as it was written with two ``np.where`` calls."""
+    return np.where(a * b <= 0.0, 0.0, np.where(np.abs(a) <= np.abs(b), a, b))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_FINITE, b=_FINITE)
+@example(a=0.0, b=0.0)
+@example(a=-0.0, b=-0.0)
+@example(a=-0.0, b=0.0)
+@example(a=-0.0, b=-1.0)
+@example(a=2.0, b=2.0)
+@example(a=-2.0, b=-2.0)
+@example(a=-1.5, b=1.5)
+@example(a=3.0, b=-1e-300)
+@example(a=5e-324, b=5e-324)
+@example(a=-5e-324, b=-1.0)
+@example(a=1e-200, b=1e-200)
+@example(a=-1e-200, b=-1e-200)
+@example(a=1e300, b=-1e300)
+def test_minmod_equals_where_form_bitwise(a, b):
+    """Bit for bit the np.where limiter on finite pairs: the sign of zero,
+    ties, subnormals and products that underflow to zero included."""
+    pair = np.array([[a, b], [b, a]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _same_bits(minmod(a, b), _where_minmod(np.float64(a), np.float64(b)))
+        assert _same_bits(minmod(pair[:, 0], pair[:, 1]), _where_minmod(pair[:, 0], pair[:, 1]))
+
+
+@pytest.mark.parametrize("other", [1.0, -1.0, 0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan])
+def test_minmod_nan_in_either_argument_is_nan(other):
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(minmod(np.nan, other))
+        assert np.isnan(minmod(other, np.nan))
+        assert np.isnan(minmod(np.array([np.nan, other]), np.array([other, np.nan]))).all()
+
+
+def test_minmod_infinite_arguments():
+    with np.errstate(invalid="ignore"):
+        assert _same_bits(minmod(np.inf, -0.0), 0.0)
+        assert _same_bits(minmod(-0.0, np.inf), 0.0)
+        assert minmod(np.inf, 2.0) == 2.0 and minmod(-np.inf, -2.0) == -2.0
+        assert _same_bits(minmod(np.inf, -2.0), 0.0)
+        assert minmod(np.inf, np.inf) == np.inf
+
+
 def test_limited_slopes_constant_and_linear():
     grid = build_uniform_grid(0.0, 1.0, 8)
     const = schemes._limited_slope_values(np.full(8, 2.3), grid.centers, "minmod")
@@ -397,6 +454,108 @@ def test_second_order_matches_oracle(boundary, limiter):
         dr_o, ds_o = oracle_second_order(st.a, st.b, grid, p, boundary, limiter)
         assert np.allclose(dr, dr_o, rtol=1e-12, atol=1e-12)
         assert np.allclose(ds, ds_o, rtol=1e-12, atol=1e-12)
+
+
+def _concatenated_rhs_second_order(state, cfg):
+    """``rhs_kinetic_second_order`` as it was written: one slope call per
+    component, the np.where minmod and four concatenations."""
+    lmtr = {"minmod": _where_minmod, "mc": monotonized_central}[cfg.limiter]
+    x, dx, p = state.grid.centers, state.grid.cell_lengths, state.params
+    r, s = state.a, state.b
+
+    def slopes(values):
+        diffs = (values[..., 1:] - values[..., :-1]) / (x[1:] - x[:-1])
+        out = np.zeros_like(values)
+        out[..., 1:-1] = lmtr(diffs[..., 1:], diffs[..., :-1])
+        return out
+
+    half = 0.5 * dx
+    r_minus = r - half * slopes(r)
+    s_plus = s + half * slopes(s)
+    if cfg.boundary == "periodic":
+        r_minus_right = np.concatenate((r_minus[..., 1:], r_minus[..., :1]), axis=-1)
+        s_plus_left = np.concatenate((s_plus[..., -1:], s_plus[..., :-1]), axis=-1)
+    else:
+        r_minus_right = np.concatenate((r_minus[..., 1:], r[..., -1:]), axis=-1)
+        s_plus_left = np.concatenate((s[..., :1], s_plus[..., :-1]), axis=-1)
+    fu = reaction_f(state.u, p)
+    relax = (s - r) / (2.0 * p.tau)
+    dr = p.rho * (r_minus_right - r_minus) / dx + 0.5 * fu + relax
+    ds = -p.rho * (s_plus - s_plus_left) / dx + 0.5 * fu - relax
+    return dr, ds
+
+
+# cell values with signed zeros, ties (rounded values repeat), tiny values
+# whose difference products underflow, and general floats
+_CELL = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+    st.floats(-1.5, 1.5).map(lambda v: round(v, 1)),
+    st.floats(-1e-160, 1e-160),
+    st.floats(-1.5, 1.5),
+)
+_MEMBER = st.builds(
+    ModelParams,
+    tau=st.floats(0.2, 8.0),
+    mu=st.floats(0.5, 2.0),
+    kappa=st.floats(0.5, 2.0),
+    alpha=st.floats(0.05, 0.95),
+)
+
+
+@st.composite
+def _second_order_cases(draw):
+    members = draw(st.lists(_MEMBER, min_size=1, max_size=4))
+    n = draw(st.integers(3, 24))
+    ratio = draw(st.sampled_from([1.0, 0.93, 1.08]))
+    graded = ratio != 1.0
+    grid = build_graded_grid(-1.0, 2.0, n, ratio) if graded else build_uniform_grid(-1.0, 2.0, n)
+    single = len(members) == 1 and draw(st.booleans())  # a plain (N,) state
+    shape = (n,) if single else (len(members), n)
+    params = members[0] if single else ParamColumns(tuple(members))
+    r, s = (draw(arrays(np.float64, shape, elements=_CELL)) for _ in range(2))
+    cfg = SchemeConfig(
+        "kinetic_second_order",
+        limiter=draw(st.sampled_from(["minmod", "mc"])),
+        boundary=draw(st.sampled_from(["zero_gradient", "periodic"])),
+    )
+    return State.diagonal(r, s, grid, params), cfg
+
+
+_TINY = np.array(
+    [[0.0, 1e-170, 2e-170, 4e-170, 3e-170, -0.0], [-0.0, 0.0, -1e-170, -3e-170, 0.0, 1e-170]]
+)
+_ZEROS = np.array([0.0, -0.0, -0.0, 0.0, -0.0])
+_PAIR = ParamColumns((ModelParams(tau=1.0),) * 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_second_order_cases())
+@example(  # one-sided slopes of order 1e-170 whose products underflow to zero
+    case=(
+        State.diagonal(_TINY, _TINY[::-1], build_uniform_grid(0.0, 1.0, 6), _PAIR),
+        SchemeConfig("kinetic_second_order", limiter="minmod"),
+    )
+)
+@example(  # signed zeros only
+    case=(
+        State.diagonal(_ZEROS, -_ZEROS, build_uniform_grid(0.0, 1.0, 5), ModelParams(tau=1.0)),
+        SchemeConfig("kinetic_second_order", limiter="minmod", boundary="periodic"),
+    )
+)
+@example(  # all +0.0: the s update is -0.0 - relax with relax = +0.0, which stays -0.0
+    case=(
+        State.diagonal(np.zeros(4), np.zeros(4), build_uniform_grid(0.0, 1.0, 4), ModelParams(1.0)),
+        SchemeConfig("kinetic_second_order", limiter="mc"),
+    )
+)
+def test_second_order_equals_concatenated_form_bitwise(case):
+    """One stacked slope pass and one interface buffer give the bits of two
+    slope calls and four concatenations, for both limiters and boundaries."""
+    state, cfg = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = rhs_kinetic_second_order(state, cfg)
+        want = _concatenated_rhs_second_order(state, cfg)
+    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
 
 
 def test_second_order_requires_limiter():

@@ -467,6 +467,42 @@ def test_imex_step_nan_cell_raises_blow_up(boundary):
         imex_step(st.with_components(r, st.b), 0.05, ws)
 
 
+def _kick(cell, da, db):
+    """Right-hand side that is zero but for ``da`` and ``db`` in one cell."""
+
+    def rhs(state):
+        out_a, out_b = np.zeros_like(state.a), np.zeros_like(state.b)
+        out_a.reshape(-1)[cell], out_b.reshape(-1)[cell] = da, db
+        return out_a, out_b
+
+    return rhs
+
+
+def test_explicit_step_opposite_infinities_are_non_finite():
+    """r = +inf and s = -inf leave a NaN density, which fails the density
+    bound; the check then finds the non-finite components, in the member."""
+    grid = build_uniform_grid(0.0, 1.0, 8)
+    members = [ModelParams(tau=1.0, alpha=a) for a in (0.3, 0.5, 0.7)]
+    states = [State.diagonal(np.full(8, 0.25), np.full(8, 0.25), grid, m) for m in members]
+    solo, ensemble = states[0], State.stack(states)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(BlowUpError, match="^solution became non-finite$"):
+            explicit_step(solo, 0.1, _kick(3, np.inf, -np.inf))
+        with pytest.raises(BlowUpError, match="^member 1: solution became non-finite$") as info:
+            explicit_step(ensemble, 0.1, _kick(8 + 3, np.inf, -np.inf))
+    assert info.value.member == 1
+
+
+@pytest.mark.parametrize("kind", ["physical", "onefield"])
+def test_explicit_step_non_finite_second_component_raises(kind):
+    """A bounded, finite density does not prove the flux (or w) finite."""
+    grid = build_uniform_grid(0.0, 1.0, 8)
+    st = State(kind, np.full(8, 0.5), np.zeros(8), grid, ModelParams(tau=1.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(BlowUpError, match="^solution became non-finite$"):
+            explicit_step(st, 0.1, _kick(5, 0.0, bad))
+
+
 @pytest.mark.parametrize("integrator", ["imex", "euler", "heun"])
 def test_imex_run_blow_up_messages_at_step_0(integrator):
     grid = build_uniform_grid(0.0, 1.0, 8)
