@@ -38,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a 'key = value' config file")
     p_run.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override a config key")
-    p_run.add_argument("--seed", type=int, help="override init.seed")
     p_run.add_argument("--out-dir", help="override output.dir")
 
     p_speed = sub.add_parser("speed-table", help="relative speed errors over (dt, dx)")
@@ -82,8 +81,6 @@ def _scenario_from_args(args) -> Scenario:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         values[key.strip()] = value.strip()
-    if args.seed is not None:
-        values["init.seed"] = str(args.seed)
     if args.out_dir is not None:
         values["output.dir"] = args.out_dir
     return Scenario.from_dict(values)

@@ -109,8 +109,11 @@ def build_graded_grid(x_min: float, x_max: float, n_cells: int, ratio: float) ->
         raise ValueError("x_min must be strictly less than x_max")
     if ratio == 1.0:
         return build_uniform_grid(x_min, x_max, n_cells)
-    length = x_max - x_min
-    first = length * (1.0 - ratio) / (1.0 - ratio**n_cells)
+    try:
+        growth = ratio**n_cells
+    except OverflowError:
+        raise ValueError(f"ratio**n_cells overflows for ratio {ratio:g}, {n_cells} cells") from None
+    first = (x_max - x_min) * (1.0 - ratio) / (1.0 - growth)
     lengths = first * ratio ** np.arange(n_cells)
     interfaces = x_min + np.concatenate(([0.0], np.cumsum(lengths)))
     interfaces[-1] = x_max  # guard the geometric sum against roundoff

@@ -10,7 +10,7 @@ output directory; plotting is left to external tools.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,6 +24,7 @@ from .schemes import ONEFIELD, SchemeConfig, State
 from .timestepping import RunResult, check_run, run, run_ensemble
 
 __all__ = [
+    "CONFIG_KEYS",
     "ConfigError",
     "Scenario",
     "parse_config_text",
@@ -167,14 +168,15 @@ def run_speed_table(
 ) -> list[dict]:
     """Relative front-speed error of the IMEX scheme over a (dt, dx) grid.
 
-    Each dt row runs its (dx, case) cells as one IMEX ensemble, each with its
+    Each dt row runs its (case, dx) cells as one IMEX ensemble, each with its
     own grid and stop time: a cell leaves the ensemble at its own T, and its
     row is bit for bit that of a run of its own.  Rows come in (dt, case, dx)
-    order.  Every row carries the measured final average speed, the shooting
-    reference speed and the relative error recomputed from those two values at
-    emission time, plus the run's whole per-step speed series under
-    ``"speeds"`` (not written out).  Writes a tidy CSV plus a pivot in the
-    layout of the error table (one row per (dt, case), one column per dx).
+    order, the ensemble's member order.  Every row carries the measured final
+    average speed, the shooting reference speed and the relative error
+    recomputed from those two values at emission time, plus the run's whole
+    per-step speed series under ``"speeds"`` (not written out).  Writes a
+    tidy CSV plus a pivot in the layout of the error table (one row per
+    (dt, case), one column per dx).
     """
     dx_list = list(dx_list) if dx_list is not None else [1.0, 0.5, 0.25, 0.125, 0.0625]
     dt_list = list(dt_list) if dt_list is not None else [1e-1, 1e-2, 1e-3]
@@ -185,39 +187,34 @@ def run_speed_table(
         label: hyperbolic_front_speed_shooting(params, increasing=True)
         for label, params in members.items()
     }
-    speeds_of = {}  # the speed series of each (dt, dx, case) run
-    cells = [(dx, label) for dx in dx_list for label in cases]
+    rows = []
+    cells = [(label, dx) for label in cases for dx in dx_list]  # in row order
     for dt in dt_list:
         ensemble = run_ensemble(
-            [_table_initial(round(2.0 * _TABLE_ELL / dx), members[c]) for dx, c in cells],
+            [_table_initial(round(2.0 * _TABLE_ELL / dx), members[c]) for c, dx in cells],
             SchemeConfig("kinetic_first_order"),
             "imex",
-            T=[cases[c][2] for _, c in cells],
+            T=[cases[c][2] for c, _ in cells],
             dt=dt,
         )
-        for (dx, label), result in zip(cells, ensemble):
-            speeds_of[dt, dx, label] = result.diagnostics.speeds
-    rows = []
-    for dt in dt_list:
-        for label, case in cases.items():
-            tau, alpha, T = case[0], case[1], case[2]
-            for dx in dx_list:
-                speeds = speeds_of[dt, dx, label]
-                speed = float(speeds[-1])
-                rows.append(
-                    {
-                        "case": label,
-                        "tau": tau,
-                        "alpha": alpha,
-                        "T": T,
-                        "dt": dt,
-                        "dx": dx,
-                        "speed": speed,
-                        "c_ref": c_refs[label],
-                        "rel_error": relative_speed_error(speed, c_refs[label]),
-                        "speeds": speeds,
-                    }
-                )
+        for (label, dx), result in zip(cells, ensemble):
+            tau, alpha, T = cases[label][:3]
+            speeds = result.diagnostics.speeds
+            speed = float(speeds[-1])
+            rows.append(
+                {
+                    "case": label,
+                    "tau": tau,
+                    "alpha": alpha,
+                    "T": T,
+                    "dt": dt,
+                    "dx": dx,
+                    "speed": speed,
+                    "c_ref": c_refs[label],
+                    "rel_error": relative_speed_error(speed, c_refs[label]),
+                    "speeds": speeds,
+                }
+            )
     if out is not None:
         header = ["case", "tau", "alpha", "T", "dt", "dx", "speed", "c_ref", "rel_error"]
         _write_rows(out / "speed_table_full.csv", header, [[r[k] for k in header] for r in rows])
@@ -405,35 +402,33 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-_KNOWN_KEYS = {
-    "domain.xmin", "domain.xmax", "grid.n", "grid.ratio",
-    "params.tau", "params.mu", "params.kappa", "params.alpha", "params.nu",
-    "scheme.kind", "scheme.limiter", "scheme.boundary",
-    "integrator", "time.T", "time.dt", "time.sample_every",
-    "init.kind", "init.jump", "init.shift", "init.seed", "init.variant",
-    "init.ell", "init.value", "init.v0",
-    "output.dir",
+_REQUIRED = object()  # the default of a key that every config must give
+
+# the one declaration of every config key: key -> (type, default); from_dict
+# hands the typed values on by section, "params.tau" as params["tau"]
+CONFIG_KEYS = {
+    "domain.xmin": (float, _REQUIRED), "domain.xmax": (float, _REQUIRED),
+    "grid.n": (int, _REQUIRED), "grid.ratio": (float, 1.0),
+    "params.tau": (float, _REQUIRED), "params.mu": (float, 1.0), "params.kappa": (float, 1.0),
+    "params.alpha": (float, 0.5), "params.nu": (float, 0.0),
+    "scheme.kind": (str, "kinetic_first_order"), "scheme.boundary": (str, "zero_gradient"),
+    "scheme.limiter": (str, "minmod"),  # "none" (or "None") for no limiter
+    "integrator": (str, "imex"),
+    "time.T": (float, _REQUIRED), "time.dt": (float, _REQUIRED), "time.sample_every": (int, 0),
+    "init.kind": (str, _REQUIRED), "init.shift": (float, 0.0),
+    "init.jump": (float, None),  # None: the middle of the domain
+    "init.seed": (int, 1), "init.variant": (str, "decay"), "init.ell": (float, 25.0),
+    "init.value": (float, 0.0), "init.v0": (float, 0.0),
+    "output.dir": (Path, None),
 }
-
-_REQUIRED_KEYS = ("domain.xmin", "domain.xmax", "grid.n", "params.tau",
-                  "time.T", "time.dt", "init.kind")
-
-
-def _get(values: dict, key: str, cast, default=None):
-    if key not in values:
-        return default
-    try:
-        value = cast(values[key])
-    except ValueError as err:
-        raise ConfigError(f"bad value for {key!r}: {values[key]!r}") from err
-    if cast is float and not math.isfinite(value):
-        raise ConfigError(f"bad value for {key!r}: {values[key]!r} is not finite")
-    return value
 
 
 @dataclass
 class Scenario:
-    """A fully specified single run: grid, parameters, scheme, time span, datum."""
+    """A fully specified single run: grid, parameters, scheme, time span, datum.
+
+    ``init`` holds the typed ``init.*`` keys by name: ``kind`` and its options.
+    """
 
     grid: Grid
     params: ModelParams
@@ -441,94 +436,63 @@ class Scenario:
     integrator: str
     T: float
     dt: float
-    sample_every: int = 0
-    init_kind: str = "riemann"
-    init_options: dict = field(default_factory=dict)
-    output_dir: Path | None = None
+    sample_every: int
+    init: dict
+    output_dir: Path | None
 
     @classmethod
     def from_dict(cls, values: dict[str, str]) -> "Scenario":
-        unknown = set(values) - _KNOWN_KEYS
+        unknown = set(values) - set(CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = [k for k in _REQUIRED_KEYS if k not in values]
+        missing = [k for k, (_, req) in CONFIG_KEYS.items() if req is _REQUIRED and k not in values]
         if missing:
             raise ConfigError(f"missing required config keys: {missing}")
+        sections: dict[str, dict] = {}
+        for key, (cast, value) in CONFIG_KEYS.items():
+            if key in values:
+                try:
+                    value = cast(values[key])
+                except ValueError as err:
+                    raise ConfigError(f"bad value for {key!r}: {values[key]!r}") from err
+                if cast is float and not math.isfinite(value):
+                    raise ConfigError(f"bad value for {key!r}: {values[key]!r} is not finite")
+            section, _, name = key.rpartition(".")
+            sections.setdefault(section, {})[name] = value
+        domain, mesh, scheme = sections["domain"], sections["grid"], sections["scheme"]
+        if scheme["limiter"] in ("none", "None"):
+            scheme["limiter"] = None
         try:
-            x_min = _get(values, "domain.xmin", float)
-            x_max = _get(values, "domain.xmax", float)
-            n = _get(values, "grid.n", int)
-            ratio = _get(values, "grid.ratio", float, 1.0)
-            grid = (
-                build_uniform_grid(x_min, x_max, n)
-                if ratio == 1.0
-                else build_graded_grid(x_min, x_max, n, ratio)
-            )
-            params = ModelParams(
-                tau=_get(values, "params.tau", float),
-                mu=_get(values, "params.mu", float, 1.0),
-                kappa=_get(values, "params.kappa", float, 1.0),
-                alpha=_get(values, "params.alpha", float, 0.5),
-                nu=_get(values, "params.nu", float, 0.0),
-            )
-            limiter = values.get("scheme.limiter", "minmod")
-            scheme = SchemeConfig(
-                kind=values.get("scheme.kind", "kinetic_first_order"),
-                limiter=None if limiter in ("none", "None") else limiter,
-                boundary=values.get("scheme.boundary", "zero_gradient"),
-            )
             scenario = cls(
-                grid=grid,
-                params=params,
-                scheme=scheme,
-                integrator=values.get("integrator", "imex"),
-                T=_get(values, "time.T", float),
-                dt=_get(values, "time.dt", float),
-                sample_every=_get(values, "time.sample_every", int, 0),
-                init_kind=values["init.kind"],
-                init_options={
-                    "jump": _get(values, "init.jump", float),
-                    "shift": _get(values, "init.shift", float, 0.0),
-                    "seed": _get(values, "init.seed", int, 1),
-                    "variant": values.get("init.variant", "decay"),
-                    "ell": _get(values, "init.ell", float, 25.0),
-                    "value": _get(values, "init.value", float, 0.0),
-                    "v0": _get(values, "init.v0", float, 0.0),
-                },
-                output_dir=Path(values["output.dir"]) if "output.dir" in values else None,
+                grid=build_graded_grid(domain["xmin"], domain["xmax"], mesh["n"], mesh["ratio"]),
+                params=ModelParams(**sections["params"]),
+                scheme=SchemeConfig(**scheme),
+                integrator=sections[""]["integrator"],
+                **sections["time"],
+                init=sections["init"],
+                output_dir=sections["output"]["dir"],
             )
             check_run(scenario.scheme, scenario.integrator, scenario.T, scenario.dt)
-        except ConfigError:
-            raise
         except ValueError as err:
             raise ConfigError(str(err)) from err
         if scenario.sample_every < 0:
             raise ConfigError("time.sample_every must be non-negative")
-        if scenario.init_kind not in ("riemann", "exact_front", "random", "constant"):
-            raise ConfigError(f"unknown init.kind {scenario.init_kind!r}")
+        if scenario.init["kind"] not in ("riemann", "exact_front", "random", "constant"):
+            raise ConfigError(f"unknown init.kind {scenario.init['kind']!r}")
         return scenario
 
     def initial_state(self) -> State:
-        opts = self.init_options
-        if self.init_kind == "riemann":
-            jump = opts.get("jump")
-            if jump is None:
-                jump = 0.5 * (self.grid.x_min + self.grid.x_max)
-            return initial_riemann(self.grid, self.params, jump, v0=opts.get("v0", 0.0))
-        if self.init_kind == "exact_front":
-            return initial_exact_front(self.grid, self.params, shift=opts.get("shift", 0.0))
-        if self.init_kind == "random":
-            return initial_random(
-                self.grid,
-                self.params,
-                ell=opts.get("ell", 25.0),
-                seed=opts.get("seed", 1),
-                variant=opts.get("variant", "decay"),
-                v0=opts.get("v0", 0.0),
-            )
-        value = opts.get("value", 0.0)
-        u = np.full(self.grid.n_cells, value)
-        return State.physical(u, np.full_like(u, opts.get("v0", 0.0)), self.grid, self.params)
+        init, grid, params = self.init, self.grid, self.params
+        if init["kind"] == "riemann":
+            jump = init["jump"] if init["jump"] is not None else 0.5 * (grid.x_min + grid.x_max)
+            return initial_riemann(grid, params, jump, v0=init["v0"])
+        if init["kind"] == "exact_front":
+            return initial_exact_front(grid, params, shift=init["shift"])
+        if init["kind"] == "random":
+            ell, seed, variant = init["ell"], init["seed"], init["variant"]
+            return initial_random(grid, params, ell, seed, variant, init["v0"])
+        u = np.full(grid.n_cells, init["value"])
+        return State.physical(u, np.full_like(u, init["v0"]), grid, params)
 
     def execute(self) -> RunResult:
         try:

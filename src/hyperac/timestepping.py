@@ -224,16 +224,18 @@ class ImexWorkspace:
         ab, matrix = _imex_operator(grid, dt, params, boundary)
         starts = 2 * _bounds(grid, params)[:-1]
         lost = ~(np.minimum.reduceat(gershgorin_margins(matrix), starts) >= 1.0 - 1e-12)  # NaN too
-        if lost.any():
-            raise RuntimeError(
-                f"{_member(int(np.argmax(lost)), lost.size)}"
-                "implicit operator lost its Gershgorin row bound; assembly bug"
-            )
+        if lost.any():  # as 1 + beta + alpha rounds to alpha + beta past alpha of about 1e16
+            k = int(np.argmax(lost))
+            alpha = np.maximum.reduceat(np.abs(ab[2:7:4]).max(axis=0), starts)[k]  # both bands
+            raise SolveError(f"{_member(k, lost.size)}implicit operator lost its Gershgorin row "
+                             f"bound at alpha = rho dt / dx up to {alpha:.3g}", member=k)
         if boundary != "zero_gradient":
             return cls(grid, params, dt, boundary, matrix, starts, splu(matrix.tocsc()))
         lu, pivots, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
-        if info != 0:
-            raise RuntimeError(f"banded LU factorisation failed (dgbtrf info {info})")
+        if info != 0:  # info > 0: U's zero pivot, in row info of the member that holds it
+            k = int(np.searchsorted(starts, abs(info) - 1, side="right")) - 1
+            raise SolveError(f"{_member(k, starts.size)}banded LU factorisation failed "
+                             f"(dgbtrf info {info})", member=k)
         bands = None
         if np.array_equal(pivots, np.arange(pivots.size)):
             bands = np.asfortranarray(lu[4:7]), np.asfortranarray(lu[0:5])
@@ -543,9 +545,8 @@ def run_ensemble(
         else:  # the step dt itself reuses the workspace
             last_steps[end - 1] = dt if sizes[0] == dt else sizes[0]
 
-    if integrator == "imex":
-        ws = ImexWorkspace.build(state.grid, dt, state.params, scheme.boundary)
-    else:
+    ws = None  # the IMEX operator of the stack's members and step, built at their first step
+    if integrator != "imex":
         rhs = rhs_for_scheme(scheme)
 
     def layout(state: State) -> tuple[np.ndarray, list]:
@@ -582,8 +583,8 @@ def run_ensemble(
             if integrator != "imex":
                 state = explicit_step(state, h, rhs, integrator)
             else:
-                if h is not dt:  # a last step: its own operator, until members leave
-                    del ws  # old factors go before new ones are built: a lower memory peak
+                if ws is None or h is not dt:  # new members, or a last step: a new operator
+                    ws = None  # old factors go before new ones are built: a lower memory peak
                     ws = ImexWorkspace.build(state.grid, h, state.params, scheme.boundary)
                 state = imex_step(state, h, ws)
         except (BlowUpError, SolveError) as err:
@@ -620,9 +621,7 @@ def run_ensemble(
             if going_on:
                 state = State.stack(going_on)
                 starts, rows = layout(state)
-                if integrator == "imex":
-                    del ws
-                    ws = ImexWorkspace.build(state.grid, dt, state.params, scheme.boundary)
+                ws = None
 
     results = []
     for k, (stop, size, final) in enumerate(zip(stops, lengths, finals)):

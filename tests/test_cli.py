@@ -3,6 +3,7 @@ import csv
 import pytest
 
 from hyperac.cli import cli_main
+from hyperac.scenarios import CONFIG_KEYS
 
 
 def test_shoot_matches_reference_speed(capsys):
@@ -38,16 +39,17 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("time.T", "inf"), ("time.T", "nan"), ("time.dt", "inf"), ("time.dt", "nan"),
-     ("init.value", "nan")],
+    [("time.T", "inf"), ("time.dt", "inf")]
+    + [(key, "nan") for key, (cast, _) in CONFIG_KEYS.items() if cast is float]
+    + [(key, "2.5") for key, (cast, _) in CONFIG_KEYS.items() if cast is int],
 )
 def test_non_finite_config_value_exits_2(tmp_path, capsys, key, value):
-    values = {"time.T": "0.1", "time.dt": "0.01", "init.value": "0.5", key: value}
+    """A non-finite float, or a fraction for an int, in any key of the table."""
+    values = {"domain.xmin": "0", "domain.xmax": "1", "grid.n": "20", "params.tau": "1",
+              "time.T": "0.1", "time.dt": "0.01", "init.kind": "constant",
+              "init.value": "0.5", key: value}
     cfg = tmp_path / "nonfinite.cfg"
-    cfg.write_text(
-        "domain.xmin = 0\ndomain.xmax = 1\ngrid.n = 20\nparams.tau = 1\n"
-        "init.kind = constant\n" + "".join(f"{k} = {v}\n" for k, v in values.items())
-    )
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
     rc = cli_main(["run", str(cfg)])
     assert rc == 2
     assert f"config error: bad value for '{key}'" in capsys.readouterr().err
@@ -166,6 +168,7 @@ def _write_config(path):
         ["scheme.kind=kinetic_second_order", "scheme.limiter=none", "integrator=euler"],
         ["time.dt=1e-320"],  # T / dt overflows to inf
         ["time.T=1e300"],  # 5e301 steps: more than an array can index
+        ["grid.ratio=1e300", "grid.n=400"],  # ratio**n overflows a float
     ],
 )
 def test_invalid_run_exits_2_before_the_run_starts(tmp_path, capsys, overrides):
@@ -196,6 +199,25 @@ def test_invalid_driver_arguments_exit_2(tmp_path, capsys, argv):
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["time.T=1e17", "time.dt=1e17"],  # alpha = rho dt / dx = 8e17
+        ["grid.ratio=1.5", "grid.n=400"],  # a first cell of 1e-70: alpha 5e68
+    ],
+)
+def test_lost_gershgorin_bound_exits_1(tmp_path, capsys, overrides):
+    """Past alpha of about 1e16, 1 + beta + alpha rounds to alpha + beta, and
+    the operator's row margin reads 0: a run failure that names the alpha."""
+    argv = ["run", _write_config(tmp_path / "base.cfg")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: implicit operator lost its Gershgorin row bound at alpha")
+    assert err.count("\n") == 1
 
 
 def test_unallocatable_run_exits_1_without_a_traceback(tmp_path, capsys):

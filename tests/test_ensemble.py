@@ -417,6 +417,25 @@ def test_gershgorin_build_check_counts_a_nan_margin_as_lost(monkeypatch):
         ImexWorkspace.build(grid, 0.1, ParamColumns(tuple(_members(3))))
 
 
+def test_failed_build_after_a_departure_names_the_member_in_the_whole_ensemble(monkeypatch):
+    """Member 0 leaves after one step; the rebuilt operator of members 1 and 2
+    loses its bound in member 2, the stack's second member, as a ``SolveError``."""
+    grid = build_uniform_grid(0.0, 1.0, 5)
+    margins = timestepping.gershgorin_margins
+
+    def lost_in_the_last_member_of_two(matrix):
+        out = margins(matrix)
+        if matrix.shape[0] == 2 * 10:
+            out[-1] = 0.5
+        return out
+
+    monkeypatch.setattr(timestepping, "gershgorin_margins", lost_in_the_last_member_of_two)
+    initials = [State.physical(np.full(5, 0.3), np.zeros(5), grid, p) for p in _members(3)]
+    with pytest.raises(SolveError, match="^member 2: implicit operator lost") as info:
+        run_ensemble(initials, SchemeConfig(), "imex", T=[0.1, 0.3, 0.3], dt=0.1)
+    assert info.value.member == 2
+
+
 def test_flat_state_needs_parameter_columns_over_its_members_cells():
     grids = (build_uniform_grid(0.0, 1.0, 4), build_uniform_grid(0.0, 1.0, 6))
     members = tuple(_members(2))

@@ -60,6 +60,8 @@ def test_graded_grid_invalid_ratio():
         build_graded_grid(0.0, 1.0, 4, 0.0)
     with pytest.raises(ValueError):
         build_graded_grid(0.0, 1.0, 4, -1.0)
+    with pytest.raises(ValueError, match="overflows"):
+        build_graded_grid(0.0, 1.0, 400, 1e300)  # ratio**n_cells is past the float range
 
 
 def test_graded_reverse_is_mirror_of_inverse_ratio():

@@ -1,4 +1,6 @@
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hyperac.diagnostics import linf_distance
 from hyperac.grid import build_graded_grid, build_uniform_grid, project_cell_averages
 from hyperac.model import FrontProfile, ModelParams
 from hyperac.scenarios import (
+    CONFIG_KEYS,
     RANDOM_RANGES,
     ConfigError,
     Scenario,
@@ -171,6 +174,14 @@ def test_scenario_from_dict_and_execute():
     scenario = Scenario.from_dict(_base_config())
     result = scenario.execute()
     assert np.allclose(result.final_state.u, 1.0, atol=1e-12)
+
+
+def test_readme_schema_names_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    schema = readme.split("## Config file schema", 1)[1].split("\n## ", 1)[0]
+    first_cells = [line.split("|")[1] for line in schema.splitlines() if line.startswith("| `")]
+    documented = [key for cell in first_cells for key in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(documented) == sorted(CONFIG_KEYS)
 
 
 def test_scenario_rejects_unknown_and_missing_keys():
