@@ -75,7 +75,12 @@ def _scenario_from_args(args) -> Scenario:
     path = Path(args.config)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    values = parse_config_text(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:  # unreadable, or not UTF-8
+        reason = getattr(err, "strerror", None) or err
+        raise ConfigError(f"cannot read config file {path}: {reason}") from err
+    values = parse_config_text(text)
     for item in args.overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
@@ -161,6 +166,10 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG_ERROR
     except (BlowUpError, SolveError, ShootingError, MemoryError) as err:
         print(f"run failed: {err}", file=sys.stderr)
+        return EXIT_RUN_FAILURE
+    except OSError as err:  # an output file that cannot be written after the run
+        target = err.filename or "output"
+        print(f"run failed: cannot write {target}: {err.strerror or err}", file=sys.stderr)
         return EXIT_RUN_FAILURE
     return EXIT_OK
 

@@ -12,12 +12,26 @@ from .csvout import float_rows, write_csv
 
 __all__ = [
     "Grid",
+    "GridStack",
     "build_uniform_grid",
     "build_graded_grid",
     "project_cell_averages",
 ]
 
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss-Legendre node offset on a unit cell
+
+
+def _set_cells(grid: "Grid | GridStack", sizes: list[int], centers, lengths) -> None:
+    """Set the read-only cell attributes that a grid and a grid stack share:
+    ``centers``, ``cell_lengths``, ``n_cells``, ``bounds`` (each member's first
+    cell, then the cell count) and ``ends`` (each member's first and last cell)."""
+    bounds = np.cumsum([0] + sizes)
+    ends = bounds[:-1], bounds[1:] - 1
+    for arr in (centers, lengths, bounds, *ends):
+        arr.setflags(write=False)
+    values = (centers, lengths, int(bounds[-1]), bounds, ends)
+    for name, value in zip(("centers", "cell_lengths", "n_cells", "bounds", "ends"), values):
+        object.__setattr__(grid, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,25 +53,15 @@ class Grid:
             raise ValueError("grid interfaces must be finite")
         if not np.all(np.diff(interfaces) > 0.0):
             raise ValueError("grid interfaces must be strictly increasing")
-        centers = 0.5 * (interfaces[:-1] + interfaces[1:])
-        lengths = np.diff(interfaces)
-        for arr in (interfaces, centers, lengths):
-            arr.setflags(write=False)
+        interfaces.setflags(write=False)
         object.__setattr__(self, "interfaces", interfaces)
-        object.__setattr__(self, "_centers", centers)
-        object.__setattr__(self, "_lengths", lengths)
+        centers, lengths = 0.5 * (interfaces[:-1] + interfaces[1:]), np.diff(interfaces)
+        _set_cells(self, [lengths.size], centers, lengths)  # as a one-member GridStack
 
     @property
-    def n_cells(self) -> int:
-        return self.interfaces.size - 1
-
-    @property
-    def centers(self) -> np.ndarray:
-        return self._centers
-
-    @property
-    def cell_lengths(self) -> np.ndarray:
-        return self._lengths
+    def members(self) -> tuple["Grid"]:
+        """This grid alone: a grid is the one-member ``GridStack``."""
+        return (self,)
 
     @property
     def x_min(self) -> float:
@@ -69,21 +73,38 @@ class Grid:
 
     @property
     def dx_max(self) -> float:
-        return float(self._lengths.max())
+        return float(self.cell_lengths.max())
 
     @property
     def dx_min(self) -> float:
-        return float(self._lengths.min())
+        return float(self.cell_lengths.min())
 
     def is_uniform(self, rtol: float = 1e-12) -> bool:
-        return float(np.ptp(self._lengths)) <= rtol * self.dx_max
+        return float(np.ptp(self.cell_lengths)) <= rtol * self.dx_max
 
     def to_csv(self, path: str | Path) -> None:
         """Write one row per cell with columns ``i,x_left,x_center,x_right,dx``."""
         # the index goes in as a float: FLOAT prints an integral float as an integer
-        columns = (np.arange(self.n_cells), self.interfaces[:-1], self._centers,
-                   self.interfaces[1:], self._lengths)
+        columns = (np.arange(self.n_cells), self.interfaces[:-1], self.centers,
+                   self.interfaces[1:], self.cell_lengths)
         write_csv(path, ["i", "x_left", "x_center", "x_right", "dx"], float_rows(columns))
+
+
+@dataclass(frozen=True, eq=False)
+class GridStack:
+    """The grids of ensemble members, their cells side by side in one flat order.
+
+    Member k owns cells ``bounds[k]:bounds[k+1]``, first ``ends[0][k]`` and
+    last ``ends[1][k]``; ``centers`` and ``cell_lengths`` are the members'
+    own, concatenated.  A ``Grid`` is the one-member case, read alike.
+    """
+
+    members: tuple[Grid, ...]
+
+    def __post_init__(self) -> None:
+        centers, lengths = (np.concatenate([getattr(g, name) for g in self.members])
+                            for name in ("centers", "cell_lengths"))
+        _set_cells(self, [g.n_cells for g in self.members], centers, lengths)
 
 
 def build_uniform_grid(x_min: float, x_max: float, n_cells: int) -> Grid:

@@ -89,18 +89,15 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ParamColumns:
-    """The ``ModelParams`` of B ensemble members as columns.
+    """The ``ModelParams`` of B ensemble members as per-cell columns.
 
-    Each column is (B, 1) and broadcasts against (B, N) cell arrays; with the
-    members' cell counts in ``sizes`` it holds each member's scalar once per
-    cell of that member, for the flat arrays of members side by side on grids
-    of their own.  Either way the formulas written for one member evaluate
-    every member at once; each entry is that member's own scalar (``rho``
-    included), so the results are the one-member ones.
+    Each column repeats a member's scalar (``rho`` included) over its
+    ``sizes`` cells, as ``State.stack`` lays them out, so the formulas written
+    for one member evaluate every member at once, with the one-member results.
     """
 
     members: tuple[ModelParams, ...]
-    sizes: tuple[int, ...] | None = None
+    sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -111,9 +108,8 @@ class ParamColumns:
             object.__setattr__(self, name, column)
 
     def column(self, values) -> np.ndarray:
-        """One value per member, as a column of this layout."""
-        values = np.asarray(values)
-        return values[:, None] if self.sizes is None else np.repeat(values, self.sizes)
+        """One value per member, repeated over that member's cells."""
+        return np.repeat(values, self.sizes)
 
 
 def reaction_f(u, p: ModelParams):

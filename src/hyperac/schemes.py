@@ -14,11 +14,12 @@ cell values at interfaces by slope-limited linear reconstructions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, GridStack
 from .model import (
     ModelParams,
     ParamColumns,
@@ -97,32 +98,27 @@ class State:
     physical : (u, v), density and flux
     onefield : (u, w), density and the auxiliary variable of a one-field form
 
-    With ``ParamColumns`` for ``params`` the state is an ensemble (see
-    ``stack``): (B, N) arrays, one row per member, or with a tuple of the
-    members' grids for ``grid``, flat arrays of the members side by side.
-    States are immutable; the density ``u`` is formed once, on first use.
+    With a ``GridStack`` for ``grid`` and ``ParamColumns`` for ``params`` the
+    state is an ensemble (see ``stack``): flat arrays of the members' cells
+    side by side.  States are immutable; the density ``u`` is formed once,
+    on first use.
     """
 
     kind: str
     a: np.ndarray
     b: np.ndarray
-    grid: Grid | tuple[Grid, ...]
-    params: ModelParams
+    grid: Grid | GridStack
+    params: ModelParams | ParamColumns
 
     def __post_init__(self) -> None:
         if self.kind not in _REPRESENTATIONS:
             raise ValueError(f"unknown representation {self.kind!r}")
-        if isinstance(self.grid, tuple):
-            shape = (sum(g.n_cells for g in self.grid),)
-            if getattr(self.params, "sizes", None) != tuple(g.n_cells for g in self.grid):
-                raise ValueError("flat ensemble parameters must cover each member's cells")
-        else:
-            shape = (self.grid.n_cells,)
-            if isinstance(self.params, ParamColumns):
-                shape = (len(self.params.members),) + shape
+        sizes = tuple(g.n_cells for g in self.grid.members)
+        if getattr(self.params, "sizes", (self.grid.n_cells,)) != sizes:
+            raise ValueError("ensemble parameters must cover each member's cells")
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        if a.shape != shape or b.shape != shape:
+        if a.shape != (self.grid.n_cells,) or b.shape != a.shape:
             raise ValueError("state components must hold one value per cell and member")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -141,25 +137,20 @@ class State:
 
     @classmethod
     def stack(cls, states: Sequence["State"]) -> "State":
-        """Members in one representation, as one ensemble state.
-
-        Members on one grid are the rows of (B, N) arrays; members on grids of
-        their own sit side by side in flat arrays, with the tuple of their
-        grids for ``grid``.  A lone state is returned as it is: it already is
-        a one-member ensemble.
+        """Members in one representation, as one ensemble state: their cells
+        side by side in flat arrays, on the ``GridStack`` of their grids.  A
+        lone state is returned as it is: it already is a one-member ensemble.
         """
         first = states[0]
         if len(states) == 1:
             return first
         if any(st.kind != first.kind for st in states):
             raise ValueError("ensemble members must share one representation")
-        grids = tuple(st.grid for st in states)
-        shared = all(np.array_equal(g.interfaces, grids[0].interfaces) for g in grids)
-        sizes = None if shared else tuple(g.n_cells for g in grids)
-        join = np.stack if shared else np.concatenate
-        a, b = join([st.a for st in states]), join([st.b for st in states])
+        grid = GridStack(tuple(st.grid for st in states))
+        sizes = tuple(g.n_cells for g in grid.members)
         params = ParamColumns(tuple(st.params for st in states), sizes)
-        return cls(first.kind, a, b, grids[0] if shared else grids, params)
+        a, b = np.concatenate([st.a for st in states]), np.concatenate([st.b for st in states])
+        return cls(first.kind, a, b, grid, params)
 
     def _require(self, kind: str) -> None:
         if self.kind != kind:
@@ -229,17 +220,22 @@ class SchemeConfig:
             raise ValueError(f"unknown boundary treatment {self.boundary!r}")
 
 
-def _pad(values: np.ndarray, boundary: str) -> np.ndarray:
-    """Append one ghost cell per side: copy (zero gradient) or wrap (periodic).
+def _shift(values: np.ndarray, grid: Grid | GridStack, boundary: str, step: int) -> np.ndarray:
+    """Each cell's right (``step`` = 1) or left (-1) neighbour within its member.
 
-    Like every kernel here, it works along the last axis, so (B, N) ensemble
-    arrays go through the formulas written for one member.
+    Past a member's end the ghost copies the end cell (zero gradient) or wraps
+    to the member's other end (periodic), at the cells ``grid.ends`` names.
     """
-    if boundary == "zero_gradient":
-        return np.concatenate((values[..., :1], values, values[..., -1:]), axis=-1)
-    if boundary == "periodic":
-        return np.concatenate((values[..., -1:], values, values[..., :1]), axis=-1)
-    raise ValueError(f"unknown boundary treatment {boundary!r}")
+    out = np.empty_like(values)
+    first, last = grid.ends
+    if step > 0:
+        out[:-1] = values[1:]
+        ends, wrap = last, first
+    else:
+        out[1:] = values[:-1]
+        ends, wrap = first, last
+    out[ends] = values[wrap if boundary == "periodic" else ends]
+    return out
 
 
 def minmod(a, b):
@@ -266,15 +262,17 @@ def monotonized_central(a, b):
 LIMITERS = {"minmod": minmod, "mc": monotonized_central}
 
 
-def _limited_slope_values(values: np.ndarray, centers: np.ndarray, limiter: str) -> np.ndarray:
+def _limited_slope_values(values: np.ndarray, grid: Grid | GridStack, limiter: str) -> np.ndarray:
     """Per-cell limited slopes from one-sided difference quotients.
 
-    Boundary cells fall back to slope zero (first-order closure): each row's
-    quotients end in a zero, which limits to zero with either neighbour, so a
-    single limiter pass over all rows in flat order gives that closure too.
+    A member's end cells fall back to slope zero (first-order closure): its
+    last quotient is zero, which limits to zero with either neighbour, so one
+    limiter pass over all rows and members in flat order gives that closure.
     """
-    quotients = np.zeros(values.shape)
-    np.divide(values[..., 1:] - values[..., :-1], np.diff(centers), out=quotients[..., :-1])
+    gaps = _center_spacings(grid, "zero_gradient")[1][:-1]  # > 0 also where members meet
+    quotients = np.empty(values.shape)
+    np.divide(values[..., 1:] - values[..., :-1], gaps, out=quotients[..., :-1])
+    quotients[..., grid.ends[1]] = 0.0
     flat = quotients.reshape(-1)
     slopes = np.zeros(values.shape)
     slopes.reshape(-1)[1:] = LIMITERS[limiter](flat[1:], flat[:-1])
@@ -288,8 +286,8 @@ def rhs_kinetic_first_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarray
     r, s = state.a, state.b
     dx = state.grid.cell_lengths
     rho = p.rho
-    r_right = _pad(r, cfg.boundary)[..., 2:]  # r_{i+1}
-    s_left = _pad(s, cfg.boundary)[..., :-2]  # s_{i-1}
+    r_right = _shift(r, state.grid, cfg.boundary, 1)  # r_{i+1}
+    s_left = _shift(s, state.grid, cfg.boundary, -1)  # s_{i-1}
     fu = reaction_f(state.u, p)
     relax = (s - r) / (2.0 * p.tau)
     dr = rho * (r_right - r) / dx + 0.5 * fu + relax
@@ -308,21 +306,14 @@ def _rhs_physical(state: State, cfg: SchemeConfig, nu: float) -> tuple[np.ndarra
     u, v = state.a, state.b
     dx = state.grid.cell_lengths
     rho = p.rho
-    up = _pad(u, cfg.boundary)
-    vp = _pad(v, cfg.boundary)
-    lap_u = up[..., 2:] - 2.0 * u + up[..., :-2]
-    lap_v = vp[..., 2:] - 2.0 * v + vp[..., :-2]
+    u_right, u_left = (_shift(u, state.grid, cfg.boundary, step) for step in (1, -1))
+    v_right, v_left = (_shift(v, state.grid, cfg.boundary, step) for step in (1, -1))
+    lap_u = u_right - 2.0 * u + u_left
+    lap_v = v_right - 2.0 * v + v_left
     dx2 = dx * dx
-    du = (
-        -(vp[..., 2:] - vp[..., :-2]) / (2.0 * dx)
-        + reaction_f(u, p)
-        + (0.5 * rho * dx) * lap_u / dx2
-    )
-    dv = (
-        -(rho * rho) * (up[..., 2:] - up[..., :-2]) / (2.0 * dx)
-        - v / p.tau
-        + (nu + 0.5 * rho * dx) * lap_v / dx2
-    )
+    du = -(v_right - v_left) / (2.0 * dx) + reaction_f(u, p) + (0.5 * rho * dx) * lap_u / dx2
+    dv = -(rho * rho) * (u_right - u_left) / (2.0 * dx) - v / p.tau
+    dv += (nu + 0.5 * rho * dx) * lap_v / dx2
     return du, dv
 
 
@@ -359,24 +350,21 @@ def rhs_kinetic_second_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarra
     exactly what the first-order one does.
     """
     state._require(DIAGONAL)
-    p = state.params
+    p, grid = state.params, state.grid
     r, s = state.a, state.b
-    dx = state.grid.cell_lengths
+    dx = grid.cell_lengths
 
-    # one slope pass for r and s; the interfaces hold r_i^- then a ghost, and a
-    # ghost then s_i^+, so their difference is r_{i+1}^- - r_i^- and s_i^+ - s_{i-1}^+
-    rs = np.array((r, s))
-    half_slopes = 0.5 * dx * _limited_slope_values(rs, state.grid.centers, cfg.limiter)
-    iface = np.empty(rs.shape[:-1] + (rs.shape[-1] + 1,))
-    np.subtract(r, half_slopes[0], out=iface[0, ..., :-1])
-    np.add(s, half_slopes[1], out=iface[1, ..., 1:])
-    if cfg.boundary == "periodic":
-        iface[0, ..., -1], iface[1, ..., 0] = iface[0, ..., 0], iface[1, ..., -1]
-    else:  # zero-gradient ghosts copy the adjacent value with zero slope
-        iface[0, ..., -1], iface[1, ..., 0] = r[..., -1], s[..., 0]
+    # one slope pass for r and s, then r_i^- and s_i^+ in place; a member's end
+    # cells have slope zero, so a zero-gradient ghost copies their reconstruction
+    recon = 0.5 * dx * _limited_slope_values(np.array((r, s)), grid, cfg.limiter)
+    np.subtract(r, recon[0], out=recon[0])
+    np.add(s, recon[1], out=recon[1])
 
-    # (rho * diff) / dx + f/2 + relax and (-rho * diff) / dx + f/2 - relax
-    out = iface[..., 1:] - iface[..., :-1]
+    # (rho * diff) / dx + f/2 + relax and (-rho * diff) / dx + f/2 - relax, with
+    # the differences r_{i+1}^- - r_i^- and s_i^+ - s_{i-1}^+
+    out = np.empty_like(recon)
+    np.subtract(_shift(recon[0], grid, cfg.boundary, 1), recon[0], out=out[0])
+    np.subtract(recon[1], _shift(recon[1], grid, cfg.boundary, -1), out=out[1])
     out *= np.multiply.outer((1.0, -1.0), np.atleast_1d(p.rho))
     out /= dx
     out += 0.5 * reaction_f(state.u, p)
@@ -386,25 +374,33 @@ def rhs_kinetic_second_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarra
     return out[0], out[1]
 
 
-def _laplacian(values: np.ndarray, grid: Grid, boundary: str) -> np.ndarray:
+@lru_cache(maxsize=16)  # grids are immutable
+def _center_spacings(grid: Grid | GridStack, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's distance to the center on its left and on its right.  Each
+    member's ghost centers mirror its boundary spacing (zero gradient) or wrap
+    with its domain period (periodic)."""
+    x = grid.centers
+    first, last = grid.ends
+    lo, hi = np.array([(g.x_min, g.x_max) for g in grid.members]).T
+    if boundary == "periodic":
+        ghosts = x[last] - (hi - lo), x[first] + (hi - lo)
+    else:
+        ghosts = 2.0 * lo - x[first], 2.0 * hi - x[last]
+    h_minus, h_plus = np.empty_like(x), np.empty_like(x)
+    h_minus[1:] = h_plus[:-1] = np.diff(x)
+    h_minus[first], h_plus[last] = x[first] - ghosts[0], ghosts[1] - x[last]
+    return h_minus, h_plus
+
+
+def _laplacian(values: np.ndarray, grid: Grid | GridStack, boundary: str) -> np.ndarray:
     """Three-point Laplacian with nonuniform center-distance weights.
 
-    Reduces to (w_{i+1} - 2 w_i + w_{i-1}) / dx^2 on uniform grids.  Ghost
-    centers mirror the boundary spacing (zero gradient) or wrap with the
-    domain period (periodic).
+    Reduces to (w_{i+1} - 2 w_i + w_{i-1}) / dx^2 on uniform grids.
     """
-    x = grid.centers
-    vp = _pad(values, boundary)
-    if boundary == "periodic":
-        length = grid.x_max - grid.x_min
-        xp = np.concatenate(([x[-1] - length], x, [x[0] + length]))
-    else:
-        xp = np.concatenate(([2.0 * grid.x_min - x[0]], x, [2.0 * grid.x_max - x[-1]]))
-    h_minus = xp[1:-1] - xp[:-2]
-    h_plus = xp[2:] - xp[1:-1]
+    h_minus, h_plus = _center_spacings(grid, boundary)
     # divided-difference form annihilates constants and linears exactly
-    forward = (vp[..., 2:] - vp[..., 1:-1]) / h_plus
-    backward = (vp[..., 1:-1] - vp[..., :-2]) / h_minus
+    forward = (_shift(values, grid, boundary, 1) - values) / h_plus
+    backward = (values - _shift(values, grid, boundary, -1)) / h_minus
     return 2.0 * (forward - backward) / (h_minus + h_plus)
 
 
@@ -481,8 +477,8 @@ def prepare_state_for_scheme(state: State, cfg: SchemeConfig) -> State:
     p = phys.params
     u = phys.a
     fu = reaction_f(u, p)
-    vp = _pad(phys.b, cfg.boundary)
-    ut = fu - (vp[2:] - vp[:-2]) / (2.0 * phys.grid.cell_lengths)
+    v_right, v_left = (_shift(phys.b, phys.grid, cfg.boundary, step) for step in (1, -1))
+    ut = fu - (v_right - v_left) / (2.0 * phys.grid.cell_lengths)
     if cfg.kind == "onefield_direct":
         w = ut
     else:  # onefield_alternative

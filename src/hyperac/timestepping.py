@@ -23,13 +23,13 @@ bands, which is ``dgbtrs``'s arithmetic without its pivot loop; one whose LU
 moved rows by ``dgbtrs``; a periodic operator, whose wrap-around entries
 leave the band, by SuperLU.
 
-An ensemble (``State.stack``) of members on one grid steps as (B, N) arrays,
-over whose member axis the explicit right-hand sides broadcast.  The IMEX
-step sees its members' cells in flat order, so it also takes members on
-grids of their own, side by side: their zero-gradient operators form one
-block-diagonal band that one factorisation and one solve per step serve, and
-its per-member checks reduce over each member's cells.  A step size may be a
-column of per-member steps.  A periodic IMEX operator serves one member only.
+An ensemble (``State.stack``) holds its members' cells side by side in flat
+arrays, on the ``GridStack`` of their grids, which may differ; a plain grid
+is the one-member case.  The explicit stencils close each member at its own
+ends; the members' zero-gradient IMEX operators form one block-diagonal band
+that one factorisation and one solve per step serve; the per-member checks
+reduce over each member's cells.  A step size may be a column of per-member
+steps.  A periodic IMEX operator serves one member only.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .diagnostics import (
     mass,
     speeds_from_masses,
 )
-from .grid import Grid, project_cell_averages
+from .grid import Grid, GridStack, project_cell_averages
 from .model import ModelParams, ParamColumns, _max_abs_f_prime, reaction_f, reaction_f_prime
 from .schemes import SCHEMES, SchemeConfig, State, prepare_state_for_scheme, rhs_for_scheme
 
@@ -73,7 +73,7 @@ __all__ = [
     "run_ensemble",
 ]
 
-Grids = Grid | tuple[Grid, ...]  # one grid, or the grid of each member side by side
+Grids = Grid | GridStack  # one grid, or the grids of ensemble members side by side
 _STATE_BOUND = 10.0  # the bistable cubic diverges cubically well inside this
 _RESIDUAL_TOL = 1e-12
 
@@ -113,13 +113,6 @@ def _check_step(dt: float | np.ndarray) -> None:
         raise ValueError("dt must be positive and finite")
 
 
-def _bounds(grid: Grids, params: ModelParams | ParamColumns) -> np.ndarray:
-    """Each member's first cell in the flat cell order of a state, then the cell count."""
-    if isinstance(grid, Grid):
-        grid = (grid,) * (len(params.members) if isinstance(params, ParamColumns) else 1)
-    return np.cumsum([0] + [g.n_cells for g in grid])
-
-
 def _imex_operator(
     grid: Grids, dt: float | np.ndarray, params: ModelParams | ParamColumns, boundary: str
 ) -> tuple[np.ndarray, sp.csr_matrix]:
@@ -135,14 +128,11 @@ def _imex_operator(
     diagonals and in two wrap-around entries outside the band.
     """
     _check_step(dt)
-    if boundary == "periodic" and isinstance(params, ParamColumns) and len(params.members) > 1:
+    if boundary == "periodic" and len(grid.members) > 1:
         raise ValueError("a periodic IMEX operator serves one member, not an ensemble")
-    grids = grid if isinstance(grid, tuple) else (grid,)  # broadcast over (B, N) rows
-    alpha = params.rho * dt / np.concatenate([g.cell_lengths for g in grids])
-    beta = np.broadcast_to(dt / (2.0 * params.tau), alpha.shape).reshape(-1)
-    alpha = alpha.reshape(-1)
-    bounds = _bounds(grid, params)
-    first, last = bounds[:-1], bounds[1:] - 1
+    alpha = params.rho * dt / grid.cell_lengths
+    beta = np.broadcast_to(dt / (2.0 * params.tau), alpha.shape)  # one member's is a scalar
+    first, last = grid.ends
     size = 2 * alpha.size
     ab = np.zeros((7, size), order="F")  # dgbtrf factors it in place
     band = ab[2:]  # solve_banded's (5, 2C) layout: row 2 + i - j holds entry (i, j)
@@ -188,7 +178,7 @@ def gershgorin_margins(matrix: sp.spmatrix) -> np.ndarray:
 class ImexWorkspace:
     """Assembled implicit operator plus its LU factors, reused across steps.
 
-    Built for ``ParamColumns`` it holds the block-diagonal operator of the
+    Built for a ``GridStack`` it holds the block-diagonal operator of the
     ensemble, one block per member, whose first unknowns ``starts`` holds.
     ``solve`` takes one of three paths:
 
@@ -222,7 +212,7 @@ class ImexWorkspace:
         boundary: str = "zero_gradient",
     ) -> "ImexWorkspace":
         ab, matrix = _imex_operator(grid, dt, params, boundary)
-        starts = 2 * _bounds(grid, params)[:-1]
+        starts = 2 * grid.ends[0]
         lost = ~(np.minimum.reduceat(gershgorin_margins(matrix), starts) >= 1.0 - 1e-12)  # NaN too
         if lost.any():  # as 1 + beta + alpha rounds to alpha + beta past alpha of about 1e16
             k = int(np.argmax(lost))
@@ -242,32 +232,27 @@ class ImexWorkspace:
         return cls(grid, params, dt, boundary, matrix, starts, lu, pivots, bands)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for the interleaved right-hand side of every member, in the layout of ``rhs``."""
-        b = rhs.reshape(-1)
+        """Solve for the interleaved right-hand side of every member."""
         if self.bands is not None:
             lower, upper = self.bands
-            x = dtbsv(4, upper, dtbsv(2, lower, b, lower=1, diag=1), overwrite_x=1)
-        elif self.pivots is not None:
-            x = dgbtrs(self.lu, 2, 2, b, self.pivots)[0]
-        else:
-            x = self.lu.solve(b)
-        return x.reshape(rhs.shape)
+            return dtbsv(4, upper, dtbsv(2, lower, rhs, lower=1, diag=1), overwrite_x=1)
+        if self.pivots is not None:
+            return dgbtrs(self.lu, 2, 2, rhs, self.pivots)[0]
+        return self.lu.solve(rhs)
 
     def residual(self, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Max-norm solve residual of each member, relative to its right-hand side.
 
-        One value per member of an ensemble, a scalar for one state.  The
-        product is scipy's CSR kernel called on a zeroed buffer, as
-        ``matrix @ x`` does after its dispatch: the same bits at a third of
-        the cost at small N.
+        One value per member (one for a single state).  The product is
+        scipy's CSR kernel called on a zeroed buffer, as ``matrix @ x`` does
+        after its dispatch: the same bits at a third of the cost at small N.
         """
-        a, b = self.matrix, rhs.reshape(-1)
-        product = np.zeros(b.size)
-        _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, x.reshape(-1), product)
-        misfit = np.maximum.reduceat(np.abs(product - b), self.starts)
-        scale = np.maximum.reduceat(np.abs(b), self.starts)
-        res = misfit / (scale + (scale == 0.0))  # a zero right-hand side counts as 1
-        return res if isinstance(self.params, ParamColumns) else res[0]
+        a = self.matrix
+        product = np.zeros(rhs.size)
+        _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, x, product)
+        misfit = np.maximum.reduceat(np.abs(product - rhs), self.starts)
+        scale = np.maximum.reduceat(np.abs(rhs), self.starts)
+        return misfit / (scale + (scale == 0.0))  # a zero right-hand side counts as 1
 
     def matches(self, state: State, dt: float | np.ndarray) -> bool:
         return (
@@ -280,8 +265,8 @@ class ImexWorkspace:
 def imex_step(state: State, dt: float | np.ndarray, ws: ImexWorkspace | None = None) -> State:
     """One implicit-transport / explicit-reaction step in diagonal variables.
 
-    Advances one state or an ensemble in either layout, whose members one
-    solve serves; for an ensemble ``dt`` may be a column of per-member steps.
+    Advances one state or an ensemble, whose members one solve serves; for
+    an ensemble ``dt`` may be a column of per-member steps.
     Raises ``BlowUpError`` when a member's solution is non-finite or its
     density leaves the trust region, like ``explicit_step``, and
     ``SolveError`` when a member's solve misses the residual bound.
@@ -294,12 +279,12 @@ def imex_step(state: State, dt: float | np.ndarray, ws: ImexWorkspace | None = N
         raise ValueError("workspace was built for different (grid, dt, params)")
     r, s = state.a, state.b
     half_f = (0.5 * dt) * reaction_f(state.u, state.params)
-    rhs = np.empty(r.shape[:-1] + (2 * r.shape[-1],))
-    np.add(r, half_f, out=rhs[..., 0::2])
-    np.add(s, half_f, out=rhs[..., 1::2])
+    rhs = np.empty(2 * r.size)
+    np.add(r, half_f, out=rhs[0::2])
+    np.add(s, half_f, out=rhs[1::2])
     x = ws.solve(rhs)
-    res = ws.residual(x, rhs)  # a scalar for one state, one per member for an ensemble
-    solved = (res if res.ndim == 0 else res.max()) <= _RESIDUAL_TOL  # false for NaN too
+    res = ws.residual(x, rhs)  # one per member
+    solved = res.max() <= _RESIDUAL_TOL  # false for NaN too
     if not solved:
         # the band solve carries a non-finite member's NaN into its neighbours'
         # blocks; solve with those entries zeroed, so that each member fails on its own
@@ -307,7 +292,7 @@ def imex_step(state: State, dt: float | np.ndarray, ws: ImexWorkspace | None = N
         if not finite.all():
             x = ws.solve(np.where(finite, rhs, 0.0))
             res = ws.residual(x, rhs)
-    new = state.with_components(x[..., 0::2], x[..., 1::2])
+    new = state.with_components(x[0::2], x[1::2])
     # solved systems are finite, so only the density bound can still fail
     if not (solved and np.abs(new.u).max() <= _STATE_BOUND):
         _check_finite(new, res)
@@ -376,10 +361,10 @@ def _check_finite(state: State, residual: np.ndarray | None = None) -> None:
     bounded = np.abs(u).max() <= _STATE_BOUND
     if residual is None and bounded and (state.kind == "diagonal" or np.isfinite(b).all()):
         return
-    starts = _bounds(state.grid, state.params)[:-1]
-    finite = np.logical_and.reduceat((np.isfinite(a) & np.isfinite(b)).reshape(-1), starts)
-    inside = np.maximum.reduceat(np.abs(u).reshape(-1), starts) <= _STATE_BOUND
-    res = np.zeros(finite.size) if residual is None else np.reshape(residual, -1)
+    starts = state.grid.ends[0]
+    finite = np.logical_and.reduceat(np.isfinite(a) & np.isfinite(b), starts)
+    inside = np.maximum.reduceat(np.abs(u), starts) <= _STATE_BOUND
+    res = np.zeros(finite.size) if residual is None else residual
     solved = res <= _RESIDUAL_TOL
     failed = ~(solved & finite & inside)
     if not failed.any():
@@ -406,7 +391,8 @@ def explicit_step(
     """One explicit step: forward Euler or Heun (trapezoidal RK2).
 
     An ``rhs`` that returns None for the second component keeps it frozen.
-    For an ensemble ``dt`` may be a (B, 1) column, one step per member.
+    For an ensemble ``dt`` may be a column of per-member steps
+    (``ParamColumns.column``).
     """
     _check_step(dt)
     if method not in ("euler", "heun"):
@@ -513,8 +499,8 @@ def run_ensemble(
     ensemble of two or more names in the message) when the first member
     leaves the trust region, and ``ValueError``, before any allocation, for
     the arguments ``check_run`` rejects, for a T that does not give one stop
-    time per member and for a periodic IMEX ensemble of two or more members;
-    explicit members must share one grid, IMEX ones may each have their own.
+    time per member and for a periodic IMEX ensemble of two or more members.
+    Members may each have a grid of their own.
     """
     initials = list(initials)
     if not initials:
@@ -529,8 +515,6 @@ def run_ensemble(
         check_run(scheme, integrator, stop, dt)
     members = [prepare_state_for_scheme(st, scheme) for st in initials]
     state = State.stack(members)
-    if integrator != "imex" and isinstance(state.grid, tuple):
-        raise ValueError("explicit stencils need ensemble members that share one grid")
 
     schedules = {stop: _schedule(stop, dt) for stop in stops}
     lengths = [schedules[stop][0].size for stop in stops]
@@ -540,22 +524,19 @@ def run_ensemble(
     last_steps: dict[int, float | np.ndarray] = {}
     for end in set(lengths):
         sizes = [float(schedules[s][0][end - 1]) for s, size in zip(stops, lengths) if size >= end]
-        if len(set(sizes)) > 1:
-            last_steps[end - 1] = np.array(sizes)  # laid out as a column of the stack
-        else:  # the step dt itself reuses the workspace
-            last_steps[end - 1] = dt if sizes[0] == dt else sizes[0]
+        last_steps[end - 1] = np.array(sizes) if len(set(sizes)) > 1 else sizes[0]
 
     ws = None  # the IMEX operator of the stack's members and step, built at their first step
     if integrator != "imex":
         rhs = rhs_for_scheme(scheme)
 
     def layout(state: State) -> tuple[np.ndarray, list]:
-        """Each row's first cell in the flat cell order, and its (member, grid, cells)."""
-        ends = _bounds(state.grid, state.params)
+        """Each member's first cell in the stack, and its (member, grid, cells)."""
+        ends = state.grid.bounds
         return ends[:-1], [(k, members[k].grid, slice(*ends[j : j + 2])) for j, k in enumerate(ids)]
 
     def split(state: State) -> list[State]:
-        a, b = state.a.reshape(-1), state.b.reshape(-1)
+        a, b = state.a, state.b
         return [State(members[k].kind, a[c], b[c], grid, members[k].params) for k, grid, c in rows]
 
     refs = {}  # the reference's cell averages on each member's grid
@@ -570,7 +551,7 @@ def run_ensemble(
     max_f_prime = np.empty((count, n_max))
     snapshots = [[(0.0, st)] if sample_every > 0 else [] for st in members]
     finals: list[State | None] = [None] * count
-    ids = list(range(count))  # the member in each row of the stack
+    ids = list(range(count))  # the member at each place in the stack
     rows_of = slice(None)  # the same, as an index of the per-member arrays
     starts, rows = layout(state)
 
@@ -583,7 +564,7 @@ def run_ensemble(
             if integrator != "imex":
                 state = explicit_step(state, h, rhs, integrator)
             else:
-                if ws is None or h is not dt:  # new members, or a last step: a new operator
+                if ws is None or not ws.matches(state, h):  # new members, or a last step
                     ws = None  # old factors go before new ones are built: a lower memory peak
                     ws = ImexWorkspace.build(state.grid, h, state.params, scheme.boundary)
                 state = imex_step(state, h, ws)
@@ -593,10 +574,10 @@ def run_ensemble(
             if isinstance(err, SolveError):
                 raise SolveError(message, member=k) from None
             raise BlowUpError(f"{message} at step {n}", step=n, member=k) from None
-        u = state.u.reshape(-1)
+        u = state.u
         for k, grid, c in rows:
             masses[k, n + 1] = mass(u[c], grid)
-        f_prime = reaction_f_prime(state.u, state.params).reshape(-1)
+        f_prime = reaction_f_prime(u, state.params)
         max_f_prime[rows_of, n] = np.maximum.reduceat(f_prime, starts)
         if refs:
             for k, grid, c in rows:
@@ -610,18 +591,15 @@ def run_ensemble(
         if n in last_steps:  # some members took their last step: they leave the stack
             if not sampled:
                 current = split(state)
-            going_on = []
             for k, st in zip(ids, current):
                 if lengths[k] == n + 1:
                     finals[k] = st
-                else:
-                    going_on.append(st)
+            going_on = [st for k, st in zip(ids, current) if lengths[k] > n + 1]
             ids = [k for k in ids if lengths[k] > n + 1]
             rows_of = np.array(ids, dtype=int)
             if going_on:
                 state = State.stack(going_on)
                 starts, rows = layout(state)
-                ws = None
 
     results = []
     for k, (stop, size, final) in enumerate(zip(stops, lengths, finals)):

@@ -26,6 +26,23 @@ def test_missing_config_exits_2(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("failure", ["not-utf-8", "os-error"])
+def test_unreadable_config_exits_2(tmp_path, capsys, monkeypatch, failure):
+    """A config file that is not UTF-8 (byte 0xff), or whose read fails, is
+    invalid input: exit 2 with one stderr line and no traceback."""
+    cfg = tmp_path / "unreadable.cfg"
+    cfg.write_bytes(b"domain.xmin = 0\xff\n")
+    if failure == "os-error":
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(cfg))
+
+        monkeypatch.setattr("pathlib.Path.read_text", refuse)
+    assert cli_main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {cfg}: ")
+    assert err.count("\n") == 1
+
+
 def test_bad_config_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(
@@ -217,6 +234,17 @@ def test_lost_gershgorin_bound_exits_1(tmp_path, capsys, overrides):
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("run failed: implicit operator lost its Gershgorin row bound at alpha")
+    assert err.count("\n") == 1
+
+
+def test_unwritable_output_exits_1_without_a_traceback(tmp_path, capsys):
+    """A CSV that cannot be written after the run (its name is taken by a
+    directory) is a run failure: exit 1 with one stderr line naming the file."""
+    out = tmp_path / "out"
+    (out / "snapshots.csv").mkdir(parents=True)
+    assert cli_main(["run", _write_config(tmp_path / "base.cfg"), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"run failed: cannot write {out / 'snapshots.csv'}: ")
     assert err.count("\n") == 1
 
 

@@ -1,7 +1,7 @@
 """Ensemble stepping: B members advanced as one ensemble state equal their own runs bit for bit.
 
-Members on one grid step as (B, N) arrays; IMEX members on grids of their own
-step side by side in flat arrays.
+Members step side by side in flat arrays, on the ``GridStack`` of their grids,
+which may be one grid or grids of their own.
 """
 
 import numpy as np
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperac import timestepping
-from hyperac.grid import build_graded_grid, build_uniform_grid
+from hyperac.grid import GridStack, build_graded_grid, build_uniform_grid
 from hyperac.model import FrontProfile, ModelParams, ParamColumns, reaction_f
 from hyperac.schemes import SCHEMES, SchemeConfig, State
 from hyperac.timestepping import (
@@ -137,6 +137,8 @@ def test_run_ensemble_takes_one_stop_time_per_member():
     short, long = run_ensemble([initial, initial], cfg, "imex", T=[0.25, 1.0], dt=0.1)
     assert short.diagnostics.times.tolist() == [0.1, 0.2, 0.25]
     assert long.diagnostics.times.size == 10 and long.diagnostics.times[-1] == 1.0
+    with pytest.raises(ValueError, match="at least one member"):
+        run_ensemble([], cfg, "imex", T=0.2, dt=0.1)
 
 
 def _blow_up(call):
@@ -207,27 +209,6 @@ def _ramp(grid, params):
     return State.physical(u, 0.1 * u * (1.0 - u), grid, params)
 
 
-def test_run_ensemble_rejects_members_that_do_not_share_a_grid():
-    """Explicit stencils would reach across member boundaries, so euler and
-    heun ensembles need one grid; IMEX members on grids of their own (N = 12,
-    or graded) step side by side, and each equals its own run."""
-    p, q = ModelParams(tau=1.0), ModelParams(tau=2.0)
-    a = _ramp(build_uniform_grid(0.0, 1.0, 10), p)
-    same = _ramp(build_uniform_grid(0.0, 1.0, 10), q)
-    cfg = SchemeConfig("kinetic_first_order")
-    assert len(run_ensemble([a, same], cfg, "imex", T=0.2, dt=0.1)) == 2
-    graded = build_graded_grid(0.0, 1.0, 10, 1.1)
-    for other in (_ramp(build_uniform_grid(0.0, 1.0, 12), q), _ramp(graded, q)):
-        for integrator in ("euler", "heun"):
-            with pytest.raises(ValueError, match="share one grid"):
-                run_ensemble([a, other], cfg, integrator, T=0.2, dt=0.05)
-        ragged = run_ensemble([a, other, same], cfg, "imex", T=[0.2, 0.25, 0.3], dt=0.1)
-        for initial, stop, got in zip((a, other, same), (0.2, 0.25, 0.3), ragged):
-            _assert_same_run(got, run(initial, cfg, "imex", T=stop, dt=0.1))
-    with pytest.raises(ValueError, match="at least one member"):
-        run_ensemble([], cfg, "imex", T=0.2, dt=0.1)
-
-
 def _ragged_grids():
     return [
         build_uniform_grid(0.0, 4.0, 12),
@@ -265,7 +246,7 @@ def test_ragged_residual_guard_names_the_member():
         [State.diagonal(np.full(g.n_cells, 0.2), np.full(g.n_cells, 0.3), g, p)
          for g, p in zip(_ragged_grids(), members)]
     )
-    assert isinstance(state.grid, tuple) and state.a.shape == (12 + 9 + 20 + 15,)
+    assert isinstance(state.grid, GridStack) and state.a.shape == (12 + 9 + 20 + 15,)
     ws = ImexWorkspace.build(state.grid, 0.05, state.params)
     assert ws.bands is not None  # every alpha_i <= 1: the sweeps solve
     imex_step(state, 0.05, ws)
@@ -276,11 +257,13 @@ def test_ragged_residual_guard_names_the_member():
 
 
 # a member: its cell count (a few shared ones, so that some members share a
-# grid), its grading (1 + g / N, uniform for g = 0), parameters and stop time
+# grid), its grading (1 + g / N, uniform for g = 0), the left end of its
+# domain (the right end is 8), parameters and stop time
 _ragged = st.lists(
     st.tuples(
         st.sampled_from([12, 40]) | st.integers(3, 200),
         st.sampled_from([0.0, 2.0, -1.5]),
+        st.sampled_from([0.0, -1.0]),
         _params,
         st.tuples(st.integers(2, 6), st.sampled_from([1.0, 0.5]) | st.floats(0.05, 0.95)),
     ),
@@ -288,47 +271,83 @@ _ragged = st.lists(
     max_size=5,
 )
 
-_PAIR = [(40, 0.0, ModelParams(tau=1.0), (3, 1.0)), (7, 2.0, ModelParams(tau=2.0), (4, 0.5))]
+_PAIR = [
+    (40, 0.0, 0.0, ModelParams(tau=1.0), (3, 1.0)),
+    (7, 2.0, 0.0, ModelParams(tau=2.0), (4, 0.5)),
+]
+# two members on equal grids of N = 10, one between them on N = 12 (or graded
+# with ratio 1.1 at N = 10, on [-1, 8]), stopping at 2, 2.5 and 3 steps
+_TRIO = [
+    (10, 0.0, 0.0, ModelParams(tau=1.0), (1, 1.0)),
+    (12, 0.0, 0.0, ModelParams(tau=2.0), (2, 0.5)),
+    (10, 0.0, 0.0, ModelParams(tau=2.0), (2, 1.0)),
+]
+_TRIO_GRADED = [_TRIO[0], (10, 1.0, -1.0, ModelParams(tau=2.0), (2, 0.5)), _TRIO[2]]
+_IMEX = ("kinetic_first_order", "imex", "zero_gradient")
+
+# every scheme kind with both explicit integrators and both boundaries, and
+# IMEX (a periodic IMEX operator is single-member, so IMEX is zero-gradient)
+_SCHEMES = [(kind, method, boundary) for kind in SCHEMES for method in ("euler", "heun")
+            for boundary in ("zero_gradient", "periodic")] + [_IMEX]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
     members=_ragged,
     courant=st.sampled_from([0.5, 2.5]) | st.floats(0.2, 3.0),
     seed=st.integers(0, 2**16),
+    scheme=st.sampled_from(_SCHEMES),
 )
-@example(members=_PAIR, courant=0.5, seed=1)  # no row moved: the sweeps solve
-@example(members=_PAIR, courant=2.5, seed=1)  # rows moved: dgbtrs solves the whole band
-def test_ragged_imex_ensemble_equals_solo_runs_bitwise(members, courant, seed):
-    """IMEX members on uniform and graded grids of their own, each with its own
-    stop time, step side by side as one ensemble: every member's final state,
-    snapshots, speeds, g_min, reference distances and stabilisation time are
-    those of its own run, bit for bit, whatever the order of the members.
-    The step dt is ``courant`` times the smallest dx / rho, so the band's LU
-    moves rows (alpha_i > 1 somewhere) in some examples and not in others."""
+@example(members=_PAIR, courant=0.5, seed=1, scheme=_IMEX)  # no row moved: the sweeps solve
+@example(members=_PAIR, courant=2.5, seed=1, scheme=_IMEX)  # rows moved: dgbtrs solves the band
+@example(members=_TRIO, courant=0.5, seed=1, scheme=_IMEX)
+@example(members=_TRIO_GRADED, courant=0.5, seed=1, scheme=_IMEX)
+@example(members=_TRIO, courant=0.5, seed=1, scheme=("kinetic_first_order", "euler", "zero_gradient"))
+@example(members=_TRIO_GRADED, courant=0.5, seed=1, scheme=("kinetic_second_order", "heun", "periodic"))
+@example(members=_TRIO_GRADED, courant=0.5, seed=1, scheme=("onefield_alternative", "euler", "periodic"))
+def test_ragged_imex_ensemble_equals_solo_runs_bitwise(members, courant, seed, scheme):
+    """Members on uniform and graded grids of their own, whose domains may
+    start at different points, each with its own stop time, step side by
+    side as one ensemble: every member's final state, snapshots, speeds,
+    g_min, reference distances and stabilisation time are those of its own
+    run, bit for bit, whatever the order of the members.
+    That holds for IMEX and for explicit stencils, which close each member at
+    its own ends.  The IMEX step dt is ``courant`` times the smallest dx / rho,
+    so the band's LU moves rows (alpha_i > 1 somewhere) in some examples and
+    not in others; an explicit step is ``courant`` / 3 of the stable one."""
+    kind, integrator, boundary = scheme
     rng = np.random.default_rng(seed)
     initials = []
-    for n, grading, p, _ in members:
-        grid = build_graded_grid(0.0, 8.0, n, 1.0 + grading / n)
+    for n, grading, left, p, _ in members:
+        grid = build_graded_grid(left, 8.0, n, 1.0 + grading / n)
         front = 0.5 * (1.0 + np.tanh(grid.centers - 4.0))
         u, v = front + rng.uniform(-0.05, 0.05, n), rng.uniform(-0.1, 0.1, n)
         initials.append(State.physical(u, v, grid, p))
-    dt = courant * min(st.grid.dx_min / st.params.rho for st in initials)
+    cfg = SchemeConfig(kind, boundary=boundary)
+    if integrator == "imex":
+        dt = courant * min(st.grid.dx_min / st.params.rho for st in initials)
+    else:
+        dt = courant / 3.0 * min(suggest_dt(st.grid, st.params, cfg) for st in initials)
     T = [(steps + fraction) * dt for *_, (steps, fraction) in members]
-    cfg = SchemeConfig("kinetic_first_order")
     kwargs = dict(sample_every=2, reference=_REFERENCE)
-    ensemble = run_ensemble(initials, cfg, "imex", T, dt, **kwargs)
+    ensemble = run_ensemble(initials, cfg, integrator, T, dt, **kwargs)
     for initial, stop, got in zip(initials, T, ensemble):
-        _assert_same_run(got, run(initial, cfg, "imex", stop, dt, **kwargs))
+        _assert_same_run(got, run(initial, cfg, integrator, stop, dt, **kwargs))
     perm = rng.permutation(len(members))
     initials, T = [initials[k] for k in perm], [T[k] for k in perm]
-    shuffled = run_ensemble(initials, cfg, "imex", T, dt, **kwargs)
+    shuffled = run_ensemble(initials, cfg, integrator, T, dt, **kwargs)
     for k, got in zip(perm, shuffled):
         _assert_same_run(got, ensemble[k])
 
 
 def _members(count):
     return [ModelParams(tau=0.5 + k, mu=1.0 + 0.3 * k, alpha=0.3 + 0.2 * k) for k in range(count)]
+
+
+def _stack(grid, members):
+    """The ensemble of ``members`` on copies of ``grid``, as ``State.stack`` lays it out."""
+    n = grid.n_cells
+    return State.stack([State.diagonal(np.zeros(n), np.zeros(n), grid, p) for p in members])
 
 
 @pytest.mark.parametrize("n", [50, 400, 800])
@@ -339,16 +358,18 @@ def test_ensemble_band_is_the_members_bands_side_by_side(n, dt):
     the pivoting cases (N = 400 and 800 at dt = 0.1) included."""
     grid = build_uniform_grid(0.0, 50.0, n)
     members = _members(3)
-    ws = ImexWorkspace.build(grid, dt, ParamColumns(tuple(members)))
+    stacked = _stack(grid, members)
+    ws = ImexWorkspace.build(stacked.grid, dt, stacked.params)
     m = 2 * n
-    rhs = np.random.default_rng(n).uniform(-1.0, 1.0, (3, m))
+    rhs = np.random.default_rng(n).uniform(-1.0, 1.0, 3 * m)
     x = ws.solve(rhs)
     pivoted = False
     for k, p in enumerate(members):
         own = ImexWorkspace.build(grid, dt, p)
-        assert np.array_equal(ws.lu[:, k * m : (k + 1) * m], own.lu)
-        assert np.array_equal(ws.pivots[k * m : (k + 1) * m], own.pivots + k * m)
-        assert _same_bits(x[k], own.solve(rhs[k]))
+        rows = slice(k * m, (k + 1) * m)
+        assert np.array_equal(ws.lu[:, rows], own.lu)
+        assert np.array_equal(ws.pivots[rows], own.pivots + k * m)
+        assert _same_bits(x[rows], own.solve(rhs[rows]))
         pivoted |= not np.array_equal(own.pivots, np.arange(m))
     # rows are interchanged where some alpha_i = rho dt / dx_i exceeds 1
     assert pivoted == (max(p.rho for p in members) * dt / grid.dx_min > 1.0)
@@ -361,10 +382,11 @@ def test_periodic_imex_ensemble_is_rejected(monkeypatch):
     ensembles still run."""
     grid = build_uniform_grid(0.0, 10.0, 40)
     members = _members(3)
+    stacked = _stack(grid, members)
     with pytest.raises(ValueError, match="serves one member"):
-        ImexWorkspace.build(grid, 0.05, ParamColumns(tuple(members)), "periodic")
+        ImexWorkspace.build(stacked.grid, 0.05, stacked.params, "periodic")
     with pytest.raises(ValueError, match="serves one member"):
-        timestepping.assemble_imex_matrix(grid, 0.05, ParamColumns(tuple(members)), "periodic")
+        timestepping.assemble_imex_matrix(stacked.grid, 0.05, stacked.params, "periodic")
     initials = [State.physical(np.full(40, 0.5), np.zeros(40), grid, p) for p in members]
     cfg = SchemeConfig("kinetic_first_order", boundary="periodic")
     assert len(run_ensemble(initials, cfg, "euler", T=0.1, dt=0.05)) == 3
@@ -384,7 +406,7 @@ def test_residual_guard_names_the_member():
     state = State.stack(
         [State.diagonal(np.full(40, 0.2), np.full(40, 0.3), grid, p) for p in members]
     )
-    ws = ImexWorkspace.build(grid, 0.05, state.params)
+    ws = ImexWorkspace.build(state.grid, 0.05, state.params)
     imex_step(state, 0.05, ws)
     ws.bands[1][4, 80 + 17] *= 1.0 + 1e-6  # one diagonal entry of member 1's U
     with pytest.raises(SolveError, match="^member 1: linear solve residual"):
@@ -400,8 +422,9 @@ def test_gershgorin_build_check_names_the_member(monkeypatch):
         return margins
 
     monkeypatch.setattr(timestepping, "gershgorin_margins", lost_in_member_2)
+    stacked = _stack(grid, _members(3))
     with pytest.raises(RuntimeError, match="^member 2: implicit operator lost"):
-        ImexWorkspace.build(grid, 0.1, ParamColumns(tuple(_members(3))))
+        ImexWorkspace.build(stacked.grid, 0.1, stacked.params)
 
 
 def test_gershgorin_build_check_counts_a_nan_margin_as_lost(monkeypatch):
@@ -413,8 +436,9 @@ def test_gershgorin_build_check_counts_a_nan_margin_as_lost(monkeypatch):
         return margins
 
     monkeypatch.setattr(timestepping, "gershgorin_margins", nan_in_member_1)
+    stacked = _stack(grid, _members(3))
     with pytest.raises(RuntimeError, match="^member 1: implicit operator lost"):
-        ImexWorkspace.build(grid, 0.1, ParamColumns(tuple(_members(3))))
+        ImexWorkspace.build(stacked.grid, 0.1, stacked.params)
 
 
 def test_failed_build_after_a_departure_names_the_member_in_the_whole_ensemble(monkeypatch):
@@ -437,11 +461,12 @@ def test_failed_build_after_a_departure_names_the_member_in_the_whole_ensemble(m
 
 
 def test_flat_state_needs_parameter_columns_over_its_members_cells():
-    grids = (build_uniform_grid(0.0, 1.0, 4), build_uniform_grid(0.0, 1.0, 6))
+    grids = GridStack((build_uniform_grid(0.0, 1.0, 4), build_uniform_grid(0.0, 1.0, 6)))
+    assert grids.bounds.tolist() == [0, 4, 10] and grids.n_cells == 10
     members = tuple(_members(2))
     flat = State.diagonal(np.zeros(10), np.zeros(10), grids, ParamColumns(members, (4, 6)))
     assert flat.params.tau.tolist() == [members[0].tau] * 4 + [members[1].tau] * 6
-    for params in (ParamColumns(members), ParamColumns(members, (6, 4)), members[0]):
+    for params in (ParamColumns(members, (6, 4)), ParamColumns(members[:1], (10,)), members[0]):
         with pytest.raises(ValueError, match="cover each member's cells"):
             State.diagonal(np.zeros(10), np.zeros(10), grids, params)
 
@@ -451,18 +476,18 @@ def test_density_is_formed_once_per_state():
     state = State.diagonal(np.ones(4), np.full(4, 2.0), grid, ModelParams(tau=1.0))
     assert state.u is state.u and np.array_equal(state.u, np.full(4, 3.0))
     stacked = State.stack([state, state])
-    assert stacked.u.shape == (2, 4) and stacked.u is stacked.u
+    assert stacked.u.shape == (8,) and stacked.u is stacked.u
     assert State.stack([state]) is state
 
 
 def test_param_columns_hold_each_members_scalars():
     members = _members(3)
-    cols = ParamColumns(tuple(members))
+    cols = ParamColumns(tuple(members), (12, 12, 12))
     for name in ("tau", "mu", "kappa", "alpha", "nu", "rho"):
         column = getattr(cols, name)
-        assert column.shape == (3, 1)
-        assert [c for c in column[:, 0]] == [getattr(p, name) for p in members]
+        assert column.shape == (36,)
+        assert column.tolist() == [getattr(p, name) for p in members for _ in range(12)]
     u = np.linspace(-0.1, 1.1, 12)
-    stacked = reaction_f(np.stack([u] * 3), cols)
+    stacked = reaction_f(np.tile(u, 3), cols)
     for k, p in enumerate(members):
-        assert _same_bits(stacked[k], reaction_f(u, p))
+        assert _same_bits(stacked[12 * k : 12 * (k + 1)], reaction_f(u, p))

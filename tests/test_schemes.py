@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hyperac.grid import Grid, build_graded_grid, build_uniform_grid
-from hyperac.model import ModelParams, ParamColumns, from_diagonal, reaction_f
+from hyperac.model import ModelParams, from_diagonal, reaction_f
 from hyperac import schemes
 from hyperac.schemes import (
     SCHEMES,
@@ -279,9 +279,9 @@ def test_minmod_infinite_arguments():
 
 def test_limited_slopes_constant_and_linear():
     grid = build_uniform_grid(0.0, 1.0, 8)
-    const = schemes._limited_slope_values(np.full(8, 2.3), grid.centers, "minmod")
+    const = schemes._limited_slope_values(np.full(8, 2.3), grid, "minmod")
     assert np.array_equal(const, np.zeros(8))
-    linear = schemes._limited_slope_values(1.7 * grid.centers, grid.centers, "minmod")
+    linear = schemes._limited_slope_values(1.7 * grid.centers, grid, "minmod")
     assert np.allclose(linear[1:-1], 1.7, atol=1e-13)
     assert linear[0] == 0.0 and linear[-1] == 0.0
 
@@ -436,7 +436,7 @@ def test_second_order_reconstruction_preserves_cell_average():
     grid = build_graded_grid(0.0, 1.0, 8, 0.9)
     rng = np.random.Generator(np.random.PCG64(2))
     values = rng.uniform(0.0, 1.0, 8)
-    slopes = schemes._limited_slope_values(values, grid.centers, "minmod")
+    slopes = schemes._limited_slope_values(values, grid, "minmod")
     half = 0.5 * grid.cell_lengths
     means = 0.5 * ((values - half * slopes) + (values + half * slopes))
     assert np.allclose(means, values, atol=2 * EPS)
@@ -504,58 +504,67 @@ _MEMBER = st.builds(
 
 @st.composite
 def _second_order_cases(draw):
-    members = draw(st.lists(_MEMBER, min_size=1, max_size=4))
-    n = draw(st.integers(3, 24))
-    ratio = draw(st.sampled_from([1.0, 0.93, 1.08]))
-    graded = ratio != 1.0
-    grid = build_graded_grid(-1.0, 2.0, n, ratio) if graded else build_uniform_grid(-1.0, 2.0, n)
-    single = len(members) == 1 and draw(st.booleans())  # a plain (N,) state
-    shape = (n,) if single else (len(members), n)
-    params = members[0] if single else ParamColumns(tuple(members))
-    r, s = (draw(arrays(np.float64, shape, elements=_CELL)) for _ in range(2))
+    """One to four members, each on a uniform or graded grid of its own."""
+    states = []
+    for p in draw(st.lists(_MEMBER, min_size=1, max_size=4)):
+        n = draw(st.integers(3, 24))
+        ratio = draw(st.sampled_from([1.0, 0.93, 1.08]))
+        grid = build_graded_grid(-1.0, 2.0, n, ratio)
+        r, s = (draw(arrays(np.float64, n, elements=_CELL)) for _ in range(2))
+        states.append(State.diagonal(r, s, grid, p))
     cfg = SchemeConfig(
         "kinetic_second_order",
         limiter=draw(st.sampled_from(["minmod", "mc"])),
         boundary=draw(st.sampled_from(["zero_gradient", "periodic"])),
     )
-    return State.diagonal(r, s, grid, params), cfg
+    return states, cfg
 
 
 _TINY = np.array(
     [[0.0, 1e-170, 2e-170, 4e-170, 3e-170, -0.0], [-0.0, 0.0, -1e-170, -3e-170, 0.0, 1e-170]]
 )
 _ZEROS = np.array([0.0, -0.0, -0.0, 0.0, -0.0])
-_PAIR = ParamColumns((ModelParams(tau=1.0),) * 2)
+_TINY_PAIR = [  # two members on one grid, r of each the other's s
+    State.diagonal(r, s, build_uniform_grid(0.0, 1.0, 6), ModelParams(tau=1.0))
+    for r, s in zip(_TINY, _TINY[::-1])
+]
+_TOUCHING = [  # the last center of the first member's grid is the next one's first
+    State.diagonal(np.linspace(0.0, 0.5, 3), np.zeros(3), Grid(np.array(edges)), ModelParams(1.0))
+    for edges in ([0.0, 2 / 3, 4 / 3, 2.0], [4 / 3, 2.0, 8 / 3, 10 / 3])
+]
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=_second_order_cases())
 @example(  # one-sided slopes of order 1e-170 whose products underflow to zero
-    case=(
-        State.diagonal(_TINY, _TINY[::-1], build_uniform_grid(0.0, 1.0, 6), _PAIR),
-        SchemeConfig("kinetic_second_order", limiter="minmod"),
-    )
+    case=(_TINY_PAIR, SchemeConfig("kinetic_second_order", limiter="minmod"))
 )
+@example(case=(_TOUCHING, SchemeConfig("kinetic_second_order", limiter="mc")))
 @example(  # signed zeros only
     case=(
-        State.diagonal(_ZEROS, -_ZEROS, build_uniform_grid(0.0, 1.0, 5), ModelParams(tau=1.0)),
+        [State.diagonal(_ZEROS, -_ZEROS, build_uniform_grid(0.0, 1.0, 5), ModelParams(tau=1.0))],
         SchemeConfig("kinetic_second_order", limiter="minmod", boundary="periodic"),
     )
 )
 @example(  # all +0.0: the s update is -0.0 - relax with relax = +0.0, which stays -0.0
     case=(
-        State.diagonal(np.zeros(4), np.zeros(4), build_uniform_grid(0.0, 1.0, 4), ModelParams(1.0)),
+        [State.diagonal(np.zeros(4), np.zeros(4), build_uniform_grid(0.0, 1.0, 4), ModelParams(1.0))],
         SchemeConfig("kinetic_second_order", limiter="mc"),
     )
 )
 def test_second_order_equals_concatenated_form_bitwise(case):
-    """One stacked slope pass and one interface buffer give the bits of two
-    slope calls and four concatenations, for both limiters and boundaries."""
-    state, cfg = case
+    """One stacked slope pass over the members side by side (``State.stack``)
+    gives each member the bits of two slope calls and four concatenations on
+    its own state, for both limiters and boundaries."""
+    states, cfg = case
+    stacked = State.stack(states)
+    bounds = stacked.grid.bounds
     with np.errstate(over="ignore", invalid="ignore"):
-        got = rhs_kinetic_second_order(state, cfg)
-        want = _concatenated_rhs_second_order(state, cfg)
-    assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1])
+        got = rhs_kinetic_second_order(stacked, cfg)
+        for k, member in enumerate(states):
+            want = _concatenated_rhs_second_order(member, cfg)
+            cells = slice(bounds[k], bounds[k + 1])
+            assert _same_bits(got[0][cells], want[0]) and _same_bits(got[1][cells], want[1])
 
 
 def test_second_order_requires_limiter():

@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from hyperac.diagnostics import g_profile, l2_distance, linf_distance, mass, speeds_from_masses
 from hyperac.grid import build_graded_grid, build_uniform_grid, project_cell_averages
-from hyperac.model import FrontProfile, ModelParams, ParamColumns, _max_abs_f_prime, reaction_f
+from hyperac.model import FrontProfile, ModelParams, _max_abs_f_prime, reaction_f
 from hyperac.schemes import (
     SCHEMES,
     SchemeConfig,
@@ -317,18 +317,17 @@ def test_residual_product_is_the_sparse_matrix_product_bitwise(members, n, layou
     else:
         grid = build_uniform_grid(0.0, 50.0, n)
     params = [ModelParams(tau=0.5 + k, alpha=0.3 + 0.2 * k) for k in range(members)]
-    p = params[0] if members == 1 else ParamColumns(tuple(params))
+    state = State.stack([State.diagonal(np.zeros(n), np.zeros(n), grid, q) for q in params])
     boundary = "periodic" if layout == "periodic" else "zero_gradient"
-    ws = ImexWorkspace.build(grid, 0.1, p, boundary)
-    shape = (2 * n,) if members == 1 else (members, 2 * n)
+    ws = ImexWorkspace.build(state.grid, 0.1, state.params, boundary)
     rng = np.random.default_rng(n + members)
-    x, rhs = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
-    product = (ws.matrix @ x.reshape(-1)).reshape(shape)
+    x, rhs = rng.uniform(-1.0, 1.0, 2 * n * members), rng.uniform(-1.0, 1.0, 2 * n * members)
+    product = ws.matrix @ x
     assert np.all(ws.residual(x, product) == 0.0)
-    misfit = np.abs(product - rhs).max(axis=-1)
-    want = misfit / np.abs(rhs).max(axis=-1)
-    assert np.shape(ws.residual(x, rhs)) == np.shape(want)
-    assert np.asarray(ws.residual(x, rhs)).tobytes() == np.asarray(want).tobytes()
+    misfit = np.abs(product - rhs).reshape(members, 2 * n).max(axis=-1)
+    want = misfit / np.abs(rhs).reshape(members, 2 * n).max(axis=-1)
+    assert ws.residual(x, rhs).shape == (members,)  # one value per member
+    assert ws.residual(x, rhs).tobytes() == want.tobytes()
 
 
 def _solve_banded_layout(matrix):
@@ -388,9 +387,9 @@ def test_solve_is_dgbtrs_bitwise_on_both_paths(n, graded, members, factor, seed)
         if graded
         else build_uniform_grid(0.0, 10.0, n)
     )
-    p = members[0] if len(members) == 1 else ParamColumns(tuple(members))
+    state = State.stack([State.diagonal(np.zeros(n), np.zeros(n), grid, q) for q in members])
     dt = factor * grid.dx_min / max(q.rho for q in members)
-    ws = ImexWorkspace.build(grid, dt, p)
+    ws = ImexWorkspace.build(state.grid, dt, state.params)
     no_swaps = np.array_equal(ws.pivots, np.arange(2 * n * len(members)))
     assert (ws.bands is not None) == no_swaps
     if factor <= 1.0:
@@ -399,10 +398,9 @@ def test_solve_is_dgbtrs_bitwise_on_both_paths(n, graded, members, factor, seed)
         lower, upper = ws.bands
         assert lower.flags.f_contiguous and upper.flags.f_contiguous
         assert np.array_equal(lower, ws.lu[4:7]) and np.array_equal(upper, ws.lu[0:5])
-    shape = (2 * n,) if len(members) == 1 else (len(members), 2 * n)
-    rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    rhs = np.random.default_rng(seed).uniform(-1.0, 1.0, 2 * n * len(members))
     before = rhs.copy()
-    want = dgbtrs(ws.lu, 2, 2, rhs.reshape(-1), ws.pivots)[0].reshape(shape)
+    want = dgbtrs(ws.lu, 2, 2, rhs, ws.pivots)[0]
     assert ws.solve(rhs).tobytes() == want.tobytes()
     assert rhs.tobytes() == before.tobytes()  # the right-hand side is left as it was
 
@@ -431,21 +429,20 @@ def test_residual_guard_catches_corrupted_pivoted_factor():
         imex_step(st, dt, ws)
 
 
-@pytest.mark.parametrize("dt", [np.nan, np.inf, -0.1, 0.0, np.array([[0.1], [np.nan]])])
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -0.1, 0.0, np.repeat([0.1, np.nan], 8)])
 def test_step_apis_reject_a_dt_that_is_not_positive_and_finite(dt):
     """The IMEX operator and the explicit step reject a NaN or infinite step,
-    also one member's in a (B, 1) column, instead of stepping with it."""
+    also one member's in a column of per-member steps, instead of stepping with it."""
     grid = build_uniform_grid(0.0, 1.0, 8)
     members = (ModelParams(tau=1.0), ModelParams(tau=2.0))
-    params = ParamColumns(members)
+    state = State.stack([State.physical(np.zeros(8), np.zeros(8), grid, q) for q in members])
     with pytest.raises(ValueError, match="positive and finite"):
-        ImexWorkspace.build(grid, dt, params)
+        ImexWorkspace.build(state.grid, dt, state.params)
     with pytest.raises(ValueError, match="positive and finite"):
-        assemble_imex_matrix(grid, dt, params)
+        assemble_imex_matrix(state.grid, dt, state.params)
     if np.ndim(dt) == 0:
         with pytest.raises(ValueError, match="positive and finite"):
             ImexWorkspace.build(grid, dt, members[0], "periodic")
-    state = State.stack([State.physical(np.zeros(8), np.zeros(8), grid, q) for q in members])
 
     def never(_):
         raise AssertionError("a rejected step evaluates no right-hand side")
