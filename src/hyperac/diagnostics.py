@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,11 +34,11 @@ class DiagnosticsRecord:
     reference profile; ``g_min`` is always computed.
     """
 
-    times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    speeds: np.ndarray = field(default_factory=lambda: np.empty(0))
-    l2: np.ndarray = field(default_factory=lambda: np.empty(0))
-    linf: np.ndarray = field(default_factory=lambda: np.empty(0))
-    g_min: np.ndarray = field(default_factory=lambda: np.empty(0))
+    times: np.ndarray
+    speeds: np.ndarray
+    l2: np.ndarray
+    linf: np.ndarray
+    g_min: np.ndarray
     stabilized_at: float | None = None
 
     def to_csv(self, path: str | Path) -> None:

@@ -226,6 +226,8 @@ def _integrate_orbit(rhs, y0: tuple[float, float], xi_max: float) -> int:
         message = solver.step()
         if solver.status == "failed":
             raise IntegrationError(f"phase-plane integration failed: {message}")
+        if solver.t == solver.t_old:  # a step too small to move xi: it would never end
+            raise IntegrationError(f"phase-plane integration stalled at xi = {solver.t:g}")
         new_phi, new_psi = solver.y
         crossed_zero = phi >= 0.0 and new_phi <= 0.0
         turned_around = psi <= 0.0 and new_psi >= 0.0

@@ -472,11 +472,10 @@ class Scenario:
                 init=sections["init"],
                 output_dir=sections["output"]["dir"],
             )
-            check_run(scenario.scheme, scenario.integrator, scenario.T, scenario.dt)
+            check_run(scenario.scheme, scenario.integrator, scenario.T, scenario.dt,
+                      scenario.sample_every)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        if scenario.sample_every < 0:
-            raise ConfigError("time.sample_every must be non-negative")
         if scenario.init["kind"] not in ("riemann", "exact_front", "random", "constant"):
             raise ConfigError(f"unknown init.kind {scenario.init['kind']!r}")
         return scenario

@@ -428,12 +428,17 @@ def suggest_dt(
     return safety * min(reaction, dx / params.rho, 2.0 * params.tau, parabolic)
 
 
-def check_run(scheme: SchemeConfig, integrator: str, T: float, dt: float) -> None:
+def check_run(
+    scheme: SchemeConfig, integrator: str, T: float, dt: float, sample_every: int = 0
+) -> None:
     """Raise ``ValueError`` for a run that cannot start: a T or dt that is not
-    positive and finite, more steps T / dt than float64 arrays can hold, or an
-    unknown scheme/integrator pair (IMEX: the kinds whose ``SchemeSpec`` says so)."""
+    positive and finite, more steps T / dt than float64 arrays can hold, a
+    negative ``sample_every``, or an unknown scheme/integrator pair (IMEX: the
+    kinds whose ``SchemeSpec`` says so)."""
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf):  # false for NaN too
         raise ValueError("T and dt must be positive and finite")
+    if sample_every < 0:
+        raise ValueError("sample_every must be non-negative")
     if not 8.0 * (T / dt) < np.iinfo(np.intp).max:  # T / dt is inf for a subnormal dt
         raise ValueError(f"T / dt = {T / dt:g} steps are too many to hold in an array")
     if integrator not in ("imex", "euler", "heun"):
@@ -466,6 +471,41 @@ def _schedule(T: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return steps, times
 
 
+@dataclass(eq=False)
+class _Member:
+    """One member of an ensemble run: its place in the whole ensemble, the
+    step sizes and end times of its T (shared by every member with that T),
+    its per-step diagnostics, sized by its own step count, its snapshots, and
+    its state: the initial one, then the one it ended its last segment with."""
+
+    index: int
+    state: State
+    steps: np.ndarray
+    times: np.ndarray
+    ref: np.ndarray | None  # the reference's cell averages on its grid
+    snapshots: list[tuple[float, State]]
+
+    def __post_init__(self) -> None:
+        size = self.steps.size
+        self.masses = np.empty(size + 1)
+        self.masses[0] = mass(self.state.u, self.state.grid)
+        self.max_f_prime = np.empty(size)
+        if self.ref is None:  # no distances: a read-only NaN view that holds no memory
+            self.l2 = self.linf = np.broadcast_to(np.nan, size)
+        else:
+            self.l2, self.linf = np.empty(size), np.empty(size)
+
+    def result(self) -> RunResult:
+        speeds = speeds_from_masses(self.masses, self.steps)
+        # rounding is monotone and tau > 0, so this is g_profile(u).min() exactly;
+        # in place, as 1.0 - tau * max_f_prime
+        g_min = self.max_f_prime
+        np.subtract(1.0, np.multiply(self.state.params.tau, g_min, out=g_min), out=g_min)
+        stabilized_at = detect_stabilization(self.times, speeds)
+        record = DiagnosticsRecord(self.times, speeds, self.l2, self.linf, g_min, stabilized_at)
+        return RunResult(final_state=self.state, snapshots=self.snapshots, diagnostics=record)
+
+
 def run_ensemble(
     initials: Sequence[State],
     scheme: SchemeConfig,
@@ -484,11 +524,13 @@ def run_ensemble(
     ``dt``; ``T`` is one stop time for all of them or one per member.
 
     Each member takes the steps of its own run: steps of ``dt``, the last one
-    shortened to land exactly on its T.  Where some members take their last
-    step, the step size is a column of per-member steps (the IMEX path builds
-    an operator for it); those members then leave the stack, and the rest go
-    on as a smaller ensemble, for which the IMEX operator is factored anew.
-    Each member's diagnostics, snapshots and final state end at its own T.
+    shortened to land exactly on its T.  The stack advances one segment at a
+    time: steps of ``dt`` up to the next departure, whose step is a column of
+    the members' own step sizes (one float where they agree; the IMEX path
+    builds an operator for it).  The members that reached their T then leave,
+    and the rest are stacked anew, for which the IMEX operator is factored
+    anew.  Each member keeps one record: diagnostics sized by its own step
+    count, its snapshots and its final state, all ending at its own T.
 
     Snapshots of the state are stored at t = 0 and every ``sample_every``
     steps (0 disables them; the final state is always available separately).
@@ -512,113 +554,66 @@ def run_ensemble(
     if integrator == "imex" and scheme.boundary == "periodic" and count > 1:
         raise ValueError("a periodic IMEX operator serves one member, not an ensemble")
     for stop in set(stops):
-        check_run(scheme, integrator, stop, dt)
+        check_run(scheme, integrator, stop, dt, sample_every)
+    schedules = {stop: _schedule(stop, dt) for stop in set(stops)}  # shared by the members of a T
     members = [prepare_state_for_scheme(st, scheme) for st in initials]
-    state = State.stack(members)
-
-    schedules = {stop: _schedule(stop, dt) for stop in stops}
-    lengths = [schedules[stop][0].size for stop in stops]
-    n_max = max(lengths)
-    # at each step where some member takes its last step: the step size of
-    # every member still running, one float if they agree
-    last_steps: dict[int, float | np.ndarray] = {}
-    for end in set(lengths):
-        sizes = [float(schedules[s][0][end - 1]) for s, size in zip(stops, lengths) if size >= end]
-        last_steps[end - 1] = np.array(sizes) if len(set(sizes)) > 1 else sizes[0]
+    refs = {}  # the reference's cell averages on each member's grid
+    if reference is not None:
+        refs = {st.grid: project_cell_averages(reference, st.grid) for st in members}
+    records = [
+        _Member(k, st, *schedules[stop], refs.get(st.grid), [(0.0, st)] if sample_every > 0 else [])
+        for k, (st, stop) in enumerate(zip(members, stops))
+    ]
+    active = records
 
     ws = None  # the IMEX operator of the stack's members and step, built at their first step
     if integrator != "imex":
         rhs = rhs_for_scheme(scheme)
-
-    def layout(state: State) -> tuple[np.ndarray, list]:
-        """Each member's first cell in the stack, and its (member, grid, cells)."""
-        ends = state.grid.bounds
-        return ends[:-1], [(k, members[k].grid, slice(*ends[j : j + 2])) for j, k in enumerate(ids)]
-
-    def split(state: State) -> list[State]:
-        a, b = state.a, state.b
-        return [State(members[k].kind, a[c], b[c], grid, members[k].params) for k, grid, c in rows]
-
-    refs = {}  # the reference's cell averages on each member's grid
-    if reference is not None:
-        refs = {st.grid: project_cell_averages(reference, st.grid) for st in members}
-    masses = np.empty((count, n_max + 1))
-    if not refs:  # no distances: a read-only NaN view that holds no memory
-        l2 = linf = np.broadcast_to(np.nan, (count, n_max))
-    else:
-        l2 = np.empty((count, n_max))
-        linf = np.empty((count, n_max))
-    max_f_prime = np.empty((count, n_max))
-    snapshots = [[(0.0, st)] if sample_every > 0 else [] for st in members]
-    finals: list[State | None] = [None] * count
-    ids = list(range(count))  # the member at each place in the stack
-    rows_of = slice(None)  # the same, as an index of the per-member arrays
-    starts, rows = layout(state)
-
-    masses[:, 0] = [mass(st.u, st.grid) for st in members]
-    for n in range(n_max):
-        h = last_steps.get(n, dt)
-        if isinstance(h, np.ndarray):
-            h = state.params.column(h)
-        try:
-            if integrator != "imex":
-                state = explicit_step(state, h, rhs, integrator)
-            else:
-                if ws is None or not ws.matches(state, h):  # new members, or a last step
-                    ws = None  # old factors go before new ones are built: a lower memory peak
-                    ws = ImexWorkspace.build(state.grid, h, state.params, scheme.boundary)
-                state = imex_step(state, h, ws)
-        except (BlowUpError, SolveError) as err:
-            k = ids[err.member]  # named by its place in the whole ensemble
-            message = _member(k, count) + str(err).removeprefix(_member(err.member, len(ids)))
-            if isinstance(err, SolveError):
-                raise SolveError(message, member=k) from None
-            raise BlowUpError(f"{message} at step {n}", step=n, member=k) from None
-        u = state.u
-        for k, grid, c in rows:
-            masses[k, n + 1] = mass(u[c], grid)
-        f_prime = reaction_f_prime(u, state.params)
-        max_f_prime[rows_of, n] = np.maximum.reduceat(f_prime, starts)
-        if refs:
-            for k, grid, c in rows:
-                l2[k, n] = l2_distance(u[c], refs[grid], grid)
-                linf[k, n] = linf_distance(u[c], refs[grid])
-        sampled = sample_every > 0 and (n + 1) % sample_every == 0
-        if sampled:
-            current = split(state)
-            for k, st in zip(ids, current):
-                snapshots[k].append((float(schedules[stops[k]][1][n]), st))
-        if n in last_steps:  # some members took their last step: they leave the stack
-            if not sampled:
-                current = split(state)
-            for k, st in zip(ids, current):
-                if lengths[k] == n + 1:
-                    finals[k] = st
-            going_on = [st for k, st in zip(ids, current) if lengths[k] > n + 1]
-            ids = [k for k in ids if lengths[k] > n + 1]
-            rows_of = np.array(ids, dtype=int)
-            if going_on:
-                state = State.stack(going_on)
-                starts, rows = layout(state)
-
-    results = []
-    for k, (stop, size, final) in enumerate(zip(stops, lengths, finals)):
-        steps, times = schedules[stop]
-        speeds = speeds_from_masses(masses[k, : size + 1], steps)
-        # rounding is monotone and tau > 0, so this is g_profile(u).min() exactly;
-        # in place, as 1.0 - tau * max_f_prime
-        g_min = max_f_prime[k, :size]
-        np.subtract(1.0, np.multiply(members[k].params.tau, g_min, out=g_min), out=g_min)
-        record = DiagnosticsRecord(
-            times=times,
-            speeds=speeds,
-            l2=l2[k, :size],
-            linf=linf[k, :size],
-            g_min=g_min,
-            stabilized_at=detect_stabilization(times, speeds),
-        )
-        results.append(RunResult(final_state=final, snapshots=snapshots[k], diagnostics=record))
-    return results
+    start = 0
+    while active:  # one segment: its members' steps from ``start`` to the next departure
+        state = State.stack([m.state for m in active])
+        end = min(m.steps.size for m in active)
+        sizes = [float(m.steps[end - 1]) for m in active]
+        last = state.params.column(np.array(sizes)) if len(set(sizes)) > 1 else sizes[0]
+        bounds = state.grid.bounds
+        cells = [slice(*bounds[j : j + 2]) for j in range(len(active))]
+        for n in range(start, end):
+            h = last if n == end - 1 else dt
+            try:
+                if integrator != "imex":
+                    state = explicit_step(state, h, rhs, integrator)
+                else:
+                    if ws is None or not ws.matches(state, h):  # new members, or a last step
+                        ws = None  # old factors go before new ones are built: a lower memory peak
+                        ws = ImexWorkspace.build(state.grid, h, state.params, scheme.boundary)
+                    state = imex_step(state, h, ws)
+            except (BlowUpError, SolveError) as err:
+                k = active[err.member].index  # named by its place in the whole ensemble
+                message = str(err).removeprefix(_member(err.member, len(active)))
+                message = _member(k, count) + message
+                if isinstance(err, SolveError):
+                    raise SolveError(message, member=k) from None
+                raise BlowUpError(f"{message} at step {n}", step=n, member=k) from None
+            u = state.u
+            peaks = np.maximum.reduceat(reaction_f_prime(u, state.params), bounds[:-1]).tolist()
+            for m, c, peak in zip(active, cells, peaks):
+                m.masses[n + 1] = mass(u[c], m.state.grid)
+                m.max_f_prime[n] = peak
+                if m.ref is not None:
+                    m.l2[n] = l2_distance(u[c], m.ref, m.state.grid)
+                    m.linf[n] = linf_distance(u[c], m.ref)
+            sampled = sample_every > 0 and (n + 1) % sample_every == 0
+            if sampled or n == end - 1:
+                a, b = state.a, state.b
+                split = [m.state.with_components(a[c], b[c]) for m, c in zip(active, cells)]
+            if sampled:
+                for m, st in zip(active, split):
+                    m.snapshots.append((float(m.times[n]), st))
+        for m, st in zip(active, split):  # the final state of the members that leave
+            m.state = st
+        active = [m for m in active if m.steps.size > end]
+        start = end
+    return [m.result() for m in records]
 
 
 def run(

@@ -218,6 +218,15 @@ def test_invalid_driver_arguments_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+def test_shoot_with_a_stalled_orbit_exits_1(capsys):
+    """At tau = 1e-300 the bracket end c = -0.99 rho is about -1e150, and
+    LSODA's steps there leave xi unchanged: the orbit is refused, not stepped
+    forever."""
+    assert cli_main(["shoot", "--tau", "1e-300", "--alpha", "0.7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

@@ -141,6 +141,36 @@ def test_run_ensemble_takes_one_stop_time_per_member():
         run_ensemble([], cfg, "imex", T=0.2, dt=0.1)
 
 
+def test_negative_sample_every_is_rejected_before_any_work(monkeypatch):
+    p = ModelParams(tau=1.0)
+    initial = State.physical(np.zeros(_N), np.zeros(_N), _GRID, p)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run was set up before it was rejected")
+
+    monkeypatch.setattr(timestepping, "prepare_state_for_scheme", no_work)
+    monkeypatch.setattr(timestepping, "_schedule", no_work)
+    with pytest.raises(ValueError, match="sample_every must be non-negative"):
+        run_ensemble([initial, initial], SchemeConfig("kinetic_first_order"), "imex",
+                     T=[0.5, 1.0], dt=0.1, sample_every=-3)
+
+
+def test_member_diagnostics_own_their_memory():
+    """Each member's series are arrays of its own length, not views into a
+    block sized by the longest member that any one kept result holds alive."""
+    members = [ModelParams(tau=1.0), ModelParams(tau=2.0, alpha=0.6), ModelParams(tau=0.5)]
+    initials = _initials(members, seed=5)
+    T = [0.35, 1.0, 0.7]
+    ensemble = run_ensemble(initials, SchemeConfig("kinetic_first_order"), "imex", T, 0.1,
+                            reference=_REFERENCE)
+    for result, stop in zip(ensemble, T):
+        assert result.diagnostics.times[-1] == stop
+        for name in ("g_min", "l2", "linf"):
+            values = getattr(result.diagnostics, name)
+            assert values.size == result.diagnostics.times.size, name
+            assert values.base is None or values.base.nbytes <= values.nbytes, name
+
+
 def _blow_up(call):
     with pytest.raises(BlowUpError) as excinfo:
         call()
