@@ -15,6 +15,7 @@ the traveling-wave phase plane of the equivalent one-field equation
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,7 +164,8 @@ def exact_parabolic_front_derivative(xi, xi0: float, p: ModelParams, increasing:
     """Analytic d/dxi of ``exact_parabolic_front`` (same orientation flag)."""
     c = math.sqrt(p.kappa / (8.0 * p.mu))
     theta = c * (np.asarray(xi, dtype=float) - xi0)
-    mag = 0.5 * c / np.cosh(theta) ** 2
+    with np.errstate(over="ignore"):  # cosh overflows to inf far out, where mag is exactly 0
+        mag = 0.5 * c / np.cosh(theta) ** 2
     return mag if increasing else -mag
 
 
@@ -217,30 +219,38 @@ def _integrate_orbit(rhs, y0: tuple[float, float], xi_max: float) -> int:
     <= 0 after it; psi turned up (undershoot, -1) when psi <= 0 before and
     >= 0 after.  If both fire in one step, the earlier root on the step's
     dense output wins, a tie going to the overshoot.
+
+    Each step is the call ``LSODA._step_impl`` makes, on ``rhs`` itself and
+    without scipy's per-step wrappers: ``_lsoda_solver._integrator.run`` with
+    ``call_args[2] = 5`` (one step; checked on scipy 1.17.1 by a test).
     """
-    # LSODA: the strongly damped regime near the bracket ends rides a
-    # quasi-steady manifold that is stiff for explicit integrators.
-    solver = LSODA(rhs, 0.0, y0, xi_max, rtol=1e-10, atol=1e-12)
-    phi, psi = y0
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise IntegrationError(f"phase-plane integration failed: {message}")
-        if solver.t == solver.t_old:  # a step too small to move xi: it would never end
-            raise IntegrationError(f"phase-plane integration stalled at xi = {solver.t:g}")
-        new_phi, new_psi = solver.y
-        crossed_zero = phi >= 0.0 and new_phi <= 0.0
-        turned_around = psi <= 0.0 and new_psi >= 0.0
-        if crossed_zero and turned_around:
-            dense, span = solver.dense_output(), (solver.t_old, solver.t)
-            xi_cross = brentq(lambda xi: dense(xi)[0], *span, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
-            xi_turn = brentq(lambda xi: dense(xi)[1], *span, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
-            return _OVERSHOOT if xi_cross <= xi_turn else _UNDERSHOOT
-        if crossed_zero:
-            return _OVERSHOOT
-        if turned_around:
-            return _UNDERSHOOT
-        phi, psi = new_phi, new_psi
+    solver = LSODA(rhs, 0.0, y0, xi_max, rtol=1e-10, atol=1e-12)  # the damped orbits are stiff
+    integ = solver._lsoda_solver._integrator
+    integ.call_args[2] = 5
+    (phi, psi), y, xi = y0, solver._lsoda_solver._y, 0.0
+    with warnings.catch_warnings():  # a failed step warns first; it raises below
+        warnings.filterwarnings("ignore", "lsoda:", UserWarning)
+        while xi < xi_max:
+            y, new_xi = integ.run(rhs, lambda: None, y, xi, xi_max, (), ())
+            if not integ.success:
+                message = integ.messages[integ.istate]
+                raise IntegrationError(f"phase-plane integration failed: {message}")
+            if new_xi == xi:  # a step too small to move xi: it would never end
+                raise IntegrationError(f"phase-plane integration stalled at xi = {xi:g}")
+            new_phi, new_psi = y
+            crossed_zero = phi >= 0.0 and new_phi <= 0.0
+            turned_around = psi <= 0.0 and new_psi >= 0.0
+            if crossed_zero and turned_around:
+                solver.t_old, solver.t = xi, new_xi
+                dense, span = solver.dense_output(), (xi, new_xi)
+                xi_cross = brentq(lambda s: dense(s)[0], *span, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                xi_turn = brentq(lambda s: dense(s)[1], *span, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+                return _OVERSHOOT if xi_cross <= xi_turn else _UNDERSHOOT
+            if crossed_zero:
+                return _OVERSHOOT
+            if turned_around:
+                return _UNDERSHOOT
+            phi, psi, xi = new_phi, new_psi, new_xi
     # No event: heavily damped orbits creep into the interior equilibrium
     # (phi = alpha) with psi -> 0 from below; the profile never reaches 0.
     if phi > 1e-2:

@@ -227,6 +227,27 @@ def test_shoot_with_a_stalled_orbit_exits_1(capsys):
     assert err.startswith("run failed: ") and err.count("\n") == 1
 
 
+def test_shoot_with_an_lsoda_failure_exits_1(capsys):
+    """At tau = 1e-250 LSODA reports repeated convergence failures: one
+    stderr line that names them, and no scipy warning before it."""
+    assert cli_main(["shoot", "--tau", "1e-250", "--alpha", "0.7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and err.count("\n") == 1
+    assert "Repeated convergence failures" in err
+
+
+def test_exact_front_on_a_huge_domain_runs_without_warnings(tmp_path, capsys):
+    """Cells 1.25e7 wide put the front derivative's cosh past the float
+    range; its 1 / inf**2 = 0 is exact, and the run prints no warning."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(
+        "domain.xmin = -1e8\ndomain.xmax = 1e8\ngrid.n = 16\nparams.tau = 1.0\n"
+        "time.T = 1\ntime.dt = 0.1\ninit.kind = exact_front\n"
+    )
+    assert cli_main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

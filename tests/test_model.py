@@ -4,6 +4,7 @@ import pytest
 from hyperac.model import (
     BracketError,
     FrontProfile,
+    IntegrationError,
     ModelParams,
     exact_parabolic_front,
     exact_parabolic_front_derivative,
@@ -254,3 +255,11 @@ def test_shooting_tolerance_below_float_spacing_ends():
     p = ModelParams(tau=1.0, alpha=0.7)
     c = hyperbolic_front_speed_shooting(p, tol=1e-300)
     assert abs(c - hyperbolic_front_speed_shooting(p)) <= 1e-6
+
+
+def test_shooting_lsoda_failure_is_an_integration_error():
+    """At tau = 1e-250 LSODA's steps at the bracket end fail with repeated
+    convergence failures; the oracle raises ``IntegrationError`` naming them,
+    and scipy's ``UserWarning`` (an error under this suite's filter) is silenced."""
+    with pytest.raises(IntegrationError, match="Repeated convergence failures"):
+        hyperbolic_front_speed_shooting(ModelParams(tau=1e-250, alpha=0.7))

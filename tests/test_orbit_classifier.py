@@ -1,9 +1,12 @@
-"""The LSODA step loop that classifies shooting orbits, against ``solve_ivp``.
+"""The LSODA step loop that classifies shooting orbits, against two references.
 
-``model._integrate_orbit`` steps ``scipy.integrate.LSODA`` itself and tests
-the two terminal events after each step.  The reference here is the same
-classification written with ``solve_ivp(..., events=...)``, kept in this file
-only: both take the same steps, so they must classify every orbit alike.
+``model._integrate_orbit`` steps LSODA's integrator through the one-step call
+that ``scipy.integrate.LSODA.step()`` makes, and tests the two terminal events
+after each step.  Two references are kept in this file only: the same
+classification written with ``solve_ivp(..., events=...)``, and the same loop
+written over the public ``LSODA.step()``.  All three take the same steps, so
+they must classify every orbit alike; the second must also hand the
+right-hand side the same (xi, y) bits, call for call.
 """
 
 import math
@@ -13,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import LSODA, solve_ivp
+from scipy.optimize import brentq
 
 from hyperac import model
 from hyperac.model import ModelParams, ShootingError, reaction_f, reaction_f_prime
@@ -48,6 +52,37 @@ def _reference_integrate(rhs, y0, xi_max):
     if sol.t_events[1].size:
         return model._UNDERSHOOT
     if sol.y[0, -1] > 1e-2:
+        return model._UNDERSHOOT
+    raise model.IntegrationError(
+        "orbit neither overshot nor turned around within the integration window"
+    )
+
+
+def _reference_step_loop(rhs, y0, xi_max):
+    """The classification stepped with the public ``LSODA.step()``."""
+    solver = LSODA(rhs, 0.0, y0, xi_max, rtol=1e-10, atol=1e-12)
+    phi, psi = y0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise model.IntegrationError(f"phase-plane integration failed: {message}")
+        if solver.t == solver.t_old:
+            raise model.IntegrationError(f"phase-plane integration stalled at xi = {solver.t:g}")
+        new_phi, new_psi = solver.y
+        crossed_zero = phi >= 0.0 and new_phi <= 0.0
+        turned_around = psi <= 0.0 and new_psi >= 0.0
+        if crossed_zero and turned_around:
+            dense, span = solver.dense_output(), (solver.t_old, solver.t)
+            tol = model._ROOT_TOL
+            xi_cross = brentq(lambda xi: dense(xi)[0], *span, xtol=tol, rtol=tol)
+            xi_turn = brentq(lambda xi: dense(xi)[1], *span, xtol=tol, rtol=tol)
+            return model._OVERSHOOT if xi_cross <= xi_turn else model._UNDERSHOOT
+        if crossed_zero:
+            return model._OVERSHOOT
+        if turned_around:
+            return model._UNDERSHOOT
+        phi, psi = new_phi, new_psi
+    if phi > 1e-2:
         return model._UNDERSHOOT
     raise model.IntegrationError(
         "orbit neither overshot nor turned around within the integration window"
@@ -89,6 +124,37 @@ def test_step_loop_classifies_like_solve_ivp(tau, alpha, fraction):
     c = fraction * p.rho
     expected = _outcome(_reference_classify, c, p)
     assert _outcome(model._classify_orbit, c, p, 1e-6, 5000.0) == expected
+
+
+def _recorded(integrate, rhs, y0, xi_max):
+    """The outcome of ``integrate`` and the bits of every (xi, y) ``rhs`` got."""
+    calls = []
+
+    def recording(xi, y):
+        calls.append((xi, *y))
+        return rhs(xi, y)
+
+    return _outcome(integrate, recording, y0, xi_max), np.array(calls).view(np.int64)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tau=st.floats(0.5, 6.0),
+    alpha=st.floats(0.5, 0.95, exclude_min=True, exclude_max=True),
+    fraction=st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True),
+)
+def test_step_loop_takes_the_public_lsoda_steps_bitwise(tau, alpha, fraction):
+    """The one-step integrator call evaluates the right-hand side at the same
+    (xi, y) bits as ``LSODA.step()``, call for call, and classifies alike; a
+    scipy whose private ``_integrator.run`` or ``call_args`` changed fails here."""
+    p = ModelParams(tau=tau, alpha=alpha)
+    captured = []
+    with mock.patch.object(model, "solve_ivp", lambda *args: captured.append(args)):
+        model._classify_orbit(fraction * p.rho, p, 1e-6, 5000.0)
+    side, calls = _recorded(model._integrate_orbit, *captured[0])
+    expected_side, expected_calls = _recorded(_reference_step_loop, *captured[0])
+    assert side == expected_side
+    assert np.array_equal(calls, expected_calls)
 
 
 @pytest.mark.parametrize("y0", [(1.0, -1.0), (1.0, -1.01), (1.01, -1.0)])
