@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import LSODA
-from scipy.optimize import brentq
 
 __all__ = [
     "ModelParams",
@@ -81,6 +79,10 @@ class ModelParams:
             raise ValueError("alpha must lie strictly inside (0, 1)")
         if not (self.nu >= 0.0 and math.isfinite(self.nu)):
             raise ValueError("nu must be non-negative and finite")
+        # rho and 1/rho both scale the diagonal variables: neither may overflow
+        if not (math.isfinite(self.mu / self.tau) and math.isfinite(self.tau / self.mu)):
+            raise ValueError(f"mu/tau = {self.mu:g}/{self.tau:g} is out of range: "
+                             "rho = sqrt(mu/tau) or its inverse overflows")
 
     @property
     def rho(self) -> float:
@@ -210,6 +212,13 @@ _UNDERSHOOT = -1
 _ROOT_TOL = 4 * np.finfo(float).eps  # solve_ivp's event-root tolerance
 
 
+def brentq(*args, **kwargs) -> float:
+    """``scipy.optimize.brentq``, imported at the first call: only the oracle needs it."""
+    from scipy.optimize import brentq as root
+
+    return root(*args, **kwargs)
+
+
 def _integrate_orbit(rhs, y0: tuple[float, float], xi_max: float) -> int:
     """Step an orbit of ``rhs`` from ``y0`` with LSODA and classify it.
 
@@ -223,7 +232,10 @@ def _integrate_orbit(rhs, y0: tuple[float, float], xi_max: float) -> int:
     Each step is the call ``LSODA._step_impl`` makes, on ``rhs`` itself and
     without scipy's per-step wrappers: ``_lsoda_solver._integrator.run`` with
     ``call_args[2] = 5`` (one step; checked on scipy 1.17.1 by a test).
+    ``scipy.integrate`` is imported here, at the first orbit, not with the module.
     """
+    from scipy.integrate import LSODA
+
     solver = LSODA(rhs, 0.0, y0, xi_max, rtol=1e-10, atol=1e-12)  # the damped orbits are stiff
     integ = solver._lsoda_solver._integrator
     integ.call_args[2] = 5

@@ -249,13 +249,13 @@ def run_order_comparison(
         scheme, integrator = SchemeConfig("kinetic_second_order", limiter="minmod"), "euler"
     members = [ModelParams(tau=tau, alpha=alpha) for tau in taus for alpha in alphas]
     out = _output_dir(out_dir)
+    c_refs = [hyperbolic_front_speed_shooting(params, increasing=True) for params in members]
     results = run_ensemble(
         [_table_initial(400, params) for params in members], scheme, integrator, T=40.0, dt=0.01
     )
     rows = []
-    for params, result in zip(members, results):
+    for params, result, c_ref in zip(members, results, c_refs):
         speed = float(result.diagnostics.speeds[-1])
-        c_ref = hyperbolic_front_speed_shooting(params, increasing=True)
         rows.append(
             {
                 "order": order,

@@ -43,7 +43,6 @@ import scipy.sparse as sp
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse import _sparsetools
-from scipy.sparse.linalg import splu
 
 from .diagnostics import (
     DiagnosticsRecord,
@@ -220,6 +219,8 @@ class ImexWorkspace:
             raise SolveError(f"{_member(k, lost.size)}implicit operator lost its Gershgorin row "
                              f"bound at alpha = rho dt / dx up to {alpha:.3g}", member=k)
         if boundary != "zero_gradient":
+            from scipy.sparse.linalg import splu  # only the periodic path loads it
+
             return cls(grid, params, dt, boundary, matrix, starts, splu(matrix.tocsc()))
         lu, pivots, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
         if info != 0:  # info > 0: U's zero pivot, in row info of the member that holds it
@@ -345,6 +346,8 @@ def imex_step_reduced_uniform(
     rhs_r += (0.5 * dt) * ((1.0 + 2.0 * beta) * fn + alpha * (d_minus @ fn))
     rhs_s = beta * r + (1.0 + beta) * s - alpha * (d_plus @ s)
     rhs_s += (0.5 * dt) * ((1.0 + 2.0 * beta) * fn - alpha * (d_plus @ fn))
+    from scipy.sparse.linalg import splu  # a cross-check only: loaded when it runs
+
     r_new = splu(a_r.tocsc()).solve(rhs_r)
     s_new = splu(a_s.tocsc()).solve(rhs_s)
     return state.with_components(r_new, s_new)

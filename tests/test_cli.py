@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,14 +190,19 @@ def _write_config(path):
         ["time.dt=1e-320"],  # T / dt overflows to inf
         ["time.T=1e300"],  # 5e301 steps: more than an array can index
         ["grid.ratio=1e300", "grid.n=400"],  # ratio**n overflows a float
+        ["params.tau=5e-324"],  # mu / tau overflows: rho = inf
+        ["params.mu=5e-324"],  # tau / mu overflows: 1 / rho = inf
+        ["params.tau=1e300", "params.mu=1e-300"],
     ],
 )
 def test_invalid_run_exits_2_before_the_run_starts(tmp_path, capsys, overrides):
+    """One ``config error:`` line and no warning (the suite makes warnings errors)."""
     argv = ["run", _write_config(tmp_path / "base.cfg"), "--out-dir", str(tmp_path / "out")]
     for item in overrides:
         argv += ["--set", item]
     assert cli_main(argv) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -208,13 +217,17 @@ def test_invalid_run_exits_2_before_the_run_starts(tmp_path, capsys, overrides):
         ["random-study", "--seed", "-1"],
         ["shoot", "--tau", "1", "--alpha", "0.7", "--tol", "inf"],
         ["shoot", "--tau", "1", "--alpha", "0.7", "--tol", "nan"],
+        ["shoot", "--tau", "5e-324", "--alpha", "0.7"],  # rho = inf
+        ["shoot", "--tau", "1", "--mu", "5e-324", "--alpha", "0.7"],  # 1 / rho = inf
+        ["shoot", "--tau", "1e300", "--mu", "1e-300", "--alpha", "0.7"],
     ],
 )
 def test_invalid_driver_arguments_exit_2(tmp_path, capsys, argv):
     if argv[0] != "shoot":
         argv = argv + ["--out-dir", str(tmp_path / "out")]
     assert cli_main(argv) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -326,3 +339,27 @@ def test_unusable_out_dir_exits_2_before_the_run_starts(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot create output directory ")
     assert afile.read_text() == "not a directory"
+
+
+_STARTUP_PROBE = """
+import sys
+import hyperac
+from hyperac.cli import cli_main
+assert cli_main(sys.argv[1:]) == 0
+print("loaded:", *(m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse.linalg")
+                   if m in sys.modules))
+"""
+
+
+def test_import_and_run_leave_the_shooting_stack_unloaded(tmp_path):
+    """``import hyperac`` and a zero-gradient ``hyperac run``, in a fresh
+    interpreter, load neither the oracle's scipy modules nor SuperLU: the
+    shooting stack is imported at the first orbit, ``splu`` on the periodic path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["run", _write_config(tmp_path / "base.cfg"), "--out-dir", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "loaded:"

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hyperac import scenarios
 from hyperac.diagnostics import linf_distance
 from hyperac.grid import build_graded_grid, build_uniform_grid, project_cell_averages
-from hyperac.model import FrontProfile, ModelParams
+from hyperac.model import BracketError, FrontProfile, ModelParams, hyperbolic_front_speed_shooting
 from hyperac.scenarios import (
     CONFIG_KEYS,
     RANDOM_RANGES,
@@ -17,6 +18,7 @@ from hyperac.scenarios import (
     initial_random,
     initial_riemann,
     parse_config_text,
+    run_order_comparison,
     run_speed_table,
     write_snapshots_csv,
 )
@@ -305,3 +307,23 @@ def test_write_snapshots_csv_columns(tmp_path):
     times = sorted({float(r[0]) for r in rows})
     assert times[0] == 0.0 and times[-1] == pytest.approx(0.05)
     assert len(rows) % 8 == 0
+
+
+@pytest.mark.parametrize("driver", ["speed-table", "order-table"])
+def test_table_driver_raises_the_oracle_error_before_any_ensemble(monkeypatch, driver):
+    """A (tau, alpha) that the oracle cannot bracket, (10, 0.3), stops a table
+    driver with the error of a direct call, before any ensemble runs."""
+    with pytest.raises(BracketError) as direct:
+        hyperbolic_front_speed_shooting(ModelParams(tau=10.0, alpha=0.3), increasing=True)
+
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran before the oracle")
+
+    monkeypatch.setattr(scenarios, "run_ensemble", no_ensemble)
+    with pytest.raises(BracketError) as raised:
+        if driver == "speed-table":
+            run_speed_table(dx_list=[1.0], dt_list=[0.1], cases={"X": (10.0, 0.3, 1.0)})
+        else:
+            run_order_comparison(2, taus=[10.0], alphas=[0.3])
+    assert type(raised.value) is type(direct.value)
+    assert str(raised.value) == str(direct.value)
