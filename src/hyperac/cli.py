@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-from .model import ModelParams, ShootingError, hyperbolic_front_speed_shooting
+from .model import (
+    ModelParams,
+    ShootingError,
+    dimensionless_problem,
+    hyperbolic_front_speed_shooting,
+)
 from .scenarios import (
     ConfigError,
     Scenario,
@@ -91,9 +95,9 @@ def _scenario_from_args(args) -> Scenario:
     return Scenario.from_dict(values)
 
 
-def _params(**values) -> ModelParams:
+def _checked(build, *args, **kwargs):
     try:
-        return ModelParams(**values)
+        return build(*args, **kwargs)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -131,14 +135,14 @@ def cli_main(argv: list[str] | None = None) -> int:
                 )
             print(f"wrote CSV output to {args.out_dir}")
         elif args.command == "riemann-decay":
-            _params(tau=args.tau, alpha=0.5)  # the driver runs at alpha = 1/2
+            _checked(ModelParams, tau=args.tau, alpha=0.5)  # the driver runs at alpha = 1/2
             out = run_riemann_decay(tau=args.tau, out_dir=args.out_dir)
             final = out["hyperbolic"].diagnostics
             print(f"final L2 distance {final.l2[-1]:.6g}, "
                   f"final max-norm distance {final.linf[-1]:.6g}")
             print(f"wrote CSV output to {args.out_dir}")
         elif args.command == "random-study":
-            _params(tau=1.0, alpha=args.alpha)  # the driver's own taus are valid
+            _checked(ModelParams, tau=1.0, alpha=args.alpha)  # the driver's own taus are valid
             if args.seed < 0:
                 raise ConfigError("--seed must be non-negative")
             entries = run_random_study(
@@ -152,15 +156,10 @@ def cli_main(argv: list[str] | None = None) -> int:
                 )
             print(f"wrote CSV output to {args.out_dir}")
         elif args.command == "shoot":
-            params = _params(
-                tau=args.tau, mu=args.mu, kappa=args.kappa, alpha=args.alpha
-            )
-            if not (args.tol > 0.0 and math.isfinite(args.tol)):
-                raise ConfigError("--tol must be positive and finite")
-            speed = hyperbolic_front_speed_shooting(
-                params, tol=args.tol, increasing=not args.decreasing
-            )
-            print(f"{speed:.6f}")
+            params = _checked(ModelParams, tau=args.tau, mu=args.mu, kappa=args.kappa,
+                              alpha=args.alpha)
+            _checked(dimensionless_problem, params, args.tol)  # what the oracle shoots
+            print(f"{hyperbolic_front_speed_shooting(params, args.tol, not args.decreasing):.6f}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -39,7 +39,6 @@ class DiagnosticsRecord:
     l2: np.ndarray
     linf: np.ndarray
     g_min: np.ndarray
-    stabilized_at: float | None = None
 
     def to_csv(self, path: str | Path) -> None:
         """Write columns ``t,c_n,l2,linf,g_min``, one row per step."""

@@ -35,6 +35,7 @@ __all__ = [
     "exact_parabolic_front",
     "exact_parabolic_front_derivative",
     "parabolic_front_speed",
+    "dimensionless_problem",
     "hyperbolic_front_speed_shooting",
 ]
 
@@ -210,6 +211,8 @@ class FrontProfile:
 _OVERSHOOT = 1
 _UNDERSHOOT = -1
 _ROOT_TOL = 4 * np.finfo(float).eps  # solve_ivp's event-root tolerance
+SHOOT_EPS = 1e-6  # an orbit's distance from the saddle at its start, dimensionless
+SHOOT_XI_MAX = 5000.0  # the end of an orbit's integration window, dimensionless
 
 
 def brentq(*args, **kwargs) -> float:
@@ -291,6 +294,8 @@ def _classify_orbit(c: float, p: ModelParams, eps: float, xi_max: float) -> int:
     fp1 = reaction_f_prime(1.0, p)  # negative: 1 is a stable zero
     b = c * (1.0 - p.tau * fp1) / m
     lam_plus = 0.5 * (-b + math.sqrt(b * b - 4.0 * fp1 / m))
+    if not math.isfinite(lam_plus):  # b grows like sqrt(mu tau): b * b overflows at huge tau
+        raise IntegrationError(f"unstable eigenvalue at the saddle overflows at c = {c:g}")
 
     # f' and f inlined on Python floats, cheaper than numpy scalars; same operations, same order
     tau, kappa, alpha, two_one_alpha = p.tau, p.kappa, p.alpha, 2.0 * (1.0 + p.alpha)
@@ -303,52 +308,55 @@ def _classify_orbit(c: float, p: ModelParams, eps: float, xi_max: float) -> int:
     return solve_ivp(rhs, (1.0 - eps, -eps * lam_plus), xi_max)
 
 
-def hyperbolic_front_speed_shooting(
-    p: ModelParams,
-    tol: float = 1e-6,
-    increasing: bool = False,
-    bracket: tuple[float, float] | None = None,
-    eps: float = 1e-6,
-    xi_max: float = 5000.0,
-) -> float:
+def dimensionless_problem(p: ModelParams, tol: float) -> tuple[ModelParams, float, float]:
+    """The problem (tau*kappa, alpha) at mu = kappa = 1, its width for ``tol``, and sqrt(mu*kappa).
+
+    With f = kappa*F, x = y*sqrt(mu/kappa) and t = s/kappa turn the one-field
+    equation into (tau*kappa)*u_ss + (1 - tau*kappa*F'(u))*u_s - u_yy = F(u):
+    p's front speeds are sqrt(mu*kappa) times those of the problem returned, so
+    an error below tol / sqrt(mu*kappa) in its speeds is below ``tol`` in p's.
+    Raises ``ValueError`` for a ``tol`` that is not positive and finite, a
+    tau*kappa that ``ModelParams`` refuses or a sqrt(mu*kappa) out of range.
+    """
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
+    scale = math.sqrt(p.mu * p.kappa)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"sqrt(mu*kappa) = sqrt({p.mu:g}*{p.kappa:g}) is out of range")
+    try:
+        return ModelParams(tau=p.tau * p.kappa, alpha=p.alpha), tol / scale, scale
+    except ValueError as err:
+        raise ValueError(f"tau*kappa = {p.tau:g}*{p.kappa:g} is out of range: {err}") from None
+
+
+def hyperbolic_front_speed_shooting(p: ModelParams, tol: float = 1e-6,
+                                    increasing: bool = False) -> float:
     """Front speed of the relaxation model by bisection on a shooting functional.
 
     The heteroclinic profile connecting 1 (at -infinity) to 0 (at +infinity)
     exists for a unique speed; the orbit classification of ``_classify_orbit``
-    flips there.  The default bracket covers the sub-characteristic range
-    (-0.99 rho, 0.99 rho).  The returned speed follows the decreasing-front
-    convention of the closed-form parabolic formula unless ``increasing``.
+    flips there.  The bisection runs on ``dimensionless_problem(p, tol)``, over
+    its range (-0.99 rho, 0.99 rho), so ``tol`` bounds the error of the
+    returned speed.  That speed follows the decreasing-front convention of the
+    closed-form parabolic formula unless ``increasing``.
 
-    Raises ``ValueError`` unless ``tol`` and ``xi_max`` are positive and
-    finite and 0 < ``eps`` < 1, ``BracketError`` when both bracket ends
-    classify identically and ``IntegrationError`` when an orbit cannot be
-    classified.
+    Raises the ``ValueError`` of ``dimensionless_problem``, ``BracketError``
+    when both bracket ends classify identically and ``IntegrationError`` when
+    an orbit cannot be classified.
     """
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
-    if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie strictly inside (0, 1)")
-    if not (xi_max > 0.0 and math.isfinite(xi_max)):
-        raise ValueError("xi_max must be positive and finite")
-    if bracket is None:
-        bracket = (-0.99 * p.rho, 0.99 * p.rho)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError("bracket must satisfy lo < hi")
-    side_lo = _classify_orbit(lo, p, eps, xi_max)
-    side_hi = _classify_orbit(hi, p, eps, xi_max)
-    if side_lo == side_hi:
-        raise BracketError(
-            "shooting classification does not change across the bracket; "
-            "no heteroclinic speed inside it"
-        )
-    while hi - lo > tol:
+    q, width, scale = dimensionless_problem(p, tol)
+    lo, hi = -0.99 * q.rho, 0.99 * q.rho
+    side_lo = _classify_orbit(lo, q, SHOOT_EPS, SHOOT_XI_MAX)
+    if _classify_orbit(hi, q, SHOOT_EPS, SHOOT_XI_MAX) == side_lo:
+        raise BracketError("shooting classification does not change across the bracket; "
+                           "no heteroclinic speed inside it")
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # lo and hi are adjacent floats: no finer speed exists
             break
-        if _classify_orbit(mid, p, eps, xi_max) == side_lo:
+        if _classify_orbit(mid, q, SHOOT_EPS, SHOOT_XI_MAX) == side_lo:
             lo = mid
         else:
             hi = mid
-    c = 0.5 * (lo + hi)
+    c = scale * (0.5 * (lo + hi))
     return -c if increasing else c

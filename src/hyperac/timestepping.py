@@ -44,14 +44,7 @@ from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse import _sparsetools
 
-from .diagnostics import (
-    DiagnosticsRecord,
-    detect_stabilization,
-    l2_distance,
-    linf_distance,
-    mass,
-    speeds_from_masses,
-)
+from .diagnostics import DiagnosticsRecord, l2_distance, linf_distance, mass, speeds_from_masses
 from .grid import Grid, GridStack, project_cell_averages
 from .model import ModelParams, ParamColumns, _max_abs_f_prime, reaction_f, reaction_f_prime
 from .schemes import SCHEMES, SchemeConfig, State, prepare_state_for_scheme, rhs_for_scheme
@@ -504,8 +497,7 @@ class _Member:
         # in place, as 1.0 - tau * max_f_prime
         g_min = self.max_f_prime
         np.subtract(1.0, np.multiply(self.state.params.tau, g_min, out=g_min), out=g_min)
-        stabilized_at = detect_stabilization(self.times, speeds)
-        record = DiagnosticsRecord(self.times, speeds, self.l2, self.linf, g_min, stabilized_at)
+        record = DiagnosticsRecord(self.times, speeds, self.l2, self.linf, g_min)
         return RunResult(final_state=self.state, snapshots=self.snapshots, diagnostics=record)
 
 

@@ -220,6 +220,9 @@ def test_invalid_run_exits_2_before_the_run_starts(tmp_path, capsys, overrides):
         ["shoot", "--tau", "5e-324", "--alpha", "0.7"],  # rho = inf
         ["shoot", "--tau", "1", "--mu", "5e-324", "--alpha", "0.7"],  # 1 / rho = inf
         ["shoot", "--tau", "1e300", "--mu", "1e-300", "--alpha", "0.7"],
+        ["shoot", "--tau", "1e200", "--kappa", "1e200", "--alpha", "0.7"],  # tau kappa = inf
+        ["shoot", "--tau", "1e-200", "--kappa", "1e-200", "--alpha", "0.7"],  # tau kappa = 0
+        ["shoot", "--tau", "1", "--mu", "1e300", "--kappa", "1e300", "--alpha", "0.7"],
     ],
 )
 def test_invalid_driver_arguments_exit_2(tmp_path, capsys, argv):
@@ -236,6 +239,21 @@ def test_shoot_with_a_stalled_orbit_exits_1(capsys):
     LSODA's steps there leave xi unchanged: the orbit is refused, not stepped
     forever."""
     assert cli_main(["shoot", "--tau", "1e-300", "--alpha", "0.7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--tau", "1e306", "--alpha", "0.7"],  # the saddle's unstable eigenvalue overflows
+        ["--tau", "1", "--mu", "1e-300", "--kappa", "1e300", "--alpha", "0.7"],  # stalls
+    ],
+)
+def test_shoot_at_a_huge_dimensionless_tau_exits_1(capsys, argv):
+    """At tau kappa = 1e306 the orbit's start is not finite, and at 1e300 its
+    first step stalls: one ``run failed:`` line each, not a traceback."""
+    assert cli_main(["shoot", *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("run failed: ") and err.count("\n") == 1
 

@@ -171,7 +171,6 @@ def test_diagnostics_record_csv(tmp_path):
         l2=np.array([0.5, 0.4]),
         linf=np.array([0.2, 0.1]),
         g_min=np.array([0.9, 0.8]),
-        stabilized_at=None,
     )
     path = tmp_path / "diag.csv"
     record.to_csv(path)

@@ -1,11 +1,18 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperac import model
 from hyperac.model import (
     BracketError,
     FrontProfile,
     IntegrationError,
     ModelParams,
+    ShootingError,
     exact_parabolic_front,
     exact_parabolic_front_derivative,
     from_diagonal,
@@ -221,11 +228,10 @@ def test_shooting_odd_in_alpha():
 
 
 def test_shooting_bracket_failure():
-    p = ModelParams(tau=1.0, alpha=0.9)
-    # the connection sits near -0.563 in decreasing orientation; a bracket of
-    # positive speeds classifies identically at both ends
+    # at (tau, alpha) = (10, 0.3) both ends of the default bracket
+    # (-0.99 rho, 0.99 rho) classify identically
     with pytest.raises(BracketError):
-        hyperbolic_front_speed_shooting(p, bracket=(0.3, 0.6))
+        hyperbolic_front_speed_shooting(ModelParams(tau=10.0, alpha=0.3))
 
 
 @pytest.mark.parametrize(
@@ -234,20 +240,110 @@ def test_shooting_bracket_failure():
         {"tol": 0.0},
         {"tol": float("nan")},
         {"tol": float("inf")},
-        {"eps": 0.0},
-        {"eps": -1e-6},
-        {"eps": 1.0},
-        {"eps": float("nan")},
-        {"xi_max": 0.0},
-        {"xi_max": float("inf")},
-        {"xi_max": float("nan")},
     ],
 )
 def test_shooting_rejects_invalid_inputs(kwargs):
-    """A tol or xi_max that is not positive and finite, or an eps outside
-    (0, 1), is refused rather than answered with a speed or a long run."""
+    """A tol that is not positive and finite is refused rather than answered
+    with a speed or a long run."""
     with pytest.raises(ValueError):
         hyperbolic_front_speed_shooting(ModelParams(tau=1.0, alpha=0.7), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "tau, mu, kappa",
+    [
+        (1e200, 1.0, 1e200),  # tau kappa = inf
+        (1e-200, 1.0, 1e-200),  # tau kappa = 0
+        (1e-160, 1e-160, 1e-160),  # 1 / (tau kappa) = inf: rho of the dimensionless problem
+        (1.0, 1e300, 1e300),  # sqrt(mu kappa) = inf
+        (1.0, 1e-200, 1e-200),  # sqrt(mu kappa) = 0
+    ],
+)
+def test_shooting_refuses_a_dimensionless_problem_out_of_range(tau, mu, kappa, monkeypatch):
+    """A tau kappa that ``ModelParams`` refuses, or a sqrt(mu kappa) that is
+    not finite and positive, is a ``ValueError`` before any orbit."""
+
+    def no_orbit(*args):
+        raise AssertionError("an orbit was shot")
+
+    monkeypatch.setattr(model, "_classify_orbit", no_orbit)
+    p = ModelParams(tau=tau, mu=mu, kappa=kappa, alpha=0.7)
+    with pytest.raises(ValueError, match=r"(tau\*kappa|sqrt\(mu\*kappa\)) = .* is out of range"):
+        hyperbolic_front_speed_shooting(p)
+
+
+def test_dimensionless_problem_at_unit_mu_kappa_is_the_problem_itself():
+    """At mu = kappa = 1 the scale is exactly 1.0, the width is tol and the
+    dimensionless problem has p's tau and alpha: the oracle's speeds keep
+    their bits."""
+    p = ModelParams(tau=2.0, alpha=0.6, nu=0.5)
+    q, width, scale = model.dimensionless_problem(p, 1e-6)
+    assert scale == 1.0 and width == 1e-6
+    assert q == ModelParams(tau=2.0, alpha=0.6) and q.rho == p.rho
+
+
+def _unscaled_speed(p, tol):
+    """The bisection of the oracle before it shot the dimensionless problem:
+    over p's own bracket (-0.99 rho, 0.99 rho), with orbits started 1e-6 from
+    the saddle and integrated up to 5000, in p's units."""
+    lo, hi = -0.99 * p.rho, 0.99 * p.rho
+    side_lo = model._classify_orbit(lo, p, 1e-6, 5000.0)
+    if model._classify_orbit(hi, p, 1e-6, 5000.0) == side_lo:
+        raise BracketError("shooting classification does not change across the bracket")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if model._classify_orbit(mid, p, 1e-6, 5000.0) == side_lo:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _speed_or_error(speed, p, tol):
+    try:
+        return speed(p, tol)
+    except ShootingError as err:
+        return type(err)
+
+
+_log_unit = st.floats(math.log(0.1), math.log(10.0)).map(math.exp)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    tau_kappa=st.floats(0.05, 6.0),
+    mu=_log_unit,
+    kappa=_log_unit,
+    alpha=st.floats(0.55, 0.95, exclude_min=True, exclude_max=True),
+)
+def test_dimensionless_shooting_matches_the_unscaled_bisection(tau_kappa, mu, kappa, alpha):
+    """c(tau, mu, kappa, alpha) = sqrt(mu kappa) c(tau kappa, 1, 1, alpha): the
+    oracle and the bisection on p's own orbits raise the same error or agree
+    within tol."""
+    p = ModelParams(tau=tau_kappa / kappa, mu=mu, kappa=kappa, alpha=alpha)
+    tol = 1e-6
+    got = _speed_or_error(hyperbolic_front_speed_shooting, p, tol)
+    want = _speed_or_error(_unscaled_speed, p, tol)
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= tol
+    else:
+        assert got is want
+
+
+def test_shooting_a_near_parabolic_problem_at_small_mu_kappa_is_fast():
+    """At tau kappa = 7.8e-5 the speed is near the parabolic limit. Shot in
+    p's own units, this call ran for minutes; its dimensionless problem takes
+    a few dozen orbits."""
+    import scipy.integrate  # noqa: F401 -- the first orbit's import is not the oracle's work
+    import scipy.optimize  # noqa: F401
+
+    p = ModelParams(tau=37.54, mu=2.65e-8, kappa=2.08e-6, alpha=0.6417)
+    start = time.perf_counter()
+    c = hyperbolic_front_speed_shooting(p, tol=1e-12)
+    assert time.perf_counter() - start < 1.0
+    assert c == pytest.approx(parabolic_front_speed(p), rel=1e-4)
 
 
 def test_shooting_tolerance_below_float_spacing_ends():
