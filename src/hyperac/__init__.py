@@ -29,7 +29,6 @@ from .model import (
     parabolic_front_speed,
     reaction_f,
     reaction_f_prime,
-    stability_indicator_g,
     to_diagonal,
 )
 from .scenarios import (

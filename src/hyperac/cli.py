@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -125,7 +126,6 @@ def cli_main(argv: list[str] | None = None) -> int:
                     f"case {row['case']} dt={row['dt']:g} dx={row['dx']:g}: "
                     f"speed {row['speed']:.4f} rel_error {row['rel_error']:.4f}"
                 )
-            print(f"wrote CSV output to {args.out_dir}")
         elif args.command == "order-table":
             rows = run_order_comparison(args.order, out_dir=args.out_dir)
             for row in rows:
@@ -133,14 +133,12 @@ def cli_main(argv: list[str] | None = None) -> int:
                     f"order {row['order']} tau={row['tau']:g} alpha={row['alpha']:g}: "
                     f"speed {row['speed']:.4f} rel_error {row['rel_error']:.4f}"
                 )
-            print(f"wrote CSV output to {args.out_dir}")
         elif args.command == "riemann-decay":
             _checked(ModelParams, tau=args.tau, alpha=0.5)  # the driver runs at alpha = 1/2
             out = run_riemann_decay(tau=args.tau, out_dir=args.out_dir)
             final = out["hyperbolic"].diagnostics
             print(f"final L2 distance {final.l2[-1]:.6g}, "
                   f"final max-norm distance {final.linf[-1]:.6g}")
-            print(f"wrote CSV output to {args.out_dir}")
         elif args.command == "random-study":
             _checked(ModelParams, tau=1.0, alpha=args.alpha)  # the driver's own taus are valid
             if args.seed < 0:
@@ -154,12 +152,15 @@ def cli_main(argv: list[str] | None = None) -> int:
                     f"tau={entry['tau']:g}: alpha-crossings {entry['sign_changes']}, "
                     f"crossing at {entry['crossing']}"
                 )
-            print(f"wrote CSV output to {args.out_dir}")
         elif args.command == "shoot":
             params = _checked(ModelParams, tau=args.tau, mu=args.mu, kappa=args.kappa,
                               alpha=args.alpha)
             _checked(dimensionless_problem, params, args.tol)  # what the oracle shoots
-            print(f"{hyperbolic_front_speed_shooting(params, args.tol, not args.decreasing):.6f}")
+            speed = hyperbolic_front_speed_shooting(params, args.tol, not args.decreasing)
+            digits = max(6, math.ceil(-math.log10(args.tol)))  # as many as tol resolves
+            print(f"{speed:.{digits}f}")
+        if args.command not in ("run", "shoot"):  # a driver, which wrote its tables
+            print(f"wrote CSV output to {args.out_dir}")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

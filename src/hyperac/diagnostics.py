@@ -9,7 +9,7 @@ import numpy as np
 
 from .csvout import float_rows, write_csv
 from .grid import Grid
-from .model import ModelParams, stability_indicator_g
+from .model import ModelParams, reaction_f_prime
 
 __all__ = [
     "DiagnosticsRecord",
@@ -82,8 +82,8 @@ def linf_distance(u: np.ndarray, ref: np.ndarray) -> float:
 
 
 def g_profile(u: np.ndarray, p: ModelParams) -> np.ndarray:
-    """Per-cell stability indicator g(u_i) = 1 - tau f'(u_i)."""
-    return stability_indicator_g(u, p)
+    """Per-cell damping factor g(u_i) = 1 - tau f'(u_i); positivity is the stability hypothesis."""
+    return 1.0 - p.tau * reaction_f_prime(u, p)
 
 
 def detect_stabilization(

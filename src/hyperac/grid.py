@@ -19,6 +19,7 @@ __all__ = [
 ]
 
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss-Legendre node offset on a unit cell
+_X_BOUND = 1e300  # keeps midpoints, and cell lengths times values up to 1e8, finite
 
 
 def _set_cells(grid: "Grid | GridStack", sizes: list[int], centers, lengths) -> None:
@@ -49,8 +50,8 @@ class Grid:
         interfaces = np.array(self.interfaces, dtype=float)
         if interfaces.ndim != 1 or interfaces.size < 4:
             raise ValueError("a grid needs at least 4 interfaces (3 cells)")
-        if not np.all(np.isfinite(interfaces)):
-            raise ValueError("grid interfaces must be finite")
+        if not np.all(np.abs(interfaces) <= _X_BOUND):  # false for NaN too
+            raise ValueError(f"grid interfaces must lie within [-{_X_BOUND:g}, {_X_BOUND:g}]")
         if not np.all(np.diff(interfaces) > 0.0):
             raise ValueError("grid interfaces must be strictly increasing")
         interfaces.setflags(write=False)
@@ -107,12 +108,16 @@ class GridStack:
         _set_cells(self, [g.n_cells for g in self.members], centers, lengths)
 
 
-def build_uniform_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
-    """Equispaced cell-centered grid with ``n_cells`` cells on [x_min, x_max]."""
+def _check_domain(x_min: float, x_max: float, n_cells: int) -> None:
     if n_cells < 3:
         raise ValueError("n_cells must be at least 3")
-    if not x_min < x_max:
-        raise ValueError("x_min must be strictly less than x_max")
+    if not -_X_BOUND <= x_min < x_max <= _X_BOUND:  # false for NaN too
+        raise ValueError(f"the domain needs -{_X_BOUND:g} <= x_min < x_max <= {_X_BOUND:g}")
+
+
+def build_uniform_grid(x_min: float, x_max: float, n_cells: int) -> Grid:
+    """Equispaced cell-centered grid with ``n_cells`` cells on [x_min, x_max]."""
+    _check_domain(x_min, x_max, n_cells)
     return Grid(np.linspace(x_min, x_max, n_cells + 1))
 
 
@@ -124,10 +129,7 @@ def build_graded_grid(x_min: float, x_max: float, n_cells: int, ratio: float) ->
     """
     if ratio <= 0.0:
         raise ValueError("ratio must be positive")
-    if n_cells < 3:
-        raise ValueError("n_cells must be at least 3")
-    if not x_min < x_max:
-        raise ValueError("x_min must be strictly less than x_max")
+    _check_domain(x_min, x_max, n_cells)
     if ratio == 1.0:
         return build_uniform_grid(x_min, x_max, n_cells)
     try:

@@ -29,7 +29,6 @@ __all__ = [
     "IntegrationError",
     "reaction_f",
     "reaction_f_prime",
-    "stability_indicator_g",
     "to_diagonal",
     "from_diagonal",
     "exact_parabolic_front",
@@ -126,18 +125,9 @@ def reaction_f_prime(u, p: ModelParams):
     return p.kappa * (-3.0 * u * u + 2.0 * (1.0 + p.alpha) * u - p.alpha)
 
 
-def stability_indicator_g(u, p: ModelParams):
-    """Damping factor g(u) = 1 - tau*f'(u); positivity is the stability hypothesis."""
-    return 1.0 - p.tau * reaction_f_prime(u, p)
-
-
-def _max_abs_f_prime(p: ModelParams, lo: float = -0.1, hi: float = 1.1) -> float:
-    """Largest |f'| over [lo, hi]; the quadratic peaks at u = (1+alpha)/3."""
-    candidates = [lo, hi]
-    vertex = (1.0 + p.alpha) / 3.0
-    if lo < vertex < hi:
-        candidates.append(vertex)
-    return max(abs(reaction_f_prime(u, p)) for u in candidates)
+def _max_abs_f_prime(p: ModelParams) -> float:
+    """Largest |f'| over [-0.1, 1.1], which holds the quadratic's vertex u = (1+alpha)/3."""
+    return max(abs(reaction_f_prime(u, p)) for u in (-0.1, 1.1, (1.0 + p.alpha) / 3.0))
 
 
 def to_diagonal(u, v, p: ModelParams):
@@ -279,11 +269,11 @@ def _integrate_orbit(rhs, y0: tuple[float, float], xi_max: float) -> int:
 solve_ivp = _integrate_orbit
 
 
-def _classify_orbit(c: float, p: ModelParams, eps: float, xi_max: float) -> int:
+def _classify_orbit(c: float, p: ModelParams) -> int:
     """Classify the unstable-manifold orbit leaving the saddle at phi = 1.
 
     Integrates phi' = psi, psi' = -(c g(phi) psi + f(phi)) / (mu - tau c^2)
-    from a point displaced by ``eps`` along the unstable eigenvector, with
+    from a point displaced by ``SHOOT_EPS`` along the unstable eigenvector, with
     phi initially decreasing.  Returns +1 when phi crosses 0 while still
     decreasing (overshoot) and -1 when psi returns to 0 first or the orbit
     stalls at the interior equilibrium (undershoot).
@@ -305,7 +295,7 @@ def _classify_orbit(c: float, p: ModelParams, eps: float, xi_max: float) -> int:
         g = 1.0 - tau * (kappa * (-3.0 * phi * phi + two_one_alpha * phi - alpha))
         return (psi, -(c * g * psi + kappa * phi * (phi - alpha) * (1.0 - phi)) / m)
 
-    return solve_ivp(rhs, (1.0 - eps, -eps * lam_plus), xi_max)
+    return solve_ivp(rhs, (1.0 - SHOOT_EPS, -SHOOT_EPS * lam_plus), SHOOT_XI_MAX)
 
 
 def dimensionless_problem(p: ModelParams, tol: float) -> tuple[ModelParams, float, float]:
@@ -346,15 +336,15 @@ def hyperbolic_front_speed_shooting(p: ModelParams, tol: float = 1e-6,
     """
     q, width, scale = dimensionless_problem(p, tol)
     lo, hi = -0.99 * q.rho, 0.99 * q.rho
-    side_lo = _classify_orbit(lo, q, SHOOT_EPS, SHOOT_XI_MAX)
-    if _classify_orbit(hi, q, SHOOT_EPS, SHOOT_XI_MAX) == side_lo:
+    side_lo = _classify_orbit(lo, q)
+    if _classify_orbit(hi, q) == side_lo:
         raise BracketError("shooting classification does not change across the bracket; "
                            "no heteroclinic speed inside it")
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # lo and hi are adjacent floats: no finer speed exists
             break
-        if _classify_orbit(mid, q, SHOOT_EPS, SHOOT_XI_MAX) == side_lo:
+        if _classify_orbit(mid, q) == side_lo:
             lo = mid
         else:
             hi = mid

@@ -70,32 +70,28 @@ _STATE_BOUND = 10.0  # the bistable cubic diverges cubically well inside this
 _RESIDUAL_TOL = 1e-12
 
 
-class BlowUpError(RuntimeError):
-    """The discrete solution left the trust region or became non-finite.
+class _RunFailure(RuntimeError):
+    """A failed run or ensemble member.  The message is the reason; ``step`` (when
+    known), ``member`` and the ensemble's member ``count`` are fields, and ``str``
+    adds "member k: " for two or more members and " at step n" when ``step`` is set."""
 
-    ``step`` is the step index and ``member`` the ensemble member, when known.
-    """
-
-    def __init__(self, message: str, step: int | None = None, member: int | None = None):
+    def __init__(self, message: str, step: int | None = None, member: int | None = None,
+                 count: int = 1):
         super().__init__(message)
-        self.step = step
-        self.member = member
+        self.step, self.member, self.count = step, member, count
+
+    def __str__(self) -> str:
+        where = f"member {self.member}: " if self.count > 1 else ""
+        when = "" if self.step is None else f" at step {self.step}"
+        return where + self.args[0] + when
 
 
-class SolveError(RuntimeError):
-    """A linear solve missed the residual bound its operator guarantees.
-
-    ``member`` is the ensemble member whose solve missed it, when known.
-    """
-
-    def __init__(self, message: str, member: int | None = None):
-        super().__init__(message)
-        self.member = member
+class BlowUpError(_RunFailure):
+    """The discrete solution left the trust region or became non-finite."""
 
 
-def _member(k: int, count: int) -> str:
-    """Message prefix naming member ``k``, for ensembles of two or more."""
-    return f"member {k}: " if count > 1 else ""
+class SolveError(_RunFailure):
+    """A linear solve missed the residual bound its operator guarantees."""
 
 
 def _check_step(dt: float | np.ndarray) -> None:
@@ -209,8 +205,8 @@ class ImexWorkspace:
         if lost.any():  # as 1 + beta + alpha rounds to alpha + beta past alpha of about 1e16
             k = int(np.argmax(lost))
             alpha = np.maximum.reduceat(np.abs(ab[2:7:4]).max(axis=0), starts)[k]  # both bands
-            raise SolveError(f"{_member(k, lost.size)}implicit operator lost its Gershgorin row "
-                             f"bound at alpha = rho dt / dx up to {alpha:.3g}", member=k)
+            raise SolveError("implicit operator lost its Gershgorin row bound at "
+                             f"alpha = rho dt / dx up to {alpha:.3g}", member=k, count=lost.size)
         if boundary != "zero_gradient":
             from scipy.sparse.linalg import splu  # only the periodic path loads it
 
@@ -218,8 +214,8 @@ class ImexWorkspace:
         lu, pivots, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
         if info != 0:  # info > 0: U's zero pivot, in row info of the member that holds it
             k = int(np.searchsorted(starts, abs(info) - 1, side="right")) - 1
-            raise SolveError(f"{_member(k, starts.size)}banded LU factorisation failed "
-                             f"(dgbtrf info {info})", member=k)
+            raise SolveError(f"banded LU factorisation failed (dgbtrf info {info})",
+                             member=k, count=starts.size)
         bands = None
         if np.array_equal(pivots, np.arange(pivots.size)):
             bands = np.asfortranarray(lu[4:7]), np.asfortranarray(lu[0:5])
@@ -366,16 +362,13 @@ def _check_finite(state: State, residual: np.ndarray | None = None) -> None:
     if not failed.any():
         return
     k = int(np.argmax(failed))
-    prefix = _member(k, failed.size)
+    where = {"member": k, "count": failed.size}
     if not solved[k] and math.isfinite(res[k]):
-        raise SolveError(
-            f"{prefix}linear solve residual {res[k]:.2e} exceeds {_RESIDUAL_TOL:.0e}; "
-            "the Gershgorin-dominant operator should solve to roundoff",
-            member=k,
-        )
+        raise SolveError(f"linear solve residual {res[k]:.2e} exceeds {_RESIDUAL_TOL:.0e}; "
+                         "the Gershgorin-dominant operator should solve to roundoff", **where)
     if not (solved[k] and finite[k]):
-        raise BlowUpError(prefix + "solution became non-finite", member=k)
-    raise BlowUpError(f"{prefix}density left [-{_STATE_BOUND:g}, {_STATE_BOUND:g}]", member=k)
+        raise BlowUpError("solution became non-finite", **where)
+    raise BlowUpError(f"density left [-{_STATE_BOUND:g}, {_STATE_BOUND:g}]", **where)
 
 
 def explicit_step(
@@ -501,6 +494,7 @@ class _Member:
         return RunResult(final_state=self.state, snapshots=self.snapshots, diagnostics=record)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows fails its step's check
 def run_ensemble(
     initials: Sequence[State],
     scheme: SchemeConfig,
@@ -534,7 +528,8 @@ def run_ensemble(
 
     Raises ``BlowUpError`` (carrying the step index and the member, which an
     ensemble of two or more names in the message) when the first member
-    leaves the trust region, and ``ValueError``, before any allocation, for
+    leaves the trust region or overflows (numpy does not warn of it here),
+    and ``ValueError``, before any allocation, for
     the arguments ``check_run`` rejects, for a T that does not give one stop
     time per member and for a periodic IMEX ensemble of two or more members.
     Members may each have a grid of their own.
@@ -582,13 +577,11 @@ def run_ensemble(
                         ws = None  # old factors go before new ones are built: a lower memory peak
                         ws = ImexWorkspace.build(state.grid, h, state.params, scheme.boundary)
                     state = imex_step(state, h, ws)
-            except (BlowUpError, SolveError) as err:
-                k = active[err.member].index  # named by its place in the whole ensemble
-                message = str(err).removeprefix(_member(err.member, len(active)))
-                message = _member(k, count) + message
-                if isinstance(err, SolveError):
-                    raise SolveError(message, member=k) from None
-                raise BlowUpError(f"{message} at step {n}", step=n, member=k) from None
+            except _RunFailure as err:  # named by its place in the whole ensemble
+                err.member, err.count = active[err.member].index, count
+                if isinstance(err, BlowUpError):
+                    err.step = n
+                raise
             u = state.u
             peaks = np.maximum.reduceat(reaction_f_prime(u, state.params), bounds[:-1]).tolist()
             for m, c, peak in zip(active, cells, peaks):

@@ -1,13 +1,20 @@
 import csv
+import functools
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from hyperac import scenarios
 from hyperac.cli import cli_main
+from hyperac.model import ModelParams, hyperbolic_front_speed_shooting
 from hyperac.scenarios import CONFIG_KEYS
+from hyperac.schemes import LIMITERS, SCHEMES
 
 
 def test_shoot_matches_reference_speed(capsys):
@@ -22,6 +29,54 @@ def test_shoot_decreasing_orientation(capsys):
     rc = cli_main(["shoot", "--tau", "2", "--alpha", "0.6", "--decreasing"])
     assert rc == 0
     assert float(capsys.readouterr().out) == pytest.approx(-0.173393, abs=5e-4)
+
+
+def test_shoot_prints_the_digits_its_tol_resolves(capsys):
+    """A speed of about 5e-8 prints as 0.000000 at six decimals; at
+    ``--tol 1e-12`` the twelve decimals printed keep it, within tol."""
+    argv = ["--tau", "37.54", "--alpha", "0.6417", "--mu", "2.65e-8", "--kappa", "2.08e-6"]
+    assert cli_main(["shoot", *argv, "--tol", "1e-12"]) == 0
+    out = capsys.readouterr().out.strip()
+    p = ModelParams(tau=37.54, alpha=0.6417, mu=2.65e-8, kappa=2.08e-6)
+    assert len(out.partition(".")[2]) == 12 and float(out) != 0.0
+    assert abs(float(out) - hyperbolic_front_speed_shooting(p, 1e-12, True)) <= 1e-12
+
+
+def test_help_exits_0(capsys):
+    assert cli_main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: hyperac")
+
+
+# each driver at a small size: its patched call, its stdout rows and the files it writes
+_SMALL_DRIVERS = [
+    (["speed-table"], "run_speed_table",
+     functools.partial(scenarios.run_speed_table, dx_list=[1.0, 0.5], dt_list=[0.1]),
+     6, ["speed_table_full.csv", "speed_table_errors.csv"]),
+    (["order-table", "--order", "1"], "run_order_comparison",
+     functools.partial(scenarios.run_order_comparison, taus=(1.0,), alphas=(0.9,)),
+     1, ["order1_speeds.csv"]),
+    (["riemann-decay"], None, None, 1,
+     ["riemann_decay_l2.csv", "riemann_decay_hyperbolic.csv", "riemann_decay_parabolic.csv"]),
+    (["random-study"], "run_random_study",
+     functools.partial(scenarios.run_random_study, taus=(1.0,)),
+     1, ["random_decay_seed1_tau1.csv"]),
+]
+
+
+@pytest.mark.parametrize("argv, name, small, n_rows, files", _SMALL_DRIVERS,
+                         ids=[argv[0] for argv, *_ in _SMALL_DRIVERS])
+def test_driver_prints_its_rows_and_writes_its_csv(tmp_path, capsys, monkeypatch,
+                                                   argv, name, small, n_rows, files):
+    """Each table driver, run by the CLI at a small size, exits 0 and prints
+    one line per row and then where its CSV files went."""
+    if name is not None:
+        monkeypatch.setattr(f"hyperac.cli.{name}", small)
+    out = tmp_path / "out"
+    assert cli_main(argv + ["--out-dir", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == n_rows + 1
+    assert lines[-1] == f"wrote CSV output to {out}"
+    assert sorted(path.name for path in out.iterdir()) == sorted(files)
 
 
 def test_missing_config_exits_2(capsys):
@@ -193,6 +248,7 @@ def _write_config(path):
         ["params.tau=5e-324"],  # mu / tau overflows: rho = inf
         ["params.mu=5e-324"],  # tau / mu overflows: 1 / rho = inf
         ["params.tau=1e300", "params.mu=1e-300"],
+        ["foo"],  # not KEY=VALUE
     ],
 )
 def test_invalid_run_exits_2_before_the_run_starts(tmp_path, capsys, overrides):
@@ -381,3 +437,67 @@ def test_import_and_run_leave_the_shooting_stack_unloaded(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "loaded:"
+
+
+# valid values of every config key but output.dir (the test's --out-dir) and the
+# two times, which are drawn together: at most 64 cells and 3000 steps
+_VALID = {
+    "domain.xmin": st.floats(-20.0, 0.0), "domain.xmax": st.floats(0.5, 20.0),
+    "grid.n": st.integers(3, 64), "grid.ratio": st.floats(0.9, 1.1),
+    "params.tau": st.floats(0.01, 10.0), "params.mu": st.floats(0.1, 10.0),
+    "params.kappa": st.floats(0.1, 10.0), "params.alpha": st.floats(0.05, 0.95),
+    "params.nu": st.floats(0.0, 1.0),
+    "scheme.kind": st.sampled_from(sorted(SCHEMES)),
+    "scheme.boundary": st.sampled_from(["zero_gradient", "periodic"]),
+    "scheme.limiter": st.sampled_from(sorted(LIMITERS) + ["none"]),
+    "integrator": st.sampled_from(["imex", "euler", "heun"]),
+    "time.sample_every": st.integers(0, 50),
+    "init.kind": st.sampled_from(["riemann", "exact_front", "random", "constant"]),
+    "init.shift": st.floats(-5.0, 5.0), "init.jump": st.floats(-5.0, 5.0),
+    "init.seed": st.integers(0, 2**32), "init.variant": st.sampled_from(["decay", "overlapping"]),
+    "init.ell": st.floats(0.5, 20.0), "init.value": st.floats(-0.5, 1.5),
+    "init.v0": st.floats(-1.0, 1.0),
+}
+_EDGE = ["0", "-0.0", "0.0", "5e-324", "2.2e-308", "1e300", "-1e300", "1.7e308", "-1.7e308", "-1"]
+# short strings of number-like characters, "#" and "=" among them; no line breaks
+_JUNK = st.text("0123456789.eE+-xabn #=_", max_size=8)
+
+
+@st.composite
+def _configs(draw):
+    """A config text over ``CONFIG_KEYS``: valid values, T = dt * (fewer than
+    3000 steps), and then up to three keys left out or set to an edge value or
+    to junk; an edge T or dt gives at most one step, or is refused."""
+    values = {key: draw(strategy.map(str)) for key, strategy in _VALID.items()}
+    dt = draw(st.floats(1e-3, 0.5))
+    values["time.dt"] = repr(dt)
+    values["time.T"] = repr(dt * draw(st.floats(0.5, 3000.0, exclude_max=True)))
+    for key in draw(st.lists(st.sampled_from(sorted(values)), max_size=3, unique=True)):
+        values[key] = draw(st.none() | st.sampled_from(_EDGE) | _JUNK)
+    lines = [f"{key} = {value}\n" for key, value in values.items() if value is not None]
+    return "".join(draw(st.permutations(lines)))
+
+
+def test_generated_configs_cover_every_key():
+    assert set(_VALID) | {"output.dir", "time.T", "time.dt"} == set(CONFIG_KEYS)
+
+
+_SMALL_RUN = "domain.xmin = -5\ngrid.n = 16\nparams.tau = 1\ntime.T = 0.1\ntime.dt = 0.01\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_configs())
+# f(u) overflows in the first step (exit 1), and cell midpoints past 1e308 (exit 2)
+@example(text=_SMALL_RUN + "domain.xmax = 5\ninit.kind = constant\ninit.value = 1e300\n")
+@example(text=_SMALL_RUN + "domain.xmax = 1.7e308\ninit.kind = riemann\n")
+def test_run_on_generated_configs_exits_0_1_or_2(tmp_path, capsys, text):
+    """Every config ends in a documented exit code, with no exception and no
+    warning (the suite makes warnings errors); a failure prints one line."""
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    cfg = work / "run.cfg"
+    cfg.write_text(text)
+    code = cli_main(["run", str(cfg), "--out-dir", str(work / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert (err == "") if code == 0 else (err.count("\n") == 1)

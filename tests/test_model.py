@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperac import model
+from hyperac.diagnostics import g_profile
 from hyperac.model import (
     BracketError,
     FrontProfile,
@@ -20,7 +21,6 @@ from hyperac.model import (
     parabolic_front_speed,
     reaction_f,
     reaction_f_prime,
-    stability_indicator_g,
     to_diagonal,
 )
 
@@ -88,12 +88,12 @@ def test_reaction_derivative_matches_finite_differences():
 def test_stability_indicator():
     # tau -> 0 brings g to 1
     p = ModelParams(tau=1e-12, kappa=1.0, alpha=0.5)
-    assert stability_indicator_g(0.37, p) == pytest.approx(1.0, abs=1e-11)
+    assert g_profile(0.37, p) == pytest.approx(1.0, abs=1e-11)
     p = ModelParams(tau=1.0, kappa=1.0, alpha=0.5)
-    assert stability_indicator_g(0.0, p) == pytest.approx(1.5, rel=1e-14)
+    assert g_profile(0.0, p) == pytest.approx(1.5, rel=1e-14)
     # g(alpha) goes negative once tau exceeds 1/f'(alpha)
     p_large = ModelParams(tau=10.0, kappa=1.0, alpha=0.5)
-    assert stability_indicator_g(0.5, p_large) < 0.0
+    assert g_profile(0.5, p_large) < 0.0
 
 
 def test_diagonal_transform_examples():
@@ -287,14 +287,14 @@ def _unscaled_speed(p, tol):
     over p's own bracket (-0.99 rho, 0.99 rho), with orbits started 1e-6 from
     the saddle and integrated up to 5000, in p's units."""
     lo, hi = -0.99 * p.rho, 0.99 * p.rho
-    side_lo = model._classify_orbit(lo, p, 1e-6, 5000.0)
-    if model._classify_orbit(hi, p, 1e-6, 5000.0) == side_lo:
+    side_lo = model._classify_orbit(lo, p)
+    if model._classify_orbit(hi, p) == side_lo:
         raise BracketError("shooting classification does not change across the bracket")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if model._classify_orbit(mid, p, 1e-6, 5000.0) == side_lo:
+        if model._classify_orbit(mid, p) == side_lo:
             lo = mid
         else:
             hi = mid

@@ -123,7 +123,7 @@ def test_step_loop_classifies_like_solve_ivp(tau, alpha, fraction):
     p = ModelParams(tau=tau, alpha=alpha)
     c = fraction * p.rho
     expected = _outcome(_reference_classify, c, p)
-    assert _outcome(model._classify_orbit, c, p, 1e-6, 5000.0) == expected
+    assert _outcome(model._classify_orbit, c, p) == expected
 
 
 def _recorded(integrate, rhs, y0, xi_max):
@@ -150,7 +150,7 @@ def test_step_loop_takes_the_public_lsoda_steps_bitwise(tau, alpha, fraction):
     p = ModelParams(tau=tau, alpha=alpha)
     captured = []
     with mock.patch.object(model, "solve_ivp", lambda *args: captured.append(args)):
-        model._classify_orbit(fraction * p.rho, p, 1e-6, 5000.0)
+        model._classify_orbit(fraction * p.rho, p)
     side, calls = _recorded(model._integrate_orbit, *captured[0])
     expected_side, expected_calls = _recorded(_reference_step_loop, *captured[0])
     assert side == expected_side
@@ -203,7 +203,7 @@ def test_orbit_rhs_is_the_phase_plane_system_bitwise(phi, psi, fraction, tau, mu
         return model._OVERSHOOT
 
     with mock.patch.object(model, "solve_ivp", capture):
-        model._classify_orbit(c, p, 1e-6, 5000.0)
+        model._classify_orbit(c, p)
     y = np.array([phi, psi])
     phi64, psi64 = y
     m = p.mu - p.tau * c * c
