@@ -233,16 +233,17 @@ def _integrate_orbit(rhs, y0: tuple[float, float], xi_max: float) -> int:
     integ = solver._lsoda_solver._integrator
     integ.call_args[2] = 5
     (phi, psi), y, xi = y0, solver._lsoda_solver._y, 0.0
+    step, no_jac = integ.run, lambda: None
     with warnings.catch_warnings():  # a failed step warns first; it raises below
         warnings.filterwarnings("ignore", "lsoda:", UserWarning)
         while xi < xi_max:
-            y, new_xi = integ.run(rhs, lambda: None, y, xi, xi_max, (), ())
+            y, new_xi = step(rhs, no_jac, y, xi, xi_max, (), ())
             if not integ.success:
                 message = integ.messages[integ.istate]
                 raise IntegrationError(f"phase-plane integration failed: {message}")
             if new_xi == xi:  # a step too small to move xi: it would never end
                 raise IntegrationError(f"phase-plane integration stalled at xi = {xi:g}")
-            new_phi, new_psi = y
+            new_phi, new_psi = y.tolist()  # the events test Python floats, cheaper than numpy's
             crossed_zero = phi >= 0.0 and new_phi <= 0.0
             turned_around = psi <= 0.0 and new_psi >= 0.0
             if crossed_zero and turned_around:

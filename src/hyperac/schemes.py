@@ -245,37 +245,53 @@ def minmod(a, b):
     product underflows; else the smaller of |a| and |b| with the common sign.
     NaN if either argument is NaN; an infinite argument counts as the larger.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    out = np.copysign(np.minimum(np.abs(a), np.abs(b)), a) * (a * b > 0.0) + 0.0
-    return float(out) if out.ndim == 0 else out
+    return _limit(_minmod, a, b)
 
 
 def monotonized_central(a, b):
     """Classical MC limiter: min(|a+b|/2, 2|a|, 2|b|) with the common sign."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mag = np.minimum(0.5 * np.abs(a + b), 2.0 * np.minimum(np.abs(a), np.abs(b)))
-    out = np.where(a * b <= 0.0, 0.0, np.sign(a) * mag)
+    return _limit(_monotonized_central, a, b)
+
+
+def _limit(kernel, a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = kernel(a, b, np.abs(a), np.abs(b), np.empty(np.broadcast(a, b).shape))
     return float(out) if out.ndim == 0 else out
 
 
-LIMITERS = {"minmod": minmod, "mc": monotonized_central}
+def _minmod(a, b, abs_a, abs_b, out):
+    np.copysign(np.minimum(abs_a, abs_b, out=out), a, out=out)
+    out *= a * b > 0.0
+    out += 0.0
+    return out
 
 
-def _limited_slope_values(values: np.ndarray, grid: Grid | GridStack, limiter: str) -> np.ndarray:
-    """Per-cell limited slopes from one-sided difference quotients.
+def _monotonized_central(a, b, abs_a, abs_b, out):
+    mag = np.minimum(0.5 * np.abs(a + b), 2.0 * np.minimum(abs_a, abs_b))
+    out[...] = np.where(a * b <= 0.0, 0.0, np.sign(a) * mag)
+    return out
+
+
+LIMITERS = {"minmod": _minmod, "mc": _monotonized_central}  # kernels (a, b, |a|, |b|, out) -> out
+
+
+def _limited_slope_values(rows, grid: Grid | GridStack, limiter: str) -> np.ndarray:
+    """Per-cell limited slopes of each of ``rows``, one output row each, from one-sided quotients.
 
     A member's end cells fall back to slope zero (first-order closure): its
     last quotient is zero, which limits to zero with either neighbour, so one
     limiter pass over all rows and members in flat order gives that closure.
     """
     gaps = _center_spacings(grid, "zero_gradient")[1][:-1]  # > 0 also where members meet
-    quotients = np.empty(values.shape)
-    np.divide(values[..., 1:] - values[..., :-1], gaps, out=quotients[..., :-1])
-    quotients[..., grid.ends[1]] = 0.0
-    flat = quotients.reshape(-1)
-    slopes = np.zeros(values.shape)
-    slopes.reshape(-1)[1:] = LIMITERS[limiter](flat[1:], flat[:-1])
+    quotients = np.empty((len(rows), grid.n_cells))
+    for row, quotient in zip(rows, quotients):
+        np.subtract(row[1:], row[:-1], out=quotient[:-1])
+    np.divide(quotients[:, :-1], gaps, out=quotients[:, :-1])
+    quotients[:, grid.ends[1]] = 0.0
+    flat, slopes = quotients.reshape(-1), np.empty(quotients.shape)
+    magnitudes = np.abs(flat)
+    slopes[0, 0] = 0.0
+    LIMITERS[limiter](flat[1:], flat[:-1], magnitudes[1:], magnitudes[:-1], slopes.reshape(-1)[1:])
     return slopes
 
 
@@ -353,25 +369,30 @@ def rhs_kinetic_second_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarra
     p, grid = state.params, state.grid
     r, s = state.a, state.b
     dx = grid.cell_lengths
+    first, last = grid.ends
 
-    # one slope pass for r and s, then r_i^- and s_i^+ in place; a member's end
-    # cells have slope zero, so a zero-gradient ghost copies their reconstruction
-    recon = 0.5 * dx * _limited_slope_values(np.array((r, s)), grid, cfg.limiter)
-    np.subtract(r, recon[0], out=recon[0])
-    np.add(s, recon[1], out=recon[1])
+    # one slope pass for r and s, scaled in place and made into r_i^- and s_i^+
+    r_minus, s_plus = recon = _limited_slope_values((r, s), grid, cfg.limiter)
+    recon *= 0.5 * dx
+    np.subtract(r, r_minus, out=r_minus)
+    np.add(s, s_plus, out=s_plus)
 
-    # (rho * diff) / dx + f/2 + relax and (-rho * diff) / dx + f/2 - relax, with
-    # the differences r_{i+1}^- - r_i^- and s_i^+ - s_{i-1}^+
-    out = np.empty_like(recon)
-    np.subtract(_shift(recon[0], grid, cfg.boundary, 1), recon[0], out=out[0])
-    np.subtract(recon[1], _shift(recon[1], grid, cfg.boundary, -1), out=out[1])
-    out *= np.multiply.outer((1.0, -1.0), np.atleast_1d(p.rho))
+    # (rho * diff) / dx + f/2 + relax and (-rho * diff) / dx + f/2 - relax, with the
+    # differences r_{i+1}^- - r_i^- and s_i^+ - s_{i-1}^+ and _shift's ghosts past the ends
+    dr, ds = out = np.empty_like(recon)
+    np.subtract(r_minus[1:], r_minus[:-1], out=dr[:-1])
+    np.subtract(s_plus[1:], s_plus[:-1], out=ds[1:])
+    ghost_r, ghost_s = (first, last) if cfg.boundary == "periodic" else (last, first)
+    dr[last] = r_minus[ghost_r] - r_minus[last]
+    ds[first] = s_plus[first] - s_plus[ghost_s]
+    dr *= p.rho
+    ds *= -p.rho
     out /= dx
     out += 0.5 * reaction_f(state.u, p)
     relax = (s - r) / (2.0 * p.tau)
-    out[0] += relax
-    out[1] -= relax
-    return out[0], out[1]
+    dr += relax
+    ds -= relax
+    return dr, ds
 
 
 @lru_cache(maxsize=16)  # grids are immutable

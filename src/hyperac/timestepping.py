@@ -252,6 +252,7 @@ class ImexWorkspace:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows fails the step's check
 def imex_step(state: State, dt: float | np.ndarray, ws: ImexWorkspace | None = None) -> State:
     """One implicit-transport / explicit-reaction step in diagonal variables.
 
@@ -371,6 +372,7 @@ def _check_finite(state: State, residual: np.ndarray | None = None) -> None:
     raise BlowUpError(f"density left [-{_STATE_BOUND:g}, {_STATE_BOUND:g}]", **where)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # what overflows fails the step's check
 def explicit_step(
     state: State,
     dt: float | np.ndarray,

@@ -279,9 +279,9 @@ def test_minmod_infinite_arguments():
 
 def test_limited_slopes_constant_and_linear():
     grid = build_uniform_grid(0.0, 1.0, 8)
-    const = schemes._limited_slope_values(np.full(8, 2.3), grid, "minmod")
+    const = schemes._limited_slope_values([np.full(8, 2.3)], grid, "minmod")[0]
     assert np.array_equal(const, np.zeros(8))
-    linear = schemes._limited_slope_values(1.7 * grid.centers, grid, "minmod")
+    linear = schemes._limited_slope_values([1.7 * grid.centers], grid, "minmod")[0]
     assert np.allclose(linear[1:-1], 1.7, atol=1e-13)
     assert linear[0] == 0.0 and linear[-1] == 0.0
 
@@ -298,6 +298,45 @@ def test_first_order_equilibria():
         dr, ds = rhs_kinetic_first_order(State.diagonal(r, r.copy(), grid, p), cfg)
         assert np.array_equal(dr, np.zeros(6))
         assert np.array_equal(ds, np.zeros(6))
+
+
+@st.composite
+def _equilibria(draw):
+    """A scheme config and one to three members, each at rest at 0, alpha or 1
+    (with its representation's second component: r = s = u/2, v = 0, w = 0 for
+    the direct one-field form and w = u for the alternative one) on a uniform
+    or graded grid of its own, with random parameters."""
+    kind = draw(st.sampled_from(sorted(SCHEMES)))
+    states = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.builds(ModelParams, tau=st.floats(0.01, 100.0), mu=st.floats(0.01, 100.0),
+                           kappa=st.floats(0.01, 100.0), alpha=st.floats(0.01, 0.99),
+                           nu=st.floats(0.0, 10.0)))
+        u = draw(st.sampled_from([0.0, p.alpha, 1.0]))
+        n, x_min = draw(st.integers(3, 12)), draw(st.floats(-10.0, 0.0))
+        length = draw(st.floats(0.1, 50.0))
+        ratio = draw(st.sampled_from([None, 0.9, 1.15]))
+        grid = (build_uniform_grid(x_min, x_min + length, n) if ratio is None
+                else build_graded_grid(x_min, x_min + length, n, ratio))
+        representation = SCHEMES[kind].representation
+        if representation == "diagonal":
+            a, b = 0.5 * u, 0.5 * u
+        else:
+            a, b = u, u if kind == "onefield_alternative" else 0.0
+        states.append(State(representation, np.full(n, a), np.full(n, b), grid, p))
+    cfg = SchemeConfig(kind, limiter=draw(st.sampled_from(["minmod", "mc"])),
+                       boundary=draw(st.sampled_from(["zero_gradient", "periodic"])))
+    return State.stack(states), cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_equilibria())
+def test_every_scheme_holds_its_equilibria_exactly(case):
+    """f vanishes exactly at 0, alpha and 1, and every difference and Laplacian
+    of a constant is 0, so each right-hand side is exactly +-0 at rest."""
+    state, cfg = case
+    for part in rhs_for_scheme(cfg)(state):
+        assert part is None or not np.any(part)
 
 
 def test_first_order_three_cell_hand_example():
@@ -436,7 +475,7 @@ def test_second_order_reconstruction_preserves_cell_average():
     grid = build_graded_grid(0.0, 1.0, 8, 0.9)
     rng = np.random.Generator(np.random.PCG64(2))
     values = rng.uniform(0.0, 1.0, 8)
-    slopes = schemes._limited_slope_values(values, grid, "minmod")
+    slopes = schemes._limited_slope_values([values], grid, "minmod")[0]
     half = 0.5 * grid.cell_lengths
     means = 0.5 * ((values - half * slopes) + (values + half * slopes))
     assert np.allclose(means, values, atol=2 * EPS)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -498,6 +500,26 @@ def test_explicit_step_non_finite_second_component_raises(kind):
     for bad in (np.nan, np.inf):
         with pytest.raises(BlowUpError, match="^solution became non-finite$"):
             explicit_step(st, 0.1, _kick(5, 0.0, bad))
+
+
+@pytest.mark.parametrize(
+    "kind, method",
+    [("kinetic_first_order", "imex")] + [(k, m) for k in SCHEMES for m in ("euler", "heun")],
+)
+def test_direct_step_on_a_huge_state_raises_blow_up_without_a_warning(kind, method):
+    """A step called outside ``run_ensemble`` overflows as quietly as one inside
+    it: the constant state 1e300 fails the step's check, with no numpy warning."""
+    grid = build_uniform_grid(0.0, 1.0, 8)
+    cfg = SchemeConfig(kind)
+    st = State(SCHEMES[kind].representation, np.full(8, 1e300), np.full(8, 1e300), grid,
+               ModelParams(tau=1.0, alpha=0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match="^solution became non-finite$"):
+            if method == "imex":
+                imex_step(st, 0.1)
+            else:
+                explicit_step(st, 0.1, rhs_for_scheme(cfg), method)
 
 
 @pytest.mark.parametrize("integrator", ["imex", "euler", "heun"])
