@@ -158,6 +158,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             _checked(dimensionless_problem, params, args.tol)  # what the oracle shoots
             speed = hyperbolic_front_speed_shooting(params, args.tol, not args.decreasing)
             digits = max(6, math.ceil(-math.log10(args.tol)))  # as many as tol resolves
+            while digits > 6 and float(f"{speed:.{digits - 1}f}") == speed:  # none past repr's
+                digits -= 1
             print(f"{speed:.{digits}f}")
         if args.command not in ("run", "shoot"):  # a driver, which wrote its tables
             print(f"wrote CSV output to {args.out_dir}")

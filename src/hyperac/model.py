@@ -185,10 +185,6 @@ class FrontProfile:
     shift: float = 0.0
     increasing: bool = True
 
-    @property
-    def speed(self) -> float:
-        return parabolic_front_speed(self.params, increasing=self.increasing)
-
     def __call__(self, xi):
         return exact_parabolic_front(xi, self.shift, self.params, increasing=self.increasing)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -124,13 +124,18 @@ def write_snapshots_csv(path: str | Path, result: RunResult) -> None:
         final_t = result.diagnostics.times[-1] if result.diagnostics.times.size else 0.0
         entries.append((float(final_t), result.final_state))
     second = "w" if entries[-1][1].kind == ONEFIELD else "v"
-    # x is formatted once per file and t once per snapshot, joined in before
-    # each row: a snapshot's rows are then one template for its u and v (or w)
-    rows = [""] + [FLOAT % x + "," + FLOAT + "," + FLOAT + ROW_END
-                   for x in result.final_state.grid.centers.tolist()]
     physical = ((t, st if st.kind == ONEFIELD else st.to_physical()) for t, st in entries)
-    blocks = (fill((FLOAT % t + ",").join(rows), (st.a, st.b)) for t, st in physical)
+    frames = ((t, st.a, st.b) for t, st in physical)
+    blocks = _long_blocks(result.final_state.grid.centers, frames)
     _write_rows(Path(path), ["t", "x", "u", second], blocks)
+
+
+def _long_blocks(x: np.ndarray, frames: Iterable) -> Iterator[str]:
+    """Text blocks of a long-format ``t,x,a,b`` table, one per ``(t, a, b)`` of ``frames``;
+    x is formatted once and t once per frame, so a frame's rows are one template."""
+    rows = [""] + [FLOAT % xi + "," + FLOAT + "," + FLOAT + ROW_END for xi in x.tolist()]
+    for t, a, b in frames:
+        yield fill((FLOAT % t + ",").join(rows), (a, b))
 
 
 # speed-table cases: label -> (tau, alpha, T)
@@ -375,9 +380,8 @@ def run_random_study(
     if out is not None:
         for entry in results:
             tag = f"{variant}_seed{seed}_tau{entry['tau']:g}"
-            blocks = (block for t, prof in sorted(entry["profiles"].items())
-                      for block in float_rows((np.full(grid.n_cells, t), grid.centers,
-                                               prof["u"], prof["g"])))
+            frames = ((t, prof["u"], prof["g"]) for t, prof in sorted(entry["profiles"].items()))
+            blocks = _long_blocks(grid.centers, frames)
             _write_rows(out / f"random_{tag}.csv", ["t", "x", "u", "g"], blocks)
     return results
 
@@ -499,14 +503,7 @@ class Scenario:
         except ValueError as err:
             raise ConfigError(str(err)) from err
         out = _output_dir(self.output_dir)
-        result = run(
-            initial,
-            self.scheme,
-            self.integrator,
-            T=self.T,
-            dt=self.dt,
-            sample_every=self.sample_every,
-        )
+        result = run(initial, self.scheme, self.integrator, self.T, self.dt, self.sample_every)
         if out is not None:
             self.grid.to_csv(out / "grid.csv")
             result.diagnostics.to_csv(out / "diagnostics.csv")

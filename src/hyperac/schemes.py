@@ -61,32 +61,39 @@ BOUNDARIES = ("zero_gradient", "periodic")
 class SchemeSpec:
     """What the package knows about one scheme kind.
 
-    ``rhs`` names the module-level ``(State, SchemeConfig) -> (da, db)``; it is
-    looked up on each call, so rebinding the name (to wrap it) takes effect.
-    A ``db`` of None means the second component is frozen.
+    Its right-hand side ``(State, SchemeConfig) -> (da, db)`` is the module's
+    ``rhs_<kind>``; a ``db`` of None means the second component is frozen.
     ``diffusion(params, dx)`` is the explicit diffusion coefficient, if any.
+    ``limited`` kinds reconstruct with ``SchemeConfig.limiter`` and require one.
+    ``initial_w(u_t, physical, boundary)`` forms a one-field kind's auxiliary
+    variable from physical initial data and its u_t.
     """
 
     representation: str
-    rhs: str
     imex: bool = False
     diffusion: Callable[[ModelParams, float], float] | None = None
+    limited: bool = False
+    initial_w: Callable[[np.ndarray, "State", str], np.ndarray] | None = None
 
 
 def _mu_plus_nu(p: ModelParams, dx: float) -> float:
     return p.mu + p.nu
 
 
+def _alternative_w(ut: np.ndarray, phys: "State", boundary: str) -> np.ndarray:
+    """w = tau u_t + u - tau f(u) - nu L u, the variable of the alternative one-field form."""
+    u, p = phys.a, phys.params
+    return p.tau * ut + u - p.tau * reaction_f(u, p) - p.nu * _laplacian(u, phys.grid, boundary)
+
+
 # the one place a scheme kind is declared
 SCHEMES = {
-    "kinetic_first_order": SchemeSpec(DIAGONAL, "rhs_kinetic_first_order", imex=True),
-    "kinetic_second_order": SchemeSpec(DIAGONAL, "rhs_kinetic_second_order"),
-    "gk_pseudo_kinetic": SchemeSpec(
-        PHYSICAL, "rhs_gk_pseudo_kinetic", diffusion=lambda p, dx: p.nu + 0.5 * p.rho * dx
-    ),
-    "onefield_direct": SchemeSpec(ONEFIELD, "rhs_onefield_direct", diffusion=_mu_plus_nu),
-    "onefield_alternative": SchemeSpec(ONEFIELD, "rhs_onefield_alternative", diffusion=_mu_plus_nu),
-    "parabolic_reference": SchemeSpec(PHYSICAL, "rhs_parabolic_reference", diffusion=_mu_plus_nu),
+    "kinetic_first_order": SchemeSpec(DIAGONAL, imex=True),
+    "kinetic_second_order": SchemeSpec(DIAGONAL, limited=True),
+    "gk_pseudo_kinetic": SchemeSpec(PHYSICAL, diffusion=lambda p, dx: p.nu + 0.5 * p.rho * dx),
+    "onefield_direct": SchemeSpec(ONEFIELD, diffusion=_mu_plus_nu, initial_w=lambda ut, *_: ut),
+    "onefield_alternative": SchemeSpec(ONEFIELD, diffusion=_mu_plus_nu, initial_w=_alternative_w),
+    "parabolic_reference": SchemeSpec(PHYSICAL, diffusion=_mu_plus_nu),
 }
 
 
@@ -157,11 +164,6 @@ class State:
             raise ValueError(f"state is {self.kind!r}, expected {kind!r}")
 
     @property
-    def v(self) -> np.ndarray:
-        self._require(PHYSICAL)
-        return self.b
-
-    @property
     def u(self) -> np.ndarray:
         """Density field in any representation (r + s in diagonal form)."""
         u = self.__dict__.get("_u")
@@ -203,7 +205,7 @@ class State:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Scheme kind, limiter (second-order kinetic only, which requires one) and boundary closure."""
+    """Scheme kind, limiter (read, and required, by ``limited`` kinds only) and boundary closure."""
 
     kind: str = "kinetic_first_order"
     limiter: str | None = "minmod"
@@ -214,8 +216,8 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme kind {self.kind!r}")
         if self.limiter is not None and self.limiter not in LIMITERS:
             raise ValueError(f"unknown limiter {self.limiter!r}")
-        if self.kind == "kinetic_second_order" and self.limiter is None:
-            raise ValueError("the second-order kinetic scheme requires a limiter")
+        if self.limiter is None and SCHEMES[self.kind].limited:
+            raise ValueError(f"the {self.kind} scheme requires a limiter")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary treatment {self.boundary!r}")
 
@@ -473,8 +475,11 @@ def rhs_parabolic_reference(state: State, cfg: SchemeConfig) -> tuple[np.ndarray
 
 
 def rhs_for_scheme(cfg: SchemeConfig):
-    """Right-hand-side callable ``State -> (da, db)`` for a scheme config."""
-    name = SCHEMES[cfg.kind].rhs
+    """Right-hand-side callable ``State -> (da, db)`` for a scheme config.
+
+    ``rhs_<kind>`` is looked up on each call, so rebinding the name (to wrap
+    it) takes effect."""
+    name = f"rhs_{cfg.kind}"
     return lambda state: globals()[name](state, cfg)
 
 
@@ -495,13 +500,7 @@ def prepare_state_for_scheme(state: State, cfg: SchemeConfig) -> State:
         return state.to_physical()
     # need == ONEFIELD
     phys = state.to_physical()
-    p = phys.params
-    u = phys.a
-    fu = reaction_f(u, p)
     v_right, v_left = (_shift(phys.b, phys.grid, cfg.boundary, step) for step in (1, -1))
-    ut = fu - (v_right - v_left) / (2.0 * phys.grid.cell_lengths)
-    if cfg.kind == "onefield_direct":
-        w = ut
-    else:  # onefield_alternative
-        w = p.tau * ut + u - p.tau * fu - p.nu * _laplacian(u, phys.grid, cfg.boundary)
-    return State(ONEFIELD, u, w, phys.grid, p)
+    ut = reaction_f(phys.a, phys.params) - (v_right - v_left) / (2.0 * phys.grid.cell_lengths)
+    w = SCHEMES[cfg.kind].initial_w(ut, phys, cfg.boundary)
+    return State(ONEFIELD, phys.a, w, phys.grid, phys.params)

@@ -47,7 +47,9 @@ from scipy.sparse import _sparsetools
 from .diagnostics import DiagnosticsRecord, l2_distance, linf_distance, mass, speeds_from_masses
 from .grid import Grid, GridStack, project_cell_averages
 from .model import ModelParams, ParamColumns, _max_abs_f_prime, reaction_f, reaction_f_prime
-from .schemes import SCHEMES, SchemeConfig, State, prepare_state_for_scheme, rhs_for_scheme
+from .schemes import (
+    DIAGONAL, SCHEMES, SchemeConfig, State, prepare_state_for_scheme, rhs_for_scheme,
+)
 
 __all__ = [
     "BlowUpError",
@@ -262,8 +264,7 @@ def imex_step(state: State, dt: float | np.ndarray, ws: ImexWorkspace | None = N
     density leaves the trust region, like ``explicit_step``, and
     ``SolveError`` when a member's solve misses the residual bound.
     """
-    if state.kind != "diagonal":
-        raise ValueError("the IMEX step advances diagonal states")
+    state._require(DIAGONAL)  # the IMEX step advances diagonal states
     if ws is None:
         ws = ImexWorkspace.build(state.grid, dt, state.params)
     elif not ws.matches(state, dt):
@@ -305,8 +306,7 @@ def imex_step_reduced_uniform(
     so the result agrees with ``imex_step`` to solver roundoff; it requires a
     uniform grid (scalar alpha).
     """
-    if state.kind != "diagonal":
-        raise ValueError("the IMEX step advances diagonal states")
+    state._require(DIAGONAL)  # the IMEX step advances diagonal states
     grid = state.grid
     if not grid.is_uniform():
         raise ValueError("the reduced IMEX form supports uniform grids only")
@@ -352,7 +352,7 @@ def _check_finite(state: State, residual: np.ndarray | None = None) -> None:
     # u is finite, and so are both components of a diagonal state (u = a + b)
     a, b, u = state.a, state.b, state.u
     bounded = np.abs(u).max() <= _STATE_BOUND
-    if residual is None and bounded and (state.kind == "diagonal" or np.isfinite(b).all()):
+    if residual is None and bounded and (state.kind == DIAGONAL or np.isfinite(b).all()):
         return
     starts = state.grid.ends[0]
     finite = np.logical_and.reduceat(np.isfinite(a) & np.isfinite(b), starts)

@@ -42,6 +42,26 @@ def test_shoot_prints_the_digits_its_tol_resolves(capsys):
     assert abs(float(out) - hyperbolic_front_speed_shooting(p, 1e-12, True)) <= 1e-12
 
 
+_TINY_SPEED = ["--tau", "37.54", "--alpha", "0.6417", "--mu", "2.65e-8", "--kappa", "2.08e-6"]
+
+
+@pytest.mark.parametrize("argv, tol", [(["--tau", "4", "--alpha", "0.7"], "1e-20"),
+                                       (["--tau", "4", "--alpha", "0.7"], "1e-300"),
+                                       (_TINY_SPEED, "1e-300")])
+def test_shoot_prints_no_digit_past_the_float(capsys, argv, tol):
+    """A tol finer than the float's resolution prints the shortest text that
+    reads back as the speed: repr's digits, at most 17, not one per decade of tol."""
+    assert cli_main(["shoot", *argv, "--tol", tol]) == 0
+    out = capsys.readouterr().out.strip()
+    values = dict(zip(argv[::2], map(float, argv[1::2])))
+    p = ModelParams(**{key[2:]: value for key, value in values.items()})
+    speed = hyperbolic_front_speed_shooting(p, float(tol), True)
+    assert float(out) == speed
+    digits = out.lstrip("-0.").replace(".", "")
+    assert digits == repr(speed).partition("e")[0].lstrip("-0.").replace(".", "")
+    assert len(digits) <= 17
+
+
 def test_help_exits_0(capsys):
     assert cli_main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: hyperac")

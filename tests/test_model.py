@@ -174,7 +174,6 @@ def test_front_profile_wrapper():
     p = ModelParams(tau=4.0, alpha=0.5)
     front = FrontProfile(p, shift=1.5, increasing=True)
     assert front(1.5) == pytest.approx(0.5)
-    assert front.speed == 0.0
     x = np.linspace(-3, 3, 7)
     assert np.all(np.diff(front(x)) > 0)
 

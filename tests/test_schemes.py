@@ -162,8 +162,6 @@ def test_state_representation_guards():
     st = State.diagonal(np.zeros(4), np.ones(4), grid, p)
     assert np.allclose(st.u, 1.0)
     with pytest.raises(ValueError):
-        _ = st.v
-    with pytest.raises(ValueError):
         State.physical(np.zeros(3), np.zeros(3), grid, p)
     onefield = State.one_field(np.zeros(4), np.zeros(4), grid, p)
     with pytest.raises(ValueError):
