@@ -14,6 +14,8 @@ from .model import (
     hyperbolic_front_speed_shooting,
 )
 from .scenarios import (
+    RANDOM_RANGES,
+    TABLE_ORDERS,
     ConfigError,
     Scenario,
     parse_config_text,
@@ -27,6 +29,8 @@ from .timestepping import BlowUpError, SolveError
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
+
+_SPEED_TEXT = "speed {speed:.4f} rel_error {rel_error:.4f}"  # a table row's line ends with it
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_speed.add_argument("--out-dir", default="speed_table_out")
 
     p_order = sub.add_parser("order-table", help="final speeds at fixed resolution")
-    p_order.add_argument("--order", type=int, choices=(1, 2), required=True)
+    p_order.add_argument("--order", type=int, choices=TABLE_ORDERS, required=True)
     p_order.add_argument("--out-dir", default="order_table_out")
 
     p_decay = sub.add_parser("riemann-decay", help="decay toward the stationary front")
@@ -57,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_decay.add_argument("--out-dir", default="riemann_decay_out")
 
     p_random = sub.add_parser("random-study", help="front formation from random data")
-    p_random.add_argument("--variant", choices=("decay", "overlapping"), default="decay")
+    p_random.add_argument("--variant", choices=RANDOM_RANGES, default="decay")
     p_random.add_argument("--seed", type=int, default=1)
     p_random.add_argument("--alpha", type=float, default=0.6)
     p_random.add_argument("--out-dir", default="random_study_out")
@@ -120,19 +124,11 @@ def cli_main(argv: list[str] | None = None) -> int:
             if scenario.output_dir is not None:
                 print(f"wrote CSV output to {scenario.output_dir}")
         elif args.command == "speed-table":
-            rows = run_speed_table(out_dir=args.out_dir)
-            for row in rows:
-                print(
-                    f"case {row['case']} dt={row['dt']:g} dx={row['dx']:g}: "
-                    f"speed {row['speed']:.4f} rel_error {row['rel_error']:.4f}"
-                )
+            for row in run_speed_table(out_dir=args.out_dir):
+                print(("case {case} dt={dt:g} dx={dx:g}: " + _SPEED_TEXT).format(**row))
         elif args.command == "order-table":
-            rows = run_order_comparison(args.order, out_dir=args.out_dir)
-            for row in rows:
-                print(
-                    f"order {row['order']} tau={row['tau']:g} alpha={row['alpha']:g}: "
-                    f"speed {row['speed']:.4f} rel_error {row['rel_error']:.4f}"
-                )
+            for row in run_order_comparison(args.order, out_dir=args.out_dir):
+                print(("order {order} tau={tau:g} alpha={alpha:g}: " + _SPEED_TEXT).format(**row))
         elif args.command == "riemann-decay":
             _checked(ModelParams, tau=args.tau, alpha=0.5)  # the driver runs at alpha = 1/2
             out = run_riemann_decay(tau=args.tau, out_dir=args.out_dir)

@@ -20,6 +20,7 @@ __all__ = [
 
 _GAUSS_OFFSET = 0.5 / np.sqrt(3.0)  # 2-point Gauss-Legendre node offset on a unit cell
 _X_BOUND = 1e300  # keeps midpoints, and cell lengths times values up to 1e8, finite
+_UNIFORM_RTOL = 1e-12  # is_uniform: the cell-length spread allowed, relative to dx_max
 
 
 def _set_cells(grid: "Grid | GridStack", sizes: list[int], centers, lengths) -> None:
@@ -80,8 +81,8 @@ class Grid:
     def dx_min(self) -> float:
         return float(self.cell_lengths.min())
 
-    def is_uniform(self, rtol: float = 1e-12) -> bool:
-        return float(np.ptp(self.cell_lengths)) <= rtol * self.dx_max
+    def is_uniform(self) -> bool:
+        return float(np.ptp(self.cell_lengths)) <= _UNIFORM_RTOL * self.dx_max
 
     def to_csv(self, path: str | Path) -> None:
         """Write one row per cell with columns ``i,x_left,x_center,x_right,dx``."""

@@ -31,8 +31,10 @@ __all__ = [
     "initial_riemann",
     "initial_exact_front",
     "initial_random",
+    "INIT_KINDS",
     "RANDOM_RANGES",
     "SPEED_TABLE_CASES",
+    "TABLE_ORDERS",
     "run_speed_table",
     "run_order_comparison",
     "run_riemann_decay",
@@ -109,6 +111,18 @@ def initial_random(
     return State.physical(u, np.full_like(u, v0), grid, params)
 
 
+# init.kind -> the initial state on grid g with parameters p from the typed init.*
+# keys i; each calls its generator by its module name, which the benchmark's tracer rebinds
+INIT_KINDS = {
+    "riemann": lambda g, p, i: initial_riemann(
+        g, p, 0.5 * (g.x_min + g.x_max) if i["jump"] is None else i["jump"], v0=i["v0"]),
+    "exact_front": lambda g, p, i: initial_exact_front(g, p, shift=i["shift"]),
+    "random": lambda g, p, i: initial_random(g, p, i["ell"], i["seed"], i["variant"], i["v0"]),
+    "constant": lambda g, p, i: State.physical(
+        np.full(g.n_cells, i["value"]), np.full(g.n_cells, i["v0"]), g, p),
+}
+
+
 def _write_rows(path: Path, header: Sequence[str], rows: Iterable) -> None:
     """``csvout.write_csv``; blocks of rows come in an iterator without a length,
     as the benchmark's tracer reads a length of ``rows`` as its row count."""
@@ -147,6 +161,13 @@ SPEED_TABLE_CASES = {
 
 _TABLE_ELL = 25.0  # tables use (0, 2*ell) with the jump at ell/2
 
+# order-table orders: order -> (scheme, integrator)
+TABLE_ORDERS = {
+    1: (SchemeConfig("kinetic_first_order"), "imex"),
+    2: (SchemeConfig("kinetic_second_order", limiter="minmod"), "euler"),
+}
+_SPEED_COLUMNS = ("speed", "c_ref", "rel_error")  # a speed row's columns after its labels
+
 
 def _table_initial(n_cells: int, params: ModelParams) -> State:
     grid = build_uniform_grid(0.0, 2.0 * _TABLE_ELL, n_cells)
@@ -163,6 +184,14 @@ def _output_dir(out_dir: str | Path | None) -> Path | None:
     except OSError as err:
         raise ConfigError(f"cannot create output directory {out}: {err.strerror or err}") from err
     return out
+
+
+def _speed_row(result: RunResult, c_ref: float, **labels) -> dict:
+    """A table row: ``labels``, then the run's final average speed, the shooting
+    reference speed and the relative error recomputed from those two values."""
+    speed = float(result.diagnostics.speeds[-1])
+    measured = speed, c_ref, relative_speed_error(speed, c_ref)
+    return {**labels, **dict(zip(_SPEED_COLUMNS, measured))}
 
 
 def run_speed_table(
@@ -204,24 +233,11 @@ def run_speed_table(
         )
         for (label, dx), result in zip(cells, ensemble):
             tau, alpha, T = cases[label][:3]
-            speeds = result.diagnostics.speeds
-            speed = float(speeds[-1])
-            rows.append(
-                {
-                    "case": label,
-                    "tau": tau,
-                    "alpha": alpha,
-                    "T": T,
-                    "dt": dt,
-                    "dx": dx,
-                    "speed": speed,
-                    "c_ref": c_refs[label],
-                    "rel_error": relative_speed_error(speed, c_refs[label]),
-                    "speeds": speeds,
-                }
-            )
+            row = _speed_row(result, c_refs[label], case=label, tau=tau, alpha=alpha, T=T,
+                             dt=dt, dx=dx)
+            rows.append({**row, "speeds": result.diagnostics.speeds})
     if out is not None:
-        header = ["case", "tau", "alpha", "T", "dt", "dx", "speed", "c_ref", "rel_error"]
+        header = ["case", "tau", "alpha", "T", "dt", "dx", *_SPEED_COLUMNS]
         _write_rows(out / "speed_table_full.csv", header, [[r[k] for k in header] for r in rows])
         error_of = {(r["dt"], r["case"], r["dx"]): r["rel_error"] for r in rows}
         _write_rows(
@@ -241,38 +257,27 @@ def run_order_comparison(
 ) -> list[dict]:
     """Final average speeds at fixed resolution for the first or second order scheme.
 
-    N = 400 cells (dx = 0.125), dt = 0.01, T = 40.  The first-order runs use
-    the IMEX step; the second-order scheme pairs with explicit Euler, keeping
-    time accuracy first order while the limited reconstruction improves the
-    spatial error.  All (tau, alpha) pairs run as one ensemble.
+    N = 400 cells (dx = 0.125), dt = 0.01, T = 40, with ``TABLE_ORDERS[order]``:
+    the first-order runs use the IMEX step; the second-order scheme pairs with
+    explicit Euler, keeping time accuracy first order while the limited
+    reconstruction improves the spatial error.  All (tau, alpha) pairs run as
+    one ensemble.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    if order == 1:
-        scheme, integrator = SchemeConfig("kinetic_first_order"), "imex"
-    else:
-        scheme, integrator = SchemeConfig("kinetic_second_order", limiter="minmod"), "euler"
+    if order not in TABLE_ORDERS:
+        raise ValueError(f"order must be {' or '.join(map(str, TABLE_ORDERS))}")
+    scheme, integrator = TABLE_ORDERS[order]
     members = [ModelParams(tau=tau, alpha=alpha) for tau in taus for alpha in alphas]
     out = _output_dir(out_dir)
     c_refs = [hyperbolic_front_speed_shooting(params, increasing=True) for params in members]
     results = run_ensemble(
         [_table_initial(400, params) for params in members], scheme, integrator, T=40.0, dt=0.01
     )
-    rows = []
-    for params, result, c_ref in zip(members, results, c_refs):
-        speed = float(result.diagnostics.speeds[-1])
-        rows.append(
-            {
-                "order": order,
-                "tau": params.tau,
-                "alpha": params.alpha,
-                "speed": speed,
-                "c_ref": c_ref,
-                "rel_error": relative_speed_error(speed, c_ref),
-            }
-        )
+    rows = [
+        _speed_row(result, c_ref, order=order, tau=params.tau, alpha=params.alpha)
+        for params, result, c_ref in zip(members, results, c_refs)
+    ]
     if out is not None:
-        header = ["order", "tau", "alpha", "speed", "c_ref", "rel_error"]
+        header = ["order", "tau", "alpha", *_SPEED_COLUMNS]
         path = out / f"order{order}_speeds.csv"
         _write_rows(path, header, [[r[k] for k in header] for r in rows])
     return rows
@@ -480,22 +485,12 @@ class Scenario:
                       scenario.sample_every)
         except ValueError as err:
             raise ConfigError(str(err)) from err
-        if scenario.init["kind"] not in ("riemann", "exact_front", "random", "constant"):
+        if scenario.init["kind"] not in INIT_KINDS:
             raise ConfigError(f"unknown init.kind {scenario.init['kind']!r}")
         return scenario
 
     def initial_state(self) -> State:
-        init, grid, params = self.init, self.grid, self.params
-        if init["kind"] == "riemann":
-            jump = init["jump"] if init["jump"] is not None else 0.5 * (grid.x_min + grid.x_max)
-            return initial_riemann(grid, params, jump, v0=init["v0"])
-        if init["kind"] == "exact_front":
-            return initial_exact_front(grid, params, shift=init["shift"])
-        if init["kind"] == "random":
-            ell, seed, variant = init["ell"], init["seed"], init["variant"]
-            return initial_random(grid, params, ell, seed, variant, init["v0"])
-        u = np.full(grid.n_cells, init["value"])
-        return State.physical(u, np.full_like(u, init["v0"]), grid, params)
+        return INIT_KINDS[self.init["kind"]](self.grid, self.params, self.init)
 
     def execute(self) -> RunResult:
         try:

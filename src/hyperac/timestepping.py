@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +52,8 @@ from .schemes import (
 )
 
 __all__ = [
+    "EXPLICIT",
+    "INTEGRATORS",
     "BlowUpError",
     "ImexWorkspace",
     "RunResult",
@@ -70,6 +72,9 @@ __all__ = [
 Grids = Grid | GridStack  # one grid, or the grids of ensemble members side by side
 _STATE_BOUND = 10.0  # the bistable cubic diverges cubically well inside this
 _RESIDUAL_TOL = 1e-12
+
+EXPLICIT = ("euler", "heun")  # the methods of explicit_step
+INTEGRATORS = ("imex", *EXPLICIT)  # the integrators of run and run_ensemble
 
 
 class _RunFailure(RuntimeError):
@@ -377,7 +382,7 @@ def explicit_step(
     state: State,
     dt: float | np.ndarray,
     rhs: Callable[[State], tuple[np.ndarray, np.ndarray]],
-    method: Literal["euler", "heun"] = "euler",
+    method: str = "euler",
 ) -> State:
     """One explicit step: forward Euler or Heun (trapezoidal RK2).
 
@@ -386,7 +391,7 @@ def explicit_step(
     (``ParamColumns.column``).
     """
     _check_step(dt)
-    if method not in ("euler", "heun"):
+    if method not in EXPLICIT:
         raise ValueError(f"unknown explicit method {method!r}")
     da1, db1 = rhs(state)
     frozen = db1 is None
@@ -424,15 +429,15 @@ def check_run(
 ) -> None:
     """Raise ``ValueError`` for a run that cannot start: a T or dt that is not
     positive and finite, more steps T / dt than float64 arrays can hold, a
-    negative ``sample_every``, or an unknown scheme/integrator pair (IMEX: the
-    kinds whose ``SchemeSpec`` says so)."""
+    negative ``sample_every``, an integrator not in ``INTEGRATORS``, or IMEX for
+    a kind whose ``SchemeSpec`` does not allow it."""
     if not (0.0 < T < math.inf and 0.0 < dt < math.inf):  # false for NaN too
         raise ValueError("T and dt must be positive and finite")
     if sample_every < 0:
         raise ValueError("sample_every must be non-negative")
     if not 8.0 * (T / dt) < np.iinfo(np.intp).max:  # T / dt is inf for a subnormal dt
         raise ValueError(f"T / dt = {T / dt:g} steps are too many to hold in an array")
-    if integrator not in ("imex", "euler", "heun"):
+    if integrator not in INTEGRATORS:
         raise ValueError(f"unknown integrator {integrator!r}")
     if integrator == "imex" and not SCHEMES[scheme.kind].imex:
         raise ValueError(
@@ -500,7 +505,7 @@ class _Member:
 def run_ensemble(
     initials: Sequence[State],
     scheme: SchemeConfig,
-    integrator: Literal["imex", "euler", "heun"],
+    integrator: str,
     T: float | Sequence[float],
     dt: float,
     sample_every: int = 0,
@@ -609,7 +614,7 @@ def run_ensemble(
 def run(
     initial: State,
     scheme: SchemeConfig,
-    integrator: Literal["imex", "euler", "heun"],
+    integrator: str,
     T: float,
     dt: float,
     sample_every: int = 0,

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from hyperac import scenarios
 from hyperac.cli import cli_main
 from hyperac.model import ModelParams, hyperbolic_front_speed_shooting
-from hyperac.scenarios import CONFIG_KEYS
-from hyperac.schemes import LIMITERS, SCHEMES
+from hyperac.scenarios import CONFIG_KEYS, INIT_KINDS, RANDOM_RANGES
+from hyperac.schemes import BOUNDARIES, LIMITERS, SCHEMES
+from hyperac.timestepping import INTEGRATORS
 
 
 def test_shoot_matches_reference_speed(capsys):
@@ -282,6 +283,24 @@ def test_invalid_run_exits_2_before_the_run_starts(tmp_path, capsys, overrides):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("override, message", [("init.kind=step", "unknown init.kind 'step'"),
+                                               ("integrator=rk4", "unknown integrator 'rk4'")])
+def test_unknown_name_exits_2_with_its_message(tmp_path, capsys, override, message):
+    argv = ["run", _write_config(tmp_path / "base.cfg"), "--set", override,
+            "--out-dir", str(tmp_path / "out")]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["random-study", "--variant", "mixed"],
+                                  ["order-table", "--order", "3"]])
+def test_unknown_table_choice_exits_2(tmp_path, capsys, argv):
+    assert cli_main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+    assert f"error: argument {argv[1]}: invalid choice: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -468,12 +487,12 @@ _VALID = {
     "params.tau": st.floats(0.01, 10.0), "params.mu": st.floats(0.1, 10.0),
     "params.kappa": st.floats(0.1, 10.0), "params.alpha": st.floats(0.05, 0.95),
     "params.nu": st.floats(0.0, 1.0),
-    "scheme.boundary": st.sampled_from(["zero_gradient", "periodic"]),
+    "scheme.boundary": st.sampled_from(BOUNDARIES),
     "scheme.limiter": st.sampled_from(sorted(LIMITERS)),
     "time.sample_every": st.integers(0, 50),
-    "init.kind": st.sampled_from(["riemann", "exact_front", "random", "constant"]),
+    "init.kind": st.sampled_from(list(INIT_KINDS)),
     "init.shift": st.floats(-5.0, 5.0), "init.jump": st.floats(0.1, 0.4),  # inside every domain
-    "init.seed": st.integers(0, 2**32), "init.variant": st.sampled_from(["decay", "overlapping"]),
+    "init.seed": st.integers(0, 2**32), "init.variant": st.sampled_from(list(RANDOM_RANGES)),
     "init.ell": st.floats(0.1, 0.5), "init.value": st.floats(-0.5, 1.5),
     "init.v0": st.floats(-1.0, 1.0),
 }
@@ -481,7 +500,7 @@ _VALID = {
 _EDGE = ["1e300", "-1e300", "1.7e308", "-1.7e308", "1e-300", "2.2e-308", "5e-324", "0", "-0.0",
          "0.0", "-1"]
 # the pairs check_run accepts
-_PAIRS = [(kind, integrator) for kind in sorted(SCHEMES) for integrator in ("imex", "euler", "heun")
+_PAIRS = [(kind, integrator) for kind in sorted(SCHEMES) for integrator in INTEGRATORS
           if integrator != "imex" or SCHEMES[kind].imex]
 # short strings of number-like characters, "#" and "=" among them; no line breaks
 _JUNK = st.text("0123456789.eE+-xabn #=_", max_size=8)

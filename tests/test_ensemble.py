@@ -15,6 +15,8 @@ from hyperac.grid import GridStack, build_graded_grid, build_uniform_grid
 from hyperac.model import FrontProfile, ModelParams, ParamColumns, reaction_f
 from hyperac.schemes import SCHEMES, SchemeConfig, State
 from hyperac.timestepping import (
+    EXPLICIT,
+    INTEGRATORS,
     BlowUpError,
     ImexWorkspace,
     SolveError,
@@ -30,7 +32,7 @@ _REFERENCE = FrontProfile(ModelParams(tau=1.0), shift=4.0, increasing=True)
 
 # every scheme kind with both explicit integrators, and IMEX (a periodic IMEX
 # operator is single-member, so IMEX ensembles are zero-gradient)
-_CASES = [(kind, method, "zero_gradient") for kind in SCHEMES for method in ("euler", "heun")]
+_CASES = [(kind, method, "zero_gradient") for kind in SCHEMES for method in EXPLICIT]
 _CASES += [("kinetic_first_order", "imex", "zero_gradient")]
 
 _params = st.builds(
@@ -106,7 +108,7 @@ def test_ensemble_equals_solo_runs_bitwise(kind, integrator, boundary, members, 
         _assert_same_run(got, want)
 
 
-@pytest.mark.parametrize("integrator", ["imex", "euler", "heun"])
+@pytest.mark.parametrize("integrator", INTEGRATORS)
 def test_ensemble_member_stabilises_as_in_its_solo_run(integrator):
     """Member 0's front is stationary (alpha = 1/2) and its speed series
     flattens within the 200-step window; the ensemble gives it the speeds of
@@ -176,7 +178,7 @@ def _blow_up(call):
     return excinfo.value
 
 
-@pytest.mark.parametrize("integrator", ["imex", "euler", "heun"])
+@pytest.mark.parametrize("integrator", INTEGRATORS)
 def test_ensemble_blow_up_names_the_member_and_its_solo_step(integrator):
     """Members 1 and 2 overshoot the stable zero u = 1 until they leave the
     trust region; member 1 (larger kappa) goes first and is the one reported,
@@ -196,7 +198,7 @@ def test_ensemble_blow_up_names_the_member_and_its_solo_step(integrator):
     assert solo[0].member == 0 and not str(solo[0]).startswith("member")
 
 
-@pytest.mark.parametrize("integrator", ["imex", "euler", "heun"])
+@pytest.mark.parametrize("integrator", INTEGRATORS)
 def test_blow_up_after_a_member_left_names_the_member_in_the_whole_ensemble(integrator):
     """Member 0 stops at t = 0.3; member 2 overshoots later, as row 1 of the
     re-stacked ensemble, and is reported as member 2 at its solo step."""
@@ -316,7 +318,7 @@ _IMEX = ("kinetic_first_order", "imex", "zero_gradient")
 
 # every scheme kind with both explicit integrators and both boundaries, and
 # IMEX (a periodic IMEX operator is single-member, so IMEX is zero-gradient)
-_SCHEMES = [(kind, method, boundary) for kind in SCHEMES for method in ("euler", "heun")
+_SCHEMES = [(kind, method, boundary) for kind in SCHEMES for method in EXPLICIT
             for boundary in ("zero_gradient", "periodic")] + [_IMEX]
 
 

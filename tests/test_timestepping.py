@@ -20,6 +20,8 @@ from hyperac.schemes import (
     rhs_kinetic_first_order,
 )
 from hyperac.timestepping import (
+    EXPLICIT,
+    INTEGRATORS,
     BlowUpError,
     ImexWorkspace,
     SolveError,
@@ -449,7 +451,7 @@ def test_step_apis_reject_a_dt_that_is_not_positive_and_finite(dt):
     def never(_):
         raise AssertionError("a rejected step evaluates no right-hand side")
 
-    for method in ("euler", "heun"):
+    for method in EXPLICIT:
         with pytest.raises(ValueError, match="positive and finite"):
             explicit_step(state, dt, never, method)
 
@@ -504,7 +506,7 @@ def test_explicit_step_non_finite_second_component_raises(kind):
 
 @pytest.mark.parametrize(
     "kind, method",
-    [("kinetic_first_order", "imex")] + [(k, m) for k in SCHEMES for m in ("euler", "heun")],
+    [("kinetic_first_order", "imex")] + [(k, m) for k in SCHEMES for m in EXPLICIT],
 )
 def test_direct_step_on_a_huge_state_raises_blow_up_without_a_warning(kind, method):
     """A step called outside ``run_ensemble`` overflows as quietly as one inside
@@ -522,7 +524,7 @@ def test_direct_step_on_a_huge_state_raises_blow_up_without_a_warning(kind, meth
                 explicit_step(st, 0.1, rhs_for_scheme(cfg), method)
 
 
-@pytest.mark.parametrize("integrator", ["imex", "euler", "heun"])
+@pytest.mark.parametrize("integrator", INTEGRATORS)
 def test_imex_run_blow_up_messages_at_step_0(integrator):
     grid = build_uniform_grid(0.0, 1.0, 8)
     p = ModelParams(tau=1.0)
@@ -554,7 +556,7 @@ def test_explicit_step_identity_for_zero_rhs():
     p = ModelParams(tau=1.0)
     st = State.physical(np.linspace(0, 1, 4), np.zeros(4), grid, p)
     zero = lambda s: (np.zeros(4), np.zeros(4))
-    for method in ("euler", "heun"):
+    for method in EXPLICIT:
         new = explicit_step(st, 0.3, zero, method)
         assert np.array_equal(new.a, st.a)
         assert np.array_equal(new.b, st.b)
@@ -568,7 +570,7 @@ def test_parabolic_reference_keeps_the_flux_frozen():
                         ModelParams(tau=1.0))
     rhs = rhs_for_scheme(SchemeConfig("parabolic_reference"))
     assert rhs(st)[1] is None
-    for method in ("euler", "heun"):
+    for method in EXPLICIT:
         assert explicit_step(st, 0.01, rhs, method).b is st.b
 
 
@@ -735,10 +737,18 @@ def test_run_rejects_imex_for_second_order():
     grid = build_uniform_grid(0.0, 1.0, 8)
     p = ModelParams(tau=1.0)
     st = State.physical(np.zeros(8), np.zeros(8), grid, p)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the IMEX step does not discretize the "
+                       "kinetic_second_order scheme; use an explicit integrator$"):
         run(st, SchemeConfig("kinetic_second_order"), "imex", T=1.0, dt=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown integrator 'rk4'$"):
         run(st, SchemeConfig("kinetic_first_order"), "rk4", T=1.0, dt=0.1)
+
+
+def test_explicit_step_rejects_an_unknown_method():
+    grid = build_uniform_grid(0.0, 1.0, 4)
+    st = State.physical(np.zeros(4), np.zeros(4), grid, ModelParams(tau=1.0))
+    with pytest.raises(ValueError, match="^unknown explicit method 'rk4'$"):
+        explicit_step(st, 0.1, lambda s: (np.zeros(4), np.zeros(4)), "rk4")
 
 
 def test_imex_and_heun_consistent_as_dt_shrinks():
