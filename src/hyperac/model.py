@@ -15,7 +15,8 @@ the traveling-wave phase plane of the equivalent one-field equation
 from __future__ import annotations
 
 import math
-import warnings
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,6 +209,33 @@ def brentq(*args, **kwargs) -> float:
     return root(*args, **kwargs)
 
 
+def _lsoda():
+    """``scipy.integrate._odepack.lsoda``, its extension loaded by file (about 1 ms) under its
+    own name: ``import scipy.integrate`` loads optimize, special, fft and spatial too (180 ms)."""
+    name = "scipy.integrate._odepack"
+    if name not in sys.modules:
+        import scipy
+        from importlib import machinery, util
+
+        finder = machinery.FileFinder(os.path.join(scipy.__path__[0], "integrate"),
+                                      (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name].lsoda
+
+
+def _dense_output(rwork, iwork, xi: float):
+    """The dense output of LSODA's last step, ending at ``xi``: ``LSODA._dense_output_impl``."""
+    order, h = iwork[13], rwork[11]
+    yh = np.reshape(rwork[20:20 + (order + 1) * 2], (2, order + 1), order="F").copy()
+    if iwork[14] < order:  # an order about to drop leaves the last column at the old step size
+        yh[:, -1] *= (h / rwork[10]) ** order
+    powers = np.arange(order + 1)
+    return lambda s: np.dot(yh, ((np.asarray(s) - xi) / h) ** powers)
+
+
 def _integrate_orbit(rhs, y0: tuple[float, float], xi_max: float) -> int:
     """Step an orbit of ``rhs`` from ``y0`` with LSODA and classify it.
 
@@ -219,40 +247,39 @@ def _integrate_orbit(rhs, y0: tuple[float, float], xi_max: float) -> int:
     dense output wins, a tie going to the overshoot.
 
     Each step is the call ``LSODA._step_impl`` makes, on ``rhs`` itself and
-    without scipy's per-step wrappers: ``_lsoda_solver._integrator.run`` with
-    ``call_args[2] = 5`` (one step; checked on scipy 1.17.1 by a test).
-    ``scipy.integrate`` is imported here, at the first orbit, not with the module.
+    without scipy's per-step wrappers: the extension's ``lsoda`` with itask 5
+    (one step, not past ``xi_max``), its work arrays set up as
+    ``LSODA.__init__`` does (checked on scipy 1.17.1 by a test).
     """
-    from scipy.integrate import LSODA
+    lsoda, y, istate = _lsoda(), np.array(y0, dtype=float), 1
+    rwork, iwork = np.zeros(52), np.zeros(22, dtype=np.int32)  # sized for two unknowns
+    # stop at xi_max; 500 steps a call; order caps 12 (Adams) and 5 (BDF)
+    rwork[0], iwork[5], iwork[7], iwork[8] = xi_max, 500, 12, 5
+    state = np.zeros(240), np.zeros(48, dtype=np.int32)  # LSODA's internal state between calls
+    (phi, psi), xi, no_jac = y0, 0.0, lambda: None
+    while xi < xi_max:
+        # rtol 1e-10, atol 1e-12: the damped orbits are stiff; jt = 2, a difference Jacobian
+        y, new_xi, istate = lsoda(rhs, y, xi, xi_max, 1e-10, 1e-12, 5, istate, rwork, iwork,
+                                  no_jac, 2, (), 1, (), *state)
+        if istate < 0:
+            from scipy.integrate._ode import lsoda as solver
 
-    solver = LSODA(rhs, 0.0, y0, xi_max, rtol=1e-10, atol=1e-12)  # the damped orbits are stiff
-    integ = solver._lsoda_solver._integrator
-    integ.call_args[2] = 5
-    (phi, psi), y, xi = y0, solver._lsoda_solver._y, 0.0
-    step, no_jac = integ.run, lambda: None
-    with warnings.catch_warnings():  # a failed step warns first; it raises below
-        warnings.filterwarnings("ignore", "lsoda:", UserWarning)
-        while xi < xi_max:
-            y, new_xi = step(rhs, no_jac, y, xi, xi_max, (), ())
-            if not integ.success:
-                message = integ.messages[integ.istate]
-                raise IntegrationError(f"phase-plane integration failed: {message}")
-            if new_xi == xi:  # a step too small to move xi: it would never end
-                raise IntegrationError(f"phase-plane integration stalled at xi = {xi:g}")
-            new_phi, new_psi = y.tolist()  # the events test Python floats, cheaper than numpy's
-            crossed_zero = phi >= 0.0 and new_phi <= 0.0
-            turned_around = psi <= 0.0 and new_psi >= 0.0
-            if crossed_zero and turned_around:
-                solver.t_old, solver.t = xi, new_xi
-                dense, span = solver.dense_output(), (xi, new_xi)
-                xi_cross = brentq(lambda s: dense(s)[0], *span, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
-                xi_turn = brentq(lambda s: dense(s)[1], *span, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
-                return _OVERSHOOT if xi_cross <= xi_turn else _UNDERSHOOT
-            if crossed_zero:
-                return _OVERSHOOT
-            if turned_around:
-                return _UNDERSHOOT
-            phi, psi, xi = new_phi, new_psi, new_xi
+            raise IntegrationError(f"phase-plane integration failed: {solver.messages[istate]}")
+        if new_xi == xi:  # a step too small to move xi: it would never end
+            raise IntegrationError(f"phase-plane integration stalled at xi = {xi:g}")
+        new_phi, new_psi = y.tolist()  # the events test Python floats, cheaper than numpy's
+        crossed_zero = phi >= 0.0 and new_phi <= 0.0
+        turned_around = psi <= 0.0 and new_psi >= 0.0
+        if crossed_zero and turned_around:
+            dense, span = _dense_output(rwork, iwork, new_xi), (xi, new_xi)
+            xi_cross = brentq(lambda s: dense(s)[0], *span, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+            xi_turn = brentq(lambda s: dense(s)[1], *span, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+            return _OVERSHOOT if xi_cross <= xi_turn else _UNDERSHOOT
+        if crossed_zero:
+            return _OVERSHOOT
+        if turned_around:
+            return _UNDERSHOOT
+        phi, psi, xi = new_phi, new_psi, new_xi
     # No event: heavily damped orbits creep into the interior equilibrium
     # (phi = alpha) with psi -> 0 from below; the profile never reaches 0.
     if phi > 1e-2:

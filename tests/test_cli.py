@@ -464,14 +464,18 @@ print("loaded:", *(m for m in ("scipy.integrate", "scipy.optimize", "scipy.spars
 """
 
 
-def test_import_and_run_leave_the_shooting_stack_unloaded(tmp_path):
-    """``import hyperac`` and a zero-gradient ``hyperac run``, in a fresh
-    interpreter, load neither the oracle's scipy modules nor SuperLU: the
-    shooting stack is imported at the first orbit, ``splu`` on the periodic path."""
+@pytest.mark.parametrize("argv", [["run", "CONFIG", "--out-dir", "OUT"],
+                                  ["shoot", "--tau", "4", "--alpha", "0.7"]], ids=["run", "shoot"])
+def test_import_and_run_leave_the_shooting_stack_unloaded(tmp_path, argv):
+    """``import hyperac`` with a zero-gradient ``hyperac run`` or a ``hyperac
+    shoot``, in a fresh interpreter, loads neither scipy.integrate, scipy.optimize
+    nor SuperLU: an orbit loads LSODA's extension alone, the two-event step
+    imports ``brentq``, and ``splu`` is loaded on the periodic path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    argv = ["run", _write_config(tmp_path / "base.cfg"), "--out-dir", str(tmp_path / "out")]
+    paths = {"CONFIG": _write_config(tmp_path / "base.cfg"), "OUT": str(tmp_path / "out")}
+    argv = [paths.get(a, a) for a in argv]
     done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -335,7 +335,9 @@ def test_shooting_a_near_parabolic_problem_at_small_mu_kappa_is_fast():
     """At tau kappa = 7.8e-5 the speed is near the parabolic limit. Shot in
     p's own units, this call ran for minutes; its dimensionless problem takes
     a few dozen orbits."""
-    import scipy.integrate  # noqa: F401 -- the first orbit's import is not the oracle's work
+    # loaded first, as a long-lived process has them: the first orbit's load of
+    # LSODA's extension and a two-event step's import of brentq are not the oracle's work
+    import scipy.integrate  # noqa: F401
     import scipy.optimize  # noqa: F401
 
     p = ModelParams(tau=37.54, mu=2.65e-8, kappa=2.08e-6, alpha=0.6417)
