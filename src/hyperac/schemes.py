@@ -297,20 +297,33 @@ def _limited_slope_values(rows, grid: Grid | GridStack, limiter: str) -> np.ndar
     return slopes
 
 
-def rhs_kinetic_first_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """First-order upwind scheme for the diagonal variables."""
-    state._require(DIAGONAL)
-    p = state.params
-    r, s = state.a, state.b
-    dx = state.grid.cell_lengths
-    rho = p.rho
-    r_right = _shift(r, state.grid, cfg.boundary, 1)  # r_{i+1}
-    s_left = _shift(s, state.grid, cfg.boundary, -1)  # s_{i-1}
-    fu = reaction_f(state.u, p)
-    relax = (s - r) / (2.0 * p.tau)
-    dr = rho * (r_right - r) / dx + 0.5 * fu + relax
-    ds = -rho * (s - s_left) / dx + 0.5 * fu - relax
+def _kinetic_upwind(state: State, cfg: SchemeConfig,
+                    r_face: np.ndarray, s_face: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kinetic upwind scheme on interface values: (rho * diff) / dx + f/2 + relax
+    and (-rho * diff) / dx + f/2 - relax, with the differences r_face_{i+1} -
+    r_face_i and s_face_i - s_face_{i-1} and ``_shift``'s ghosts past the ends."""
+    p, grid = state.params, state.grid
+    first, last = grid.ends
+    dr, ds = out = np.empty((2, grid.n_cells))
+    np.subtract(r_face[1:], r_face[:-1], out=dr[:-1])
+    np.subtract(s_face[1:], s_face[:-1], out=ds[1:])
+    ghost_r, ghost_s = (first, last) if cfg.boundary == "periodic" else (last, first)
+    dr[last] = r_face[ghost_r] - r_face[last]
+    ds[first] = s_face[first] - s_face[ghost_s]
+    dr *= p.rho
+    ds *= -p.rho
+    out /= grid.cell_lengths
+    out += 0.5 * reaction_f(state.u, p)
+    relax = (state.b - state.a) / (2.0 * p.tau)
+    dr += relax
+    ds -= relax
     return dr, ds
+
+
+def rhs_kinetic_first_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarray, np.ndarray]:
+    """First-order upwind scheme for the diagonal variables: cell values at the interfaces."""
+    state._require(DIAGONAL)
+    return _kinetic_upwind(state, cfg, state.a, state.b)
 
 
 def _rhs_physical(state: State, cfg: SchemeConfig, nu: float) -> tuple[np.ndarray, np.ndarray]:
@@ -368,33 +381,13 @@ def rhs_kinetic_second_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarra
     exactly what the first-order one does.
     """
     state._require(DIAGONAL)
-    p, grid = state.params, state.grid
     r, s = state.a, state.b
-    dx = grid.cell_lengths
-    first, last = grid.ends
-
     # one slope pass for r and s, scaled in place and made into r_i^- and s_i^+
-    r_minus, s_plus = recon = _limited_slope_values((r, s), grid, cfg.limiter)
-    recon *= 0.5 * dx
+    r_minus, s_plus = recon = _limited_slope_values((r, s), state.grid, cfg.limiter)
+    recon *= 0.5 * state.grid.cell_lengths
     np.subtract(r, r_minus, out=r_minus)
     np.add(s, s_plus, out=s_plus)
-
-    # (rho * diff) / dx + f/2 + relax and (-rho * diff) / dx + f/2 - relax, with the
-    # differences r_{i+1}^- - r_i^- and s_i^+ - s_{i-1}^+ and _shift's ghosts past the ends
-    dr, ds = out = np.empty_like(recon)
-    np.subtract(r_minus[1:], r_minus[:-1], out=dr[:-1])
-    np.subtract(s_plus[1:], s_plus[:-1], out=ds[1:])
-    ghost_r, ghost_s = (first, last) if cfg.boundary == "periodic" else (last, first)
-    dr[last] = r_minus[ghost_r] - r_minus[last]
-    ds[first] = s_plus[first] - s_plus[ghost_s]
-    dr *= p.rho
-    ds *= -p.rho
-    out /= dx
-    out += 0.5 * reaction_f(state.u, p)
-    relax = (s - r) / (2.0 * p.tau)
-    dr += relax
-    ds -= relax
-    return dr, ds
+    return _kinetic_upwind(state, cfg, r_minus, s_plus)
 
 
 @lru_cache(maxsize=16)  # grids are immutable

@@ -604,6 +604,50 @@ def test_second_order_equals_concatenated_form_bitwise(case):
             assert _same_bits(got[0][cells], want[0]) and _same_bits(got[1][cells], want[1])
 
 
+def _copied_rhs_first_order(state, cfg):
+    """``rhs_kinetic_first_order`` as it was written: ``_shift`` copies of the
+    neighbours and one expression per component."""
+    p, r, s = state.params, state.a, state.b
+    dx, rho = state.grid.cell_lengths, p.rho
+    r_right = schemes._shift(r, state.grid, cfg.boundary, 1)
+    s_left = schemes._shift(s, state.grid, cfg.boundary, -1)
+    fu = reaction_f(state.u, p)
+    relax = (s - r) / (2.0 * p.tau)
+    dr = rho * (r_right - r) / dx + 0.5 * fu + relax
+    ds = -rho * (s - s_left) / dx + 0.5 * fu - relax
+    return dr, ds
+
+
+@st.composite
+def _first_order_cases(draw):
+    """The second-order draws' members, grids and boundary, for the first-order scheme."""
+    states, cfg = draw(_second_order_cases())
+    return states, SchemeConfig("kinetic_first_order", boundary=cfg.boundary)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_first_order_cases())
+@example(case=(_TINY_PAIR, SchemeConfig("kinetic_first_order", boundary="periodic")))
+@example(case=(_TOUCHING, SchemeConfig("kinetic_first_order")))
+@example(  # signed zeros only
+    case=(
+        [State.diagonal(_ZEROS, -_ZEROS, build_uniform_grid(0.0, 1.0, 5), ModelParams(tau=1.0))],
+        SchemeConfig("kinetic_first_order", boundary="periodic"),
+    )
+)
+def test_first_order_equals_copied_form_bitwise(case):
+    """The upwind kernel on the cell values of the members side by side gives
+    each member the bits of the ``_shift``-copy formula on its own state."""
+    states, cfg = case
+    stacked = State.stack(states)
+    bounds = stacked.grid.bounds
+    got = rhs_kinetic_first_order(stacked, cfg)
+    for k, member in enumerate(states):
+        want = _copied_rhs_first_order(member, cfg)
+        cells = slice(bounds[k], bounds[k + 1])
+        assert _same_bits(got[0][cells], want[0]) and _same_bits(got[1][cells], want[1])
+
+
 def test_second_order_requires_limiter():
     grid = build_uniform_grid(0.0, 1.0, 4)
     p = ModelParams(tau=1.0)
