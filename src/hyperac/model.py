@@ -133,13 +133,13 @@ def _max_abs_f_prime(p: ModelParams) -> float:
 
 def to_diagonal(u, v, p: ModelParams):
     """Diagonal variables z_minus = (u - sqrt(tau/mu) v)/2, z_plus = (u + ...)/2."""
-    scale = math.sqrt(p.tau / p.mu)
+    scale = np.sqrt(p.tau / p.mu)
     return 0.5 * (u - scale * v), 0.5 * (u + scale * v)
 
 
 def from_diagonal(z_minus, z_plus, p: ModelParams):
     """Inverse of ``to_diagonal``: u = z_- + z_+, v = sqrt(mu/tau)(z_+ - z_-)."""
-    return z_minus + z_plus, math.sqrt(p.mu / p.tau) * (z_plus - z_minus)
+    return z_minus + z_plus, np.sqrt(p.mu / p.tau) * (z_plus - z_minus)
 
 
 def exact_parabolic_front(xi, xi0: float, p: ModelParams, increasing: bool = False):

@@ -169,11 +169,6 @@ TABLE_ORDERS = {
 _SPEED_COLUMNS = ("speed", "c_ref", "rel_error")  # a speed row's columns after its labels
 
 
-def _table_initial(n_cells: int, params: ModelParams) -> State:
-    grid = build_uniform_grid(0.0, 2.0 * _TABLE_ELL, n_cells)
-    return initial_riemann(grid, params, jump_location=_TABLE_ELL / 2.0)
-
-
 def _output_dir(out_dir: str | Path | None) -> Path | None:
     """The output directory, created before any run starts; ``ConfigError`` if it cannot be."""
     if out_dir is None:
@@ -186,12 +181,33 @@ def _output_dir(out_dir: str | Path | None) -> Path | None:
     return out
 
 
-def _speed_row(result: RunResult, c_ref: float, **labels) -> dict:
-    """A table row: ``labels``, then the run's final average speed, the shooting
-    reference speed and the relative error recomputed from those two values."""
-    speed = float(result.diagnostics.speeds[-1])
-    measured = speed, c_ref, relative_speed_error(speed, c_ref)
-    return {**labels, **dict(zip(_SPEED_COLUMNS, measured))}
+def _shoot_refs(members: Iterable[ModelParams]) -> dict:
+    """The increasing front's shooting speed, once per distinct parameter set."""
+    return {p: hyperbolic_front_speed_shooting(p, increasing=True) for p in dict.fromkeys(members)}
+
+
+def _speed_rows(cells: Sequence, scheme: SchemeConfig, integrator: str, dt: float,
+                c_refs: dict) -> Iterator[tuple[dict, RunResult]]:
+    """Run the table cells ``(params, dx, T, labels)`` as one ensemble; yield each row and result.
+
+    A cell is the Riemann datum on (0, 2l), N = round(2l/dx), jump at l/2, run to its T.  Its
+    row is ``labels``, then the final average speed, ``c_refs[params]`` and their relative error.
+    """
+    initials = [
+        initial_riemann(build_uniform_grid(0.0, 2.0 * _TABLE_ELL, round(2.0 * _TABLE_ELL / dx)),
+                        params, jump_location=_TABLE_ELL / 2.0)
+        for params, dx, _, _ in cells
+    ]
+    ensemble = run_ensemble(initials, scheme, integrator, T=[c[2] for c in cells], dt=dt)
+    for (params, _, _, labels), result in zip(cells, ensemble):
+        speed, c_ref = float(result.diagnostics.speeds[-1]), c_refs[params]
+        measured = speed, c_ref, relative_speed_error(speed, c_ref)
+        yield {**labels, **dict(zip(_SPEED_COLUMNS, measured))}, result
+
+
+def _write_speed_csv(path: Path, labels: Sequence[str], rows: list[dict]) -> None:
+    header = [*labels, *_SPEED_COLUMNS]  # a tidy table of speed rows
+    _write_rows(path, header, [[r[k] for k in header] for r in rows])
 
 
 def run_speed_table(
@@ -202,43 +218,30 @@ def run_speed_table(
 ) -> list[dict]:
     """Relative front-speed error of the IMEX scheme over a (dt, dx) grid.
 
-    Each dt row runs its (case, dx) cells as one IMEX ensemble, each with its
-    own grid and stop time: a cell leaves the ensemble at its own T, and its
-    row is bit for bit that of a run of its own.  Rows come in (dt, case, dx)
-    order, the ensemble's member order.  Every row carries the measured final
-    average speed, the shooting reference speed and the relative error
-    recomputed from those two values at emission time, plus the run's whole
-    per-step speed series under ``"speeds"`` (not written out).  Writes a
-    tidy CSV plus a pivot in the layout of the error table (one row per
-    (dt, case), one column per dx).
+    Each dt row runs its (case, dx) cells as one ``_speed_rows`` ensemble of
+    ``TABLE_ORDERS[1]``: a cell leaves it at its own T, and its row is bit for
+    bit that of a run of its own.  Rows come in (dt, case, dx) order; after
+    the speed columns each carries the run's per-step speed series under
+    ``"speeds"`` (not written out).  Writes a tidy CSV plus a pivot in the
+    layout of the error table (one row per (dt, case), one column per dx).
     """
     dx_list = list(dx_list) if dx_list is not None else [1.0, 0.5, 0.25, 0.125, 0.0625]
     dt_list = list(dt_list) if dt_list is not None else [1e-1, 1e-2, 1e-3]
     cases = dict(cases) if cases is not None else dict(SPEED_TABLE_CASES)
     members = {label: ModelParams(tau=case[0], alpha=case[1]) for label, case in cases.items()}
     out = _output_dir(out_dir)
-    c_refs = {
-        label: hyperbolic_front_speed_shooting(params, increasing=True)
-        for label, params in members.items()
-    }
+    c_refs = _shoot_refs(members.values())
     rows = []
-    cells = [(label, dx) for label in cases for dx in dx_list]  # in row order
     for dt in dt_list:
-        ensemble = run_ensemble(
-            [_table_initial(round(2.0 * _TABLE_ELL / dx), members[c]) for c, dx in cells],
-            SchemeConfig("kinetic_first_order"),
-            "imex",
-            T=[cases[c][2] for c, _ in cells],
-            dt=dt,
-        )
-        for (label, dx), result in zip(cells, ensemble):
-            tau, alpha, T = cases[label][:3]
-            row = _speed_row(result, c_refs[label], case=label, tau=tau, alpha=alpha, T=T,
-                             dt=dt, dx=dx)
-            rows.append({**row, "speeds": result.diagnostics.speeds})
+        cells = [
+            (members[label], dx, T, dict(case=label, tau=tau, alpha=alpha, T=T, dt=dt, dx=dx))
+            for label, (tau, alpha, T, *_) in cases.items() for dx in dx_list
+        ]
+        rows += [{**row, "speeds": result.diagnostics.speeds}
+                 for row, result in _speed_rows(cells, *TABLE_ORDERS[1], dt, c_refs)]
     if out is not None:
-        header = ["case", "tau", "alpha", "T", "dt", "dx", *_SPEED_COLUMNS]
-        _write_rows(out / "speed_table_full.csv", header, [[r[k] for k in header] for r in rows])
+        labels = ["case", "tau", "alpha", "T", "dt", "dx"]
+        _write_speed_csv(out / "speed_table_full.csv", labels, rows)
         error_of = {(r["dt"], r["case"], r["dx"]): r["rel_error"] for r in rows}
         _write_rows(
             out / "speed_table_errors.csv",
@@ -265,21 +268,13 @@ def run_order_comparison(
     """
     if order not in TABLE_ORDERS:
         raise ValueError(f"order must be {' or '.join(map(str, TABLE_ORDERS))}")
-    scheme, integrator = TABLE_ORDERS[order]
     members = [ModelParams(tau=tau, alpha=alpha) for tau in taus for alpha in alphas]
     out = _output_dir(out_dir)
-    c_refs = [hyperbolic_front_speed_shooting(params, increasing=True) for params in members]
-    results = run_ensemble(
-        [_table_initial(400, params) for params in members], scheme, integrator, T=40.0, dt=0.01
-    )
-    rows = [
-        _speed_row(result, c_ref, order=order, tau=params.tau, alpha=params.alpha)
-        for params, result, c_ref in zip(members, results, c_refs)
-    ]
+    cells = [(p, 0.125, 40.0, dict(order=order, tau=p.tau, alpha=p.alpha)) for p in members]
+    rows = [row for row, _ in
+            _speed_rows(cells, *TABLE_ORDERS[order], 0.01, _shoot_refs(members))]
     if out is not None:
-        header = ["order", "tau", "alpha", *_SPEED_COLUMNS]
-        path = out / f"order{order}_speeds.csv"
-        _write_rows(path, header, [[r[k] for k in header] for r in rows])
+        _write_speed_csv(out / f"order{order}_speeds.csv", ["order", "tau", "alpha"], rows)
     return rows
 
 

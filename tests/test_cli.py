@@ -283,14 +283,32 @@ def test_invalid_run_exits_2_before_the_run_starts(tmp_path, capsys, overrides):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("override, message", [("init.kind=step", "unknown init.kind 'step'"),
-                                               ("integrator=rk4", "unknown integrator 'rk4'")])
-def test_unknown_name_exits_2_with_its_message(tmp_path, capsys, override, message):
-    argv = ["run", _write_config(tmp_path / "base.cfg"), "--set", override,
-            "--out-dir", str(tmp_path / "out")]
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (["init.kind=step"], "unknown init.kind 'step'"),
+        (["integrator=rk4"], "unknown integrator 'rk4'"),
+        # a datum its generator refuses on the base config's (0, 2) or on (0, 10)
+        (["domain.xmax=10", "init.jump=50"], "jump location must lie inside the domain"),
+        (["init.kind=random", "init.ell=3"],
+         "the random region (0, ell) must lie inside the domain"),
+    ],
+    ids=["init.kind", "integrator", "riemann-jump", "random-ell"],
+)
+def test_refused_name_or_datum_exits_2_with_its_message(tmp_path, capsys, overrides, message):
+    argv = ["run", _write_config(tmp_path / "base.cfg"), "--out-dir", str(tmp_path / "out")]
+    for item in overrides:
+        argv += ["--set", item]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_empty_key_exits_2_with_its_line(tmp_path, capsys):
+    cfg = tmp_path / "empty_key.cfg"
+    cfg.write_text("domain.xmin = 0\n# a comment\n = 3\n")
+    assert cli_main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: line 3: empty key or value\n"
 
 
 @pytest.mark.parametrize("argv", [["random-study", "--variant", "mixed"],
@@ -480,6 +498,17 @@ def test_import_and_run_leave_the_shooting_stack_unloaded(tmp_path, argv):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "loaded:"
+
+
+def test_python_m_hyperac_runs_the_cli():
+    """``python -m hyperac`` is the CLI, reachable from a checkout with PYTHONPATH=src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "hyperac", "shoot", "--tau", "4", "--alpha", "0.7"]
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0.368070\n"
 
 
 # valid values of every config key but output.dir (the test's --out-dir), the

@@ -164,6 +164,22 @@ def test_front_position_no_crossing_and_noise():
     assert changes > 1
 
 
+@pytest.mark.parametrize(
+    "u, crossing, changes",
+    [
+        ([0.1, 0.2, 0.5, 0.8, 0.9, 1.0], 2.5, 1),  # only a cell at alpha: its centre
+        ([0.25, 0.75, 0.6, 0.5, 0.7, 0.9], 1.0, 1),  # an interpolated crossing left of it wins
+        ([0.5, 0.2, 0.8, 0.9, 1.0, 1.0], 0.5, 1),  # a cell at alpha left of the crossing wins
+        ([0.8, 0.5, 0.5, 0.8, 0.9, 1.0], 1.5, 0),  # touching alpha is no sign change
+    ],
+)
+def test_front_position_with_cells_exactly_at_alpha(u, crossing, changes):
+    """Cells exactly at alpha give the first one's centre unless an interpolated
+    crossing lies to its left, and are skipped in the crossing count."""
+    grid = build_uniform_grid(0.0, 6.0, 6)  # centres 0.5, 1.5, ..., 5.5
+    assert front_position_and_monotonicity(np.array(u), grid, 0.5) == (crossing, changes)
+
+
 def test_diagnostics_record_csv(tmp_path):
     record = DiagnosticsRecord(
         times=np.array([0.1, 0.2]),

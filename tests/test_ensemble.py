@@ -511,6 +511,20 @@ def test_density_is_formed_once_per_state():
     assert State.stack([state]) is state
 
 
+def test_stacked_state_changes_representation_as_its_members_do():
+    """Converting an ensemble state equals stacking its members' own
+    conversions, byte for byte, in both directions."""
+    rng = np.random.default_rng(7)
+    grids = (build_uniform_grid(0.0, 1.0, 5), build_graded_grid(0.0, 2.0, 7, 1.1))
+    physical = [State.physical(rng.uniform(0.0, 1.0, g.n_cells), rng.uniform(-1.0, 1.0, g.n_cells),
+                               g, p) for g, p in zip(grids, _members(2))]
+    diagonal = [st.to_diagonal() for st in physical]
+    for members, convert in ((physical, State.to_diagonal), (diagonal, State.to_physical)):
+        got, want = convert(State.stack(members)), State.stack([convert(st) for st in members])
+        assert got.kind == want.kind
+        assert _same_bits(got.a, want.a) and _same_bits(got.b, want.b)
+
+
 def test_param_columns_hold_each_members_scalars():
     members = _members(3)
     cols = ParamColumns(tuple(members), (12, 12, 12))

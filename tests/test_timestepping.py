@@ -288,6 +288,15 @@ def test_reduced_uniform_rejects_nonuniform_grid():
         imex_step_reduced_uniform(st, 0.1)
 
 
+@pytest.mark.parametrize("dt, p", [(0.05, ModelParams(tau=1.0)), (0.1, ModelParams(tau=2.0))])
+def test_reduced_uniform_rejects_a_workspace_built_for_another_step(dt, p):
+    grid = build_uniform_grid(0.0, 1.0, 6)
+    ws = ImexWorkspace.build(grid, 0.1, ModelParams(tau=1.0))
+    st = State.diagonal(np.zeros(6), np.zeros(6), grid, p)
+    with pytest.raises(ValueError, match="workspace was built for different"):
+        imex_step_reduced_uniform(st, dt, ws)
+
+
 def test_linear_solve_residual_is_tiny():
     grid = build_uniform_grid(0.0, 50.0, 400)
     p = ModelParams(tau=1.0, alpha=0.9)
@@ -634,6 +643,13 @@ def test_suggest_dt_parabolic_diffusive_bound():
         dt = suggest_dt(grid, p, SchemeConfig("parabolic_reference"), safety=safety)
         assert dt <= 0.005 * safety + 1e-15
         assert dt == pytest.approx(0.005 * safety, rel=1e-12)
+
+
+@pytest.mark.parametrize("safety", [0.0, -0.5, 1.5, float("nan")])
+def test_suggest_dt_refuses_a_safety_outside_0_1(safety):
+    grid = build_uniform_grid(0.0, 1.0, 10)
+    with pytest.raises(ValueError, match=r"safety must lie in \(0, 1\]"):
+        suggest_dt(grid, ModelParams(tau=1.0), SchemeConfig("kinetic_first_order"), safety=safety)
 
 
 def test_suggest_dt_imex_reaction_only():
