@@ -70,12 +70,9 @@ class ModelParams:
     nu: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ValueError("tau must be positive and finite")
-        if not (self.mu > 0.0 and math.isfinite(self.mu)):
-            raise ValueError("mu must be positive and finite")
-        if not (self.kappa > 0.0 and math.isfinite(self.kappa)):
-            raise ValueError("kappa must be positive and finite")
+        for name, value in (("tau", self.tau), ("mu", self.mu), ("kappa", self.kappa)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0, 1)")
         if not (self.nu >= 0.0 and math.isfinite(self.nu)):
@@ -139,7 +136,7 @@ def to_diagonal(u, v, p: ModelParams):
 
 def from_diagonal(z_minus, z_plus, p: ModelParams):
     """Inverse of ``to_diagonal``: u = z_- + z_+, v = sqrt(mu/tau)(z_+ - z_-)."""
-    return z_minus + z_plus, np.sqrt(p.mu / p.tau) * (z_plus - z_minus)
+    return z_minus + z_plus, p.rho * (z_plus - z_minus)
 
 
 def exact_parabolic_front(xi, xi0: float, p: ModelParams, increasing: bool = False):

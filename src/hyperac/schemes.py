@@ -186,21 +186,20 @@ class State:
         new.__dict__.update(kind=self.kind, a=a, b=b, grid=self.grid, params=self.params)
         return new
 
-    def to_physical(self) -> "State":
-        if self.kind == PHYSICAL:
+    def _as(self, kind: str) -> "State":
+        """The state in representation ``kind``, diagonal or physical; the change is exact."""
+        if self.kind == kind:
             return self
-        if self.kind == DIAGONAL:
-            u, v = from_diagonal(self.a, self.b, self.params)
-            return State(PHYSICAL, u, v, self.grid, self.params)
-        raise ValueError("a one-field state carries no flux to convert")
+        if self.kind == ONEFIELD:
+            raise ValueError("a one-field state carries no flux to convert")
+        convert = to_diagonal if kind == DIAGONAL else from_diagonal
+        return State(kind, *convert(self.a, self.b, self.params), self.grid, self.params)
+
+    def to_physical(self) -> "State":
+        return self._as(PHYSICAL)
 
     def to_diagonal(self) -> "State":
-        if self.kind == DIAGONAL:
-            return self
-        if self.kind == PHYSICAL:
-            r, s = to_diagonal(self.a, self.b, self.params)
-            return State(DIAGONAL, r, s, self.grid, self.params)
-        raise ValueError("a one-field state carries no flux to convert")
+        return self._as(DIAGONAL)
 
 
 @dataclass(frozen=True)
@@ -485,13 +484,8 @@ def prepare_state_for_scheme(state: State, cfg: SchemeConfig) -> State:
     One-field states cannot be converted back.
     """
     need = SCHEMES[cfg.kind].representation
-    if state.kind == need:
-        return state
-    if need == DIAGONAL:
-        return state.to_diagonal()
-    if need == PHYSICAL:
-        return state.to_physical()
-    # need == ONEFIELD
+    if need != ONEFIELD or state.kind == ONEFIELD:
+        return state._as(need)
     phys = state.to_physical()
     v_right, v_left = (_shift(phys.b, phys.grid, cfg.boundary, step) for step in (1, -1))
     ut = reaction_f(phys.a, phys.params) - (v_right - v_left) / (2.0 * phys.grid.cell_lengths)

@@ -48,7 +48,7 @@ from .diagnostics import DiagnosticsRecord, l2_distance, linf_distance, mass, sp
 from .grid import Grid, GridStack, project_cell_averages
 from .model import ModelParams, ParamColumns, _max_abs_f_prime, reaction_f, reaction_f_prime
 from .schemes import (
-    DIAGONAL, SCHEMES, SchemeConfig, State, prepare_state_for_scheme, rhs_for_scheme,
+    BOUNDARIES, DIAGONAL, SCHEMES, SchemeConfig, State, prepare_state_for_scheme, rhs_for_scheme,
 )
 
 __all__ = [
@@ -123,6 +123,8 @@ def _imex_operator(
     diagonals and in two wrap-around entries outside the band.
     """
     _check_step(dt)
+    if boundary not in BOUNDARIES:
+        raise ValueError(f"unknown boundary treatment {boundary!r}")
     if boundary == "periodic" and len(grid.members) > 1:
         raise ValueError("a periodic IMEX operator serves one member, not an ensemble")
     alpha = params.rho * dt / grid.cell_lengths
@@ -533,12 +535,13 @@ def run_ensemble(
     ``reference`` is an optional profile whose cell averages feed the L2 /
     max-norm distance columns of the diagnostics.
 
-    Raises ``BlowUpError`` (carrying the step index and the member, which an
-    ensemble of two or more names in the message) when the first member
-    leaves the trust region or overflows (numpy does not warn of it here),
-    and ``ValueError``, before any allocation, for
-    the arguments ``check_run`` rejects, for a T that does not give one stop
-    time per member and for a periodic IMEX ensemble of two or more members.
+    Raises ``BlowUpError`` when the first member leaves the trust region or
+    overflows (numpy does not warn of it here) and ``SolveError`` when an
+    IMEX operator or solve fails its check; both carry the step index and the
+    member, which an ensemble of two or more names in the message.  Raises
+    ``ValueError``, before any allocation, for the arguments ``check_run``
+    rejects, for a T that does not give one stop time per member and for a
+    periodic IMEX ensemble of two or more members.
     Members may each have a grid of their own.
     """
     initials = list(initials)
@@ -584,10 +587,8 @@ def run_ensemble(
                         ws = None  # old factors go before new ones are built: a lower memory peak
                         ws = ImexWorkspace.build(state.grid, h, state.params, scheme.boundary)
                     state = imex_step(state, h, ws)
-            except _RunFailure as err:  # named by its place in the whole ensemble
-                err.member, err.count = active[err.member].index, count
-                if isinstance(err, BlowUpError):
-                    err.step = n
+            except _RunFailure as err:  # named by its place in the whole ensemble, at its step
+                err.member, err.count, err.step = active[err.member].index, count, n
                 raise
             u = state.u
             peaks = np.maximum.reduceat(reaction_f_prime(u, state.params), bounds[:-1]).tolist()

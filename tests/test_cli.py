@@ -246,7 +246,9 @@ def test_solve_residual_failure_exits_1(tmp_path, capsys):
     )
     rc = cli_main(["run", str(cfg)])
     assert rc == 1
-    assert "run failed: linear solve residual" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: linear solve residual")
+    assert err.endswith(" at step 0\n")
 
 
 def _write_config(path):
@@ -500,11 +502,13 @@ def test_import_and_run_leave_the_shooting_stack_unloaded(tmp_path, argv):
     assert done.stdout.splitlines()[-1] == "loaded:"
 
 
-def test_python_m_hyperac_runs_the_cli():
-    """``python -m hyperac`` is the CLI, reachable from a checkout with PYTHONPATH=src."""
+@pytest.mark.parametrize("module", ["hyperac", "hyperac.cli"])
+def test_python_m_hyperac_runs_the_cli(module):
+    """``python -m hyperac`` and ``python -m hyperac.cli`` are the CLI, reachable
+    from a checkout with PYTHONPATH=src."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "hyperac", "shoot", "--tau", "4", "--alpha", "0.7"]
+    argv = [sys.executable, "-m", module, "shoot", "--tau", "4", "--alpha", "0.7"]
     done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr

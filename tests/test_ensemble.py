@@ -489,6 +489,7 @@ def test_failed_build_after_a_departure_names_the_member_in_the_whole_ensemble(m
     with pytest.raises(SolveError, match="^member 2: implicit operator lost") as info:
         run_ensemble(initials, SchemeConfig(), "imex", T=[0.1, 0.3, 0.3], dt=0.1)
     assert info.value.member == 2
+    assert info.value.step == 1
 
 
 def test_flat_state_needs_parameter_columns_over_its_members_cells():

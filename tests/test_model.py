@@ -40,6 +40,13 @@ def test_params_validation():
         ModelParams(tau=1.0, nu=-0.1)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("name", ["tau", "mu", "kappa"])
+def test_params_reject_a_rate_that_is_not_positive_and_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+        ModelParams(**{"tau": 1.0, name: value})
+
+
 @pytest.mark.parametrize("nu", [float("nan"), float("inf")])
 def test_params_reject_non_finite_nu(nu):
     with pytest.raises(ValueError, match="nu must be non-negative and finite"):

@@ -168,6 +168,33 @@ def test_state_representation_guards():
         onefield.to_physical()
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda z, g, p: State("kinetic", z, z, g, p), "unknown representation 'kinetic'"),
+        (lambda z, g, p: State.stack([State.diagonal(z, z, g, p), State.physical(z, z, g, p)]),
+         "ensemble members must share one representation"),
+        (lambda z, g, p: State.diagonal(z, z, g, p).with_components(z[:3], z),
+         "state components must hold one value per cell and member"),
+    ],
+    ids=["representation", "mixed-stack", "component-shape"],
+)
+def test_state_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(np.zeros(4), build_uniform_grid(0.0, 1.0, 4), ModelParams(tau=1.0))
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "physical"])
+def test_one_field_state_carries_no_flux_to_convert(kind):
+    """Each state is its own conversion to its representation; a one-field
+    state converts to neither of the other two."""
+    grid, p = build_uniform_grid(0.0, 1.0, 4), ModelParams(tau=1.0)
+    st = State(kind, np.zeros(4), np.ones(4), grid, p)
+    assert getattr(st, f"to_{kind}")() is st
+    with pytest.raises(ValueError, match="^a one-field state carries no flux to convert$"):
+        getattr(State.one_field(np.zeros(4), np.zeros(4), grid, p), f"to_{kind}")()
+
+
 def test_state_conversion_round_trip():
     grid = build_uniform_grid(0.0, 1.0, 5)
     p = ModelParams(tau=2.5, mu=0.8)
@@ -856,6 +883,19 @@ def test_prepare_state_conversions():
     onefield = State.one_field(np.zeros(6), np.zeros(6), grid, p)
     with pytest.raises(ValueError):
         prepare_state_for_scheme(onefield, SchemeConfig("kinetic_first_order"))
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEMES))
+def test_prepare_one_field_state(kind):
+    """A one-field state is its own preparation for a one-field kind; every
+    other kind refuses it."""
+    grid, p = build_uniform_grid(0.0, 1.0, 4), ModelParams(tau=1.0)
+    onefield = State.one_field(np.zeros(4), np.zeros(4), grid, p)
+    if SCHEMES[kind].representation == "onefield":
+        assert prepare_state_for_scheme(onefield, SchemeConfig(kind)) is onefield
+    else:
+        with pytest.raises(ValueError, match="^a one-field state carries no flux to convert$"):
+            prepare_state_for_scheme(onefield, SchemeConfig(kind))
 
 
 def test_rhs_dispatch_looks_up_module_names_at_call_time(monkeypatch):

@@ -246,6 +246,13 @@ def test_imex_specified_coefficients_case():
     assert np.allclose(new.b, s_o, atol=1e-12)
 
 
+@pytest.mark.parametrize("build", [ImexWorkspace.build, assemble_imex_matrix])
+def test_imex_operator_rejects_an_unknown_boundary(build):
+    grid = build_uniform_grid(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="^unknown boundary treatment 'perodic'$"):
+        build(grid, 0.1, ModelParams(tau=1.0), "perodic")
+
+
 def test_imex_requires_diagonal_and_matching_workspace():
     grid = build_uniform_grid(0.0, 1.0, 4)
     p = ModelParams(tau=1.0)
