@@ -32,8 +32,6 @@ __all__ = [
     "reaction_f_prime",
     "to_diagonal",
     "from_diagonal",
-    "exact_parabolic_front",
-    "exact_parabolic_front_derivative",
     "parabolic_front_speed",
     "dimensionless_problem",
     "hyperbolic_front_speed_shooting",
@@ -139,27 +137,6 @@ def from_diagonal(z_minus, z_plus, p: ModelParams):
     return z_minus + z_plus, p.rho * (z_plus - z_minus)
 
 
-def exact_parabolic_front(xi, xi0: float, p: ModelParams, increasing: bool = False):
-    """Closed-form traveling front of the parabolic equation, value 1/2 at xi0.
-
-    The default orientation decreases from 1 to 0 as xi grows, matching the
-    closed-form speed ``parabolic_front_speed``; ``increasing=True`` gives the
-    mirrored profile connecting 0 (left) to 1 (right).
-    """
-    theta = math.sqrt(p.kappa / (8.0 * p.mu)) * (np.asarray(xi, dtype=float) - xi0)
-    t = np.tanh(theta)
-    return 0.5 * (1.0 + t) if increasing else 0.5 * (1.0 - t)
-
-
-def exact_parabolic_front_derivative(xi, xi0: float, p: ModelParams, increasing: bool = False):
-    """Analytic d/dxi of ``exact_parabolic_front`` (same orientation flag)."""
-    c = math.sqrt(p.kappa / (8.0 * p.mu))
-    theta = c * (np.asarray(xi, dtype=float) - xi0)
-    with np.errstate(over="ignore"):  # cosh overflows to inf far out, where mag is exactly 0
-        mag = 0.5 * c / np.cosh(theta) ** 2
-    return mag if increasing else -mag
-
-
 def parabolic_front_speed(p: ModelParams, increasing: bool = False) -> float:
     """Unique bistable front speed sqrt(2 mu kappa)(1/2 - alpha) of the parabolic limit.
 
@@ -172,11 +149,13 @@ def parabolic_front_speed(p: ModelParams, increasing: bool = False) -> float:
 
 @dataclass(frozen=True)
 class FrontProfile:
-    """Exact front profile with a shift, normalized to 1/2 at the shift point.
+    """Closed-form traveling front of the parabolic equation, value 1/2 at ``shift``.
 
-    For alpha = 1/2 the relaxation model shares this stationary profile with
-    the parabolic equation, which makes it the reference of choice for the
-    decay experiments.
+    The increasing front connects 0 (left) to 1 (right); ``increasing=False``
+    gives the decreasing front, whose speed is ``parabolic_front_speed``.  For
+    alpha = 1/2 the relaxation model shares this stationary profile with the
+    parabolic equation, which makes it the reference of choice for the decay
+    experiments.
     """
 
     params: ModelParams
@@ -184,12 +163,19 @@ class FrontProfile:
     increasing: bool = True
 
     def __call__(self, xi):
-        return exact_parabolic_front(xi, self.shift, self.params, increasing=self.increasing)
+        p = self.params
+        theta = math.sqrt(p.kappa / (8.0 * p.mu)) * (np.asarray(xi, dtype=float) - self.shift)
+        t = np.tanh(theta)
+        return 0.5 * (1.0 + t) if self.increasing else 0.5 * (1.0 - t)
 
     def derivative(self, xi):
-        return exact_parabolic_front_derivative(
-            xi, self.shift, self.params, increasing=self.increasing
-        )
+        """Analytic d/dxi of the profile (same orientation)."""
+        p = self.params
+        c = math.sqrt(p.kappa / (8.0 * p.mu))
+        theta = c * (np.asarray(xi, dtype=float) - self.shift)
+        with np.errstate(over="ignore"):  # cosh overflows to inf far out, where mag is exactly 0
+            mag = 0.5 * c / np.cosh(theta) ** 2
+        return mag if self.increasing else -mag
 
 
 _OVERSHOOT = 1

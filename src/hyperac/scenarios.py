@@ -10,7 +10,7 @@ output directory; plotting is left to external tools.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -406,17 +406,16 @@ def parse_config_text(text: str) -> dict[str, str]:
     return values
 
 
-_REQUIRED = object()  # the default of a key that every config must give
+_REQUIRED = MISSING  # the default of a key that every config must give
 
 # the one declaration of every config key: key -> (type, default); from_dict
-# hands the typed values on by section, "params.tau" as params["tau"]
+# hands the typed values on by section, "params.tau" as params["tau"]; params.* and
+# scheme.* are the fields of ModelParams and SchemeConfig ("none" for no limiter)
 CONFIG_KEYS = {
     "domain.xmin": (float, _REQUIRED), "domain.xmax": (float, _REQUIRED),
     "grid.n": (int, _REQUIRED), "grid.ratio": (float, 1.0),
-    "params.tau": (float, _REQUIRED), "params.mu": (float, 1.0), "params.kappa": (float, 1.0),
-    "params.alpha": (float, 0.5), "params.nu": (float, 0.0),
-    "scheme.kind": (str, "kinetic_first_order"), "scheme.boundary": (str, "zero_gradient"),
-    "scheme.limiter": (str, "minmod"),  # "none" (or "None") for no limiter
+    **{f"params.{f.name}": (float, f.default) for f in fields(ModelParams)},
+    **{f"scheme.{f.name}": (str, f.default) for f in fields(SchemeConfig)},
     "integrator": (str, "imex"),
     "time.T": (float, _REQUIRED), "time.dt": (float, _REQUIRED), "time.sample_every": (int, 0),
     "init.kind": (str, _REQUIRED), "init.shift": (float, 0.0),

@@ -14,8 +14,6 @@ from hyperac.model import (
     IntegrationError,
     ModelParams,
     ShootingError,
-    exact_parabolic_front,
-    exact_parabolic_front_derivative,
     from_diagonal,
     hyperbolic_front_speed_shooting,
     parabolic_front_speed,
@@ -127,16 +125,16 @@ def test_diagonal_round_trip():
 
 def test_front_normalization_and_limits():
     p = ModelParams(tau=1.0, mu=1.0, kappa=1.0, alpha=0.3)
-    assert exact_parabolic_front(2.0, 2.0, p) == pytest.approx(0.5)
-    assert exact_parabolic_front(1e4, 0.0, p) == pytest.approx(0.0, abs=1e-12)
-    assert exact_parabolic_front(-1e4, 0.0, p) == pytest.approx(1.0, abs=1e-12)
-    inc = exact_parabolic_front(1e4, 0.0, p, increasing=True)
+    assert FrontProfile(p, 2.0, False)(2.0) == pytest.approx(0.5)
+    assert FrontProfile(p, 0.0, False)(1e4) == pytest.approx(0.0, abs=1e-12)
+    assert FrontProfile(p, 0.0, False)(-1e4) == pytest.approx(1.0, abs=1e-12)
+    inc = FrontProfile(p, 0.0, True)(1e4)
     assert inc == pytest.approx(1.0, abs=1e-12)
 
 
 def test_front_closed_form_value():
     p = ModelParams(tau=1.0, mu=1.0, kappa=1.0)
-    value = exact_parabolic_front(np.sqrt(8.0), 0.0, p)
+    value = FrontProfile(p, 0.0, False)(np.sqrt(8.0))
     assert value == pytest.approx(0.11920292202211755, abs=1e-12)
 
 
@@ -146,7 +144,7 @@ def test_front_satisfies_traveling_wave_ode():
     c = parabolic_front_speed(p)
     k = np.sqrt(p.kappa / (2.0 * p.mu))
     xi = np.linspace(-8.0, 8.0, 321)
-    phi = exact_parabolic_front(xi, 0.0, p)
+    phi = FrontProfile(p, 0.0, False)(xi)
     dphi = -k * phi * (1.0 - phi)
     d2phi = k * k * phi * (1.0 - phi) * (1.0 - 2.0 * phi)
     residual = p.mu * d2phi + c * dphi + reaction_f(phi, p)
@@ -158,11 +156,9 @@ def test_front_derivative_matches_finite_difference():
     h = 1e-6
     for xi in (-1.3, 0.0, 2.4):
         for increasing in (False, True):
-            fd = (
-                exact_parabolic_front(xi + h, 0.3, p, increasing)
-                - exact_parabolic_front(xi - h, 0.3, p, increasing)
-            ) / (2 * h)
-            exact = exact_parabolic_front_derivative(xi, 0.3, p, increasing)
+            front = FrontProfile(p, 0.3, increasing)
+            fd = (front(xi + h) - front(xi - h)) / (2 * h)
+            exact = front.derivative(xi)
             assert fd == pytest.approx(exact, rel=1e-8, abs=1e-12)
 
 

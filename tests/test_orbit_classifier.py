@@ -7,6 +7,8 @@ in this file only: the same classification written with ``solve_ivp(...,
 events=...)``, and the same loop written over the public ``LSODA.step()``.
 All three take the same steps, so they must classify every orbit alike; the
 second must also hand the right-hand side the same (xi, y) bits, call for call.
+The loop's own dense output, ``model._dense_output``, is checked against
+``LSODA.dense_output()`` step by step.
 """
 
 import math
@@ -159,6 +161,30 @@ def test_step_loop_takes_the_public_lsoda_steps_bitwise(tau, alpha, fraction):
     expected_side, expected_calls = _recorded(_reference_step_loop, *captured[0])
     assert side == expected_side
     assert np.array_equal(calls, expected_calls)
+
+
+def test_dense_output_is_the_public_lsodas_bitwise():
+    """After each public ``LSODA.step()`` on the (tau, alpha, c) = (4, 0.7, 0.3)
+    orbit, ``_dense_output`` of the solver's work arrays equals
+    ``solver.dense_output()`` bit for bit across the step, through five steps
+    after which LSODA lowers its order (the branch that rescales the last
+    Nordsieck column; the first comes at step 61)."""
+    p = ModelParams(tau=4.0, alpha=0.7)
+    captured = []
+    with mock.patch.object(model, "solve_ivp", lambda *args: captured.append(args)):
+        model._classify_orbit(0.3, p)
+    rhs, y0, xi_max = captured[0]
+    solver = LSODA(rhs, 0.0, y0, xi_max, rtol=1e-10, atol=1e-12)
+    integrator = solver._lsoda_solver._integrator
+    order_drops = 0
+    while order_drops < 5:
+        solver.step()
+        assert solver.status == "running"
+        rwork, iwork = integrator.rwork, integrator.iwork
+        order_drops += int(iwork[14] < iwork[13])
+        dense, expected = model._dense_output(rwork, iwork, solver.t), solver.dense_output()
+        for xi in np.linspace(solver.t_old, solver.t, 5):
+            assert np.array_equal(dense(xi).view(np.int64), expected(xi).view(np.int64)), xi
 
 
 @pytest.mark.parametrize("y0", [(1.0, -1.0), (1.0, -1.01), (1.01, -1.0)])

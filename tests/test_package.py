@@ -1,5 +1,7 @@
 """The package namespace: ``hyperac.__all__`` is the union of its modules' ``__all__``."""
 
+import contextlib
+import io
 import re
 from pathlib import Path
 
@@ -15,8 +17,7 @@ EARLIER_EXPORTS = {
                  "g_profile l2_distance linf_distance relative_speed_error",
     grid: "Grid build_graded_grid build_uniform_grid project_cell_averages",
     model: "BracketError FrontProfile IntegrationError ModelParams ParamColumns ShootingError "
-           "exact_parabolic_front exact_parabolic_front_derivative from_diagonal "
-           "hyperbolic_front_speed_shooting parabolic_front_speed reaction_f "
+           "from_diagonal hyperbolic_front_speed_shooting parabolic_front_speed reaction_f "
            "reaction_f_prime to_diagonal",
     scenarios: "ConfigError Scenario initial_exact_front initial_random initial_riemann "
                "parse_config_text run_order_comparison run_random_study run_riemann_decay "
@@ -52,3 +53,24 @@ def test_every_name_the_readme_imports_resolves():
     names = [name for block in blocks for name in re.findall(r"\w+", block)]
     assert len(names) >= 8
     assert [name for name in names if name not in hyperac.__all__] == []
+
+
+def test_readme_python_examples_print_what_their_comments_say():
+    """README's ``python`` blocks run in order in one namespace; each
+    ``print(...)  # expected`` prints the comment's text up to its first
+    ``": "``, a ``...`` in it standing for further digits."""
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    expected = [comment.split(": ", 1)[0]
+                for block in blocks for line in block.splitlines()
+                for code, _, comment in [line.partition("  # ")] if code.startswith("print(")]
+    assert len(blocks) == 5 and len(expected) == 8
+    out, namespace = io.StringIO(), {}
+    with contextlib.redirect_stdout(out):
+        for block in blocks:
+            exec(compile(block, str(README), "exec"), namespace)
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(expected)
+    for line, text in zip(printed, expected):
+        pattern = r"\d+".join(re.escape(part) for part in text.split("..."))
+        assert re.fullmatch(pattern, line), (line, text)

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperac import scenarios
+from hyperac import model, scenarios
 from hyperac.diagnostics import detect_stabilization, linf_distance
-from hyperac.grid import build_graded_grid, build_uniform_grid, project_cell_averages
+from hyperac.grid import Grid, build_graded_grid, build_uniform_grid, project_cell_averages
 from hyperac.model import BracketError, FrontProfile, ModelParams, hyperbolic_front_speed_shooting
 from hyperac.scenarios import (
     CONFIG_KEYS,
@@ -327,3 +327,34 @@ def test_table_driver_raises_the_oracle_error_before_any_ensemble(monkeypatch, d
             run_order_comparison(2, taus=[10.0], alphas=[0.3])
     assert type(raised.value) is type(direct.value)
     assert str(raised.value) == str(direct.value)
+
+
+_REFUSALS = {
+    "random-variant": (lambda d: initial_random(build_uniform_grid(0.0, 3.0, 12),
+                                                ModelParams(tau=1.0), 3.0, 1, variant="bogus"),
+                       ValueError, "unknown random variant 'bogus'"),
+    "table-order": (lambda d: run_order_comparison(3, out_dir=d), ValueError,
+                    "order must be 1 or 2"),
+    "grid-size": (lambda d: Grid([0.0, 1.0, 2.0]), ValueError,
+                  "a grid needs at least 4 interfaces (3 cells)"),
+    "grid-bound": (lambda d: Grid([0.0, 1.0, 2.0, 1e301]), ValueError,
+                   "grid interfaces must lie within [-1e+300, 1e+300]"),
+    # psi stays at -1 and phi = exp(-xi/10) ends at 2.5e-3 <= 1e-2 at xi = 60; a faster
+    # decay, phi' = -phi to xi = 50, crosses zero on LSODA's atol noise instead
+    "orbit-window": (lambda d: model._integrate_orbit(lambda _xi, y: (-0.1 * y[0], 0.0),
+                                                      (1.0, -1.0), 60.0),
+                     model.IntegrationError,
+                     "orbit neither overshot nor turned around within the integration window"),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_refusal_names_its_cause(tmp_path, case):
+    """Refusals that no other test reaches, each with its exact message; the
+    order refusal comes before the output directory is made."""
+    call, error, message = _REFUSALS[case]
+    out_dir = tmp_path / "out"
+    with pytest.raises(error) as info:
+        call(out_dir)
+    assert str(info.value) == message
+    assert not out_dir.exists()
