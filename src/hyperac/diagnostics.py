@@ -121,13 +121,11 @@ def front_position_and_monotonicity(
     signs = np.sign(values)
     nonzero = signs[signs != 0.0]
     sign_changes = int(np.count_nonzero(np.diff(nonzero) != 0.0))
-    crossing = None
-    x = grid.centers
-    idx = np.nonzero((values[:-1] * values[1:]) < 0.0)[0]
-    if values.size and np.any(values == 0.0):
-        exact = np.nonzero(values == 0.0)[0]
-        crossing = float(x[exact[0]])
-    if idx.size and (crossing is None or x[idx[0]] < crossing):
-        i = int(idx[0])
-        crossing = float(x[i] + (alpha - u[i]) * (x[i + 1] - x[i]) / (u[i + 1] - u[i]))
-    return crossing, sign_changes
+    # the first cell that is at alpha, or whose right neighbour lies across alpha
+    hits = np.flatnonzero((values == 0.0) | np.append(values[:-1] * values[1:] < 0.0, False))
+    if not hits.size:
+        return None, sign_changes
+    i, x = int(hits[0]), grid.centers
+    if values[i] == 0.0:
+        return float(x[i]), sign_changes
+    return float(x[i] + (alpha - u[i]) * (x[i + 1] - x[i]) / (u[i + 1] - u[i])), sign_changes

@@ -24,16 +24,15 @@ _UNIFORM_RTOL = 1e-12  # is_uniform: the cell-length spread allowed, relative to
 
 
 def _set_cells(grid: "Grid | GridStack", sizes: list[int], centers, lengths) -> None:
-    """Set the read-only cell attributes that a grid and a grid stack share:
-    ``centers``, ``cell_lengths``, ``n_cells``, ``bounds`` (each member's first
-    cell, then the cell count) and ``ends`` (each member's first and last cell)."""
+    """Set the read-only cell attributes that a grid and a grid stack share: ``centers``,
+    ``cell_lengths``, ``n_cells``, ``sizes`` (each member's cell count), ``bounds`` (each
+    member's first cell, then the cell count) and ``ends`` (each member's first and last cell)."""
     bounds = np.cumsum([0] + sizes)
     ends = bounds[:-1], bounds[1:] - 1
     for arr in (centers, lengths, bounds, *ends):
         arr.setflags(write=False)
-    values = (centers, lengths, int(bounds[-1]), bounds, ends)
-    for name, value in zip(("centers", "cell_lengths", "n_cells", "bounds", "ends"), values):
-        object.__setattr__(grid, name, value)
+    grid.__dict__.update(centers=centers, cell_lengths=lengths, n_cells=int(bounds[-1]),
+                         sizes=tuple(sizes), bounds=bounds, ends=ends)
 
 
 @dataclass(frozen=True, eq=False)

@@ -162,9 +162,14 @@ class FrontProfile:
     shift: float = 0.0
     increasing: bool = True
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.params.kappa / (8.0 * self.params.mu)):  # else inf * 0 in theta
+            raise ValueError("the front's width sqrt(8 mu/kappa) underflows to 0")
+
     def __call__(self, xi):
         p = self.params
-        theta = math.sqrt(p.kappa / (8.0 * p.mu)) * (np.asarray(xi, dtype=float) - self.shift)
+        with np.errstate(over="ignore"):  # theta overflows to +-inf far out, where tanh is +-1
+            theta = math.sqrt(p.kappa / (8.0 * p.mu)) * (np.asarray(xi, dtype=float) - self.shift)
         t = np.tanh(theta)
         return 0.5 * (1.0 + t) if self.increasing else 0.5 * (1.0 - t)
 
@@ -172,8 +177,8 @@ class FrontProfile:
         """Analytic d/dxi of the profile (same orientation)."""
         p = self.params
         c = math.sqrt(p.kappa / (8.0 * p.mu))
-        theta = c * (np.asarray(xi, dtype=float) - self.shift)
-        with np.errstate(over="ignore"):  # cosh overflows to inf far out, where mag is exactly 0
+        with np.errstate(over="ignore"):  # theta or cosh overflows far out, where mag is 0
+            theta = c * (np.asarray(xi, dtype=float) - self.shift)
             mag = 0.5 * c / np.cosh(theta) ** 2
         return mag if self.increasing else -mag
 

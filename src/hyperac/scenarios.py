@@ -186,21 +186,22 @@ def _shoot_refs(members: Iterable[ModelParams]) -> dict:
     return {p: hyperbolic_front_speed_shooting(p, increasing=True) for p in dict.fromkeys(members)}
 
 
+def _table_datum(params: ModelParams, dx: float) -> State:
+    """The tables' datum: the Riemann datum on (0, 2l), N = round(2l/dx), jump at l/2."""
+    return initial_riemann(build_uniform_grid(0.0, 2.0 * _TABLE_ELL, round(2.0 * _TABLE_ELL / dx)),
+                           params, jump_location=_TABLE_ELL / 2.0)
+
+
 def _speed_rows(cells: Sequence, scheme: SchemeConfig, integrator: str, dt: float,
                 c_refs: dict) -> Iterator[tuple[dict, RunResult]]:
-    """Run the table cells ``(params, dx, T, labels)`` as one ensemble; yield each row and result.
+    """Run the cells ``(datum, T, labels)`` as one ensemble; yield each row and result.
 
-    A cell is the Riemann datum on (0, 2l), N = round(2l/dx), jump at l/2, run to its T.  Its
-    row is ``labels``, then the final average speed, ``c_refs[params]`` and their relative error.
+    A cell runs its initial state ``datum`` to its T.  Its row is ``labels``, then the final
+    average speed, ``c_refs[datum.params]`` and their relative error.
     """
-    initials = [
-        initial_riemann(build_uniform_grid(0.0, 2.0 * _TABLE_ELL, round(2.0 * _TABLE_ELL / dx)),
-                        params, jump_location=_TABLE_ELL / 2.0)
-        for params, dx, _, _ in cells
-    ]
-    ensemble = run_ensemble(initials, scheme, integrator, T=[c[2] for c in cells], dt=dt)
-    for (params, _, _, labels), result in zip(cells, ensemble):
-        speed, c_ref = float(result.diagnostics.speeds[-1]), c_refs[params]
+    ensemble = run_ensemble([c[0] for c in cells], scheme, integrator, [c[1] for c in cells], dt)
+    for (datum, _, labels), result in zip(cells, ensemble):
+        speed, c_ref = float(result.diagnostics.speeds[-1]), c_refs[datum.params]
         measured = speed, c_ref, relative_speed_error(speed, c_ref)
         yield {**labels, **dict(zip(_SPEED_COLUMNS, measured))}, result
 
@@ -234,7 +235,8 @@ def run_speed_table(
     rows = []
     for dt in dt_list:
         cells = [
-            (members[label], dx, T, dict(case=label, tau=tau, alpha=alpha, T=T, dt=dt, dx=dx))
+            (_table_datum(members[label], dx), T,
+             dict(case=label, tau=tau, alpha=alpha, T=T, dt=dt, dx=dx))
             for label, (tau, alpha, T, *_) in cases.items() for dx in dx_list
         ]
         rows += [{**row, "speeds": result.diagnostics.speeds}
@@ -270,7 +272,8 @@ def run_order_comparison(
         raise ValueError(f"order must be {' or '.join(map(str, TABLE_ORDERS))}")
     members = [ModelParams(tau=tau, alpha=alpha) for tau in taus for alpha in alphas]
     out = _output_dir(out_dir)
-    cells = [(p, 0.125, 40.0, dict(order=order, tau=p.tau, alpha=p.alpha)) for p in members]
+    cells = [(_table_datum(p, 0.125), 40.0, dict(order=order, tau=p.tau, alpha=p.alpha))
+             for p in members]
     rows = [row for row, _ in
             _speed_rows(cells, *TABLE_ORDERS[order], 0.01, _shoot_refs(members))]
     if out is not None:
@@ -296,8 +299,7 @@ def run_riemann_decay(
     initial = initial_riemann(grid, params, jump_location=0.0)
     hyperbolic = run(
         initial,
-        SchemeConfig("kinetic_first_order"),
-        "imex",
+        *TABLE_ORDERS[1],
         T=15.0,
         dt=0.01,
         sample_every=100,
@@ -351,8 +353,7 @@ def run_random_study(
     out = _output_dir(out_dir)
     ensemble = run_ensemble(
         [initial_random(grid, params, ell, seed, variant) for params in members],
-        SchemeConfig("kinetic_first_order"),
-        "imex",
+        *TABLE_ORDERS[1],
         T=20.0,
         dt=0.01,
         sample_every=1000,

@@ -120,8 +120,7 @@ class State:
     def __post_init__(self) -> None:
         if self.kind not in _REPRESENTATIONS:
             raise ValueError(f"unknown representation {self.kind!r}")
-        sizes = tuple(g.n_cells for g in self.grid.members)
-        if getattr(self.params, "sizes", (self.grid.n_cells,)) != sizes:
+        if getattr(self.params, "sizes", (self.grid.n_cells,)) != self.grid.sizes:
             raise ValueError("ensemble parameters must cover each member's cells")
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
@@ -154,8 +153,7 @@ class State:
         if any(st.kind != first.kind for st in states):
             raise ValueError("ensemble members must share one representation")
         grid = GridStack(tuple(st.grid for st in states))
-        sizes = tuple(g.n_cells for g in grid.members)
-        params = ParamColumns(tuple(st.params for st in states), sizes)
+        params = ParamColumns(tuple(st.params for st in states), grid.sizes)
         a, b = np.concatenate([st.a for st in states]), np.concatenate([st.b for st in states])
         return cls(first.kind, a, b, grid, params)
 

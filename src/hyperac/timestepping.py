@@ -261,8 +261,15 @@ class ImexWorkspace:
         )
 
 
+def _check_workspace(state: State, dt: float | np.ndarray, ws: ImexWorkspace) -> None:
+    """An IMEX step's preconditions: a diagonal state, and ``ws`` built for its step."""
+    state._require(DIAGONAL)  # the IMEX step advances diagonal states
+    if not ws.matches(state, dt):
+        raise ValueError("workspace was built for different (grid, dt, params)")
+
+
 @np.errstate(over="ignore", invalid="ignore")  # what overflows fails the step's check
-def imex_step(state: State, dt: float | np.ndarray, ws: ImexWorkspace | None = None) -> State:
+def imex_step(state: State, dt: float | np.ndarray, ws: ImexWorkspace) -> State:
     """One implicit-transport / explicit-reaction step in diagonal variables.
 
     Advances one state or an ensemble, whose members one solve serves; for
@@ -271,11 +278,7 @@ def imex_step(state: State, dt: float | np.ndarray, ws: ImexWorkspace | None = N
     density leaves the trust region, like ``explicit_step``, and
     ``SolveError`` when a member's solve misses the residual bound.
     """
-    state._require(DIAGONAL)  # the IMEX step advances diagonal states
-    if ws is None:
-        ws = ImexWorkspace.build(state.grid, dt, state.params)
-    elif not ws.matches(state, dt):
-        raise ValueError("workspace was built for different (grid, dt, params)")
+    _check_workspace(state, dt, ws)
     r, s = state.a, state.b
     half_f = (0.5 * dt) * reaction_f(state.u, state.params)
     rhs = np.empty(2 * r.size)
@@ -298,9 +301,7 @@ def imex_step(state: State, dt: float | np.ndarray, ws: ImexWorkspace | None = N
     return new
 
 
-def imex_step_reduced_uniform(
-    state: State, dt: float, ws: ImexWorkspace | None = None
-) -> State:
+def imex_step_reduced_uniform(state: State, dt: float, ws: ImexWorkspace) -> State:
     """Eliminated form of the IMEX step: two N x N tridiagonal-type solves.
 
     Block elimination of the interleaved system gives, with
@@ -313,13 +314,10 @@ def imex_step_reduced_uniform(
     so the result agrees with ``imex_step`` to solver roundoff; it requires a
     uniform grid (scalar alpha).
     """
-    state._require(DIAGONAL)  # the IMEX step advances diagonal states
+    _check_workspace(state, dt, ws)
     grid = state.grid
     if not grid.is_uniform():
         raise ValueError("the reduced IMEX form supports uniform grids only")
-    boundary = ws.boundary if ws is not None else "zero_gradient"
-    if ws is not None and not ws.matches(state, dt):
-        raise ValueError("workspace was built for different (grid, dt, params)")
     p = state.params
     n = grid.n_cells
     alpha = p.rho * dt / grid.dx_max
@@ -329,7 +327,7 @@ def imex_step_reduced_uniform(
     eye = sp.identity(n, format="csr")
     shift_down = sp.eye(n, k=-1, format="lil")  # (shift_down x)_i = x_{i-1}
     shift_up = sp.eye(n, k=1, format="lil")  # (shift_up x)_i = x_{i+1}
-    periodic = boundary == "periodic"
+    periodic = ws.boundary == "periodic"
     shift_down[0, n - 1 if periodic else 0] = 1.0
     shift_up[n - 1, 0 if periodic else n - 1] = 1.0
     d_minus, d_plus = (eye - shift_down).tocsr(), (shift_up - eye).tocsr()

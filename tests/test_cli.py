@@ -580,6 +580,10 @@ _SMALL_RUN = "domain.xmin = -5\ngrid.n = 16\nparams.tau = 1\ntime.T = 0.1\ntime.
 # f(u) overflows in the first step (exit 1), and cell midpoints past 1e308 (exit 2)
 @example(text=_SMALL_RUN + "domain.xmax = 5\ninit.kind = constant\ninit.value = 1e300\n")
 @example(text=_SMALL_RUN + "domain.xmax = 1.7e308\ninit.kind = riemann\n")
+# the exact front's argument overflows at the far cells of a wide, steep datum (exit 0)
+@example(text="domain.xmin = -1e300\ndomain.xmax = 1\ngrid.n = 3\nparams.tau = 1\n"
+         "params.mu = 1e-300\ntime.T = 0.5\ntime.dt = 0.5\ninit.kind = exact_front\n"
+         "scheme.kind = gk_pseudo_kinetic\nintegrator = euler\n")
 def test_run_on_generated_configs_exits_0_1_or_2(tmp_path, capsys, text):
     """Every config ends in a documented exit code, with no exception and no
     warning (the suite makes warnings errors); a failure prints one line."""

@@ -503,6 +503,18 @@ def test_flat_state_needs_parameter_columns_over_its_members_cells():
             State.diagonal(np.zeros(10), np.zeros(10), grids, params)
 
 
+def test_member_sizes_are_each_members_cell_count():
+    grid = build_graded_grid(0.0, 1.0, 7, 1.2)
+    assert grid.sizes == (7,)
+    grids = GridStack((build_uniform_grid(0.0, 1.0, 4), grid, build_uniform_grid(0.0, 2.0, 5)))
+    assert grids.sizes == (4, 7, 5) == tuple(np.diff(grids.bounds))
+
+
+def test_parameter_columns_refuse_an_empty_ensemble():
+    with pytest.raises(ValueError, match="^an ensemble needs at least one member$"):
+        ParamColumns((), ())
+
+
 def test_density_is_formed_once_per_state():
     grid = build_uniform_grid(0.0, 1.0, 4)
     state = State.diagonal(np.ones(4), np.full(4, 2.0), grid, ModelParams(tau=1.0))

@@ -173,6 +173,12 @@ def test_parabolic_speed_examples():
     )
 
 
+def test_front_profile_refuses_a_zero_width():
+    """A subnormal mu leaves no finite slope: the profile would be NaN at its shift."""
+    with pytest.raises(ValueError, match=r"width sqrt\(8 mu/kappa\) underflows to 0$"):
+        FrontProfile(ModelParams(tau=1e-300, mu=5e-324))
+
+
 def test_front_profile_wrapper():
     p = ModelParams(tau=4.0, alpha=0.5)
     front = FrontProfile(p, shift=1.5, increasing=True)

@@ -280,6 +280,24 @@ def test_speed_table_cells_equal_solo_runs(tmp_path):
         assert row["speed"] == float(solo.diagnostics.speeds[-1])
 
 
+def test_speed_rows_measure_a_datum_of_their_own():
+    """The table core runs whatever datum a cell carries: the table's own next
+    to a Riemann datum on (0, 100), each row the speed of that datum's run."""
+    p, q = ModelParams(tau=2.0, alpha=0.6), ModelParams(tau=4.0, alpha=0.7)
+    wide = initial_riemann(build_uniform_grid(0.0, 100.0, 200), q, 30.0)
+    cells = [(scenarios._table_datum(p, 0.5), 2.0, {"cell": "table"}),
+             (wide, 3.0, {"cell": "wide"})]
+    c_refs = {p: 0.25, q: 0.5}
+    scheme, integrator = scenarios.TABLE_ORDERS[1]
+    rows = list(scenarios._speed_rows(cells, scheme, integrator, 0.05, c_refs))
+    assert [row["cell"] for row, _ in rows] == ["table", "wide"]
+    for (datum, T, _), (row, result) in zip(cells, rows):
+        solo = run(datum, scheme, integrator, T=T, dt=0.05)
+        assert row["speed"] == float(solo.diagnostics.speeds[-1])
+        assert row["c_ref"] == c_refs[datum.params]
+        assert result.final_state.grid is datum.grid
+
+
 def test_scenario_runs_are_reproducible():
     values = _base_config()
     values.update({"init.kind": "random", "init.seed": "7", "init.ell": "0.5",

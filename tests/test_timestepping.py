@@ -240,7 +240,7 @@ def test_imex_specified_coefficients_case():
     grid = build_uniform_grid(0.0, 4.0, 4)
     assert p.rho * dt / grid.cell_lengths[0] == pytest.approx(0.8)
     st = _random_diagonal(grid, p, 77)
-    new = imex_step(st, dt)
+    new = imex_step(st, dt, ImexWorkspace.build(grid, dt, p))
     r_o, s_o = _dense_imex_oracle(st.a, st.b, grid, p, dt)
     assert np.allclose(new.a, r_o, atol=1e-12)
     assert np.allclose(new.b, s_o, atol=1e-12)
@@ -257,9 +257,9 @@ def test_imex_requires_diagonal_and_matching_workspace():
     grid = build_uniform_grid(0.0, 1.0, 4)
     p = ModelParams(tau=1.0)
     phys = State.physical(np.zeros(4), np.zeros(4), grid, p)
-    with pytest.raises(ValueError):
-        imex_step(phys, 0.1)
     ws = ImexWorkspace.build(grid, 0.1, p)
+    with pytest.raises(ValueError):
+        imex_step(phys, 0.1, ws)
     diag = State.diagonal(np.zeros(4), np.zeros(4), grid, p)
     with pytest.raises(ValueError):
         imex_step(diag, 0.05, ws)
@@ -283,7 +283,7 @@ def test_reduced_uniform_fixed_point():
     grid = build_uniform_grid(0.0, 1.0, 6)
     p = ModelParams(tau=1.0, alpha=0.5)
     st = State.diagonal(np.full(6, 0.5), np.full(6, 0.5), grid, p)
-    new = imex_step_reduced_uniform(st, 0.1)
+    new = imex_step_reduced_uniform(st, 0.1, ImexWorkspace.build(grid, 0.1, p))
     assert np.max(np.abs(new.a - 0.5)) <= 1e-12
 
 
@@ -292,7 +292,7 @@ def test_reduced_uniform_rejects_nonuniform_grid():
     p = ModelParams(tau=1.0)
     st = State.diagonal(np.zeros(6), np.zeros(6), grid, p)
     with pytest.raises(ValueError):
-        imex_step_reduced_uniform(st, 0.1)
+        imex_step_reduced_uniform(st, 0.1, ImexWorkspace.build(grid, 0.1, p))
 
 
 @pytest.mark.parametrize("dt, p", [(0.05, ModelParams(tau=1.0)), (0.1, ModelParams(tau=2.0))])
@@ -535,7 +535,7 @@ def test_direct_step_on_a_huge_state_raises_blow_up_without_a_warning(kind, meth
         warnings.simplefilter("error")
         with pytest.raises(BlowUpError, match="^solution became non-finite$"):
             if method == "imex":
-                imex_step(st, 0.1)
+                imex_step(st, 0.1, ImexWorkspace.build(grid, 0.1, st.params))
             else:
                 explicit_step(st, 0.1, rhs_for_scheme(cfg), method)
 
@@ -784,7 +784,7 @@ def test_imex_and_heun_consistent_as_dt_shrinks():
     gaps, dts = [], []
     dt = 0.04
     for _ in range(4):
-        a = imex_step(st, dt)
+        a = imex_step(st, dt, ImexWorkspace.build(grid, dt, p))
         b = explicit_step(st, dt, lambda s: rhs_kinetic_first_order(s, cfg), "heun")
         gaps.append(max(np.max(np.abs(a.a - b.a)), np.max(np.abs(a.b - b.b))))
         dts.append(dt)
