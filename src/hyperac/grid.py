@@ -25,14 +25,16 @@ _UNIFORM_RTOL = 1e-12  # is_uniform: the cell-length spread allowed, relative to
 
 def _set_cells(grid: "Grid | GridStack", sizes: list[int], centers, lengths) -> None:
     """Set the read-only cell attributes that a grid and a grid stack share: ``centers``,
-    ``cell_lengths``, ``n_cells``, ``sizes`` (each member's cell count), ``bounds`` (each
-    member's first cell, then the cell count) and ``ends`` (each member's first and last cell)."""
+    ``cell_lengths``, ``half_lengths`` (0.5 dx), ``n_cells``, ``sizes`` (each member's cell
+    count), ``bounds`` (each member's first cell, then the cell count) and ``ends`` (each
+    member's first and last cell)."""
     bounds = np.cumsum([0] + sizes)
     ends = bounds[:-1], bounds[1:] - 1
-    for arr in (centers, lengths, bounds, *ends):
+    half = 0.5 * lengths
+    for arr in (centers, lengths, half, bounds, *ends):
         arr.setflags(write=False)
-    grid.__dict__.update(centers=centers, cell_lengths=lengths, n_cells=int(bounds[-1]),
-                         sizes=tuple(sizes), bounds=bounds, ends=ends)
+    grid.__dict__.update(centers=centers, cell_lengths=lengths, half_lengths=half,
+                         n_cells=int(bounds[-1]), sizes=tuple(sizes), bounds=bounds, ends=ends)
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +129,8 @@ def build_graded_grid(x_min: float, x_max: float, n_cells: int, ratio: float) ->
     ``ratio = 1`` reproduces the uniform grid.  The interfaces span
     [x_min, x_max] exactly.
     """
-    if ratio <= 0.0:
-        raise ValueError("ratio must be positive")
+    if not 0.0 < ratio < np.inf:  # false for NaN too
+        raise ValueError(f"ratio must be positive and finite, not {ratio:g}")
     _check_domain(x_min, x_max, n_cells)
     if ratio == 1.0:
         return build_uniform_grid(x_min, x_max, n_cells)

@@ -85,14 +85,20 @@ class ModelParams:
         """Characteristic speed sqrt(mu/tau) of the diagonal variables."""
         return math.sqrt(self.mu / self.tau)
 
+    # scalars the right-hand sides derive, which ``ParamColumns`` lays out once per ensemble
+    two_tau = property(lambda self: 2.0 * self.tau)
+    minus_rho = property(lambda self: -self.rho)
+    two_one_plus_alpha = property(lambda self: 2.0 * (1.0 + self.alpha))
+
 
 @dataclass(frozen=True)
 class ParamColumns:
     """The ``ModelParams`` of B ensemble members as per-cell columns.
 
-    Each column repeats a member's scalar (``rho`` included) over its
-    ``sizes`` cells, as ``State.stack`` lays them out, so the formulas written
-    for one member evaluate every member at once, with the one-member results.
+    Each column repeats a member's scalar (derived ones, ``rho`` among them, too)
+    over its ``sizes`` cells, as ``State.stack`` lays them out, so the formulas
+    written for one member evaluate every member at once, with the one-member results.
+    A column is laid out, read-only, when first read: a stack holds those its kernels read.
     """
 
     members: tuple[ModelParams, ...]
@@ -101,10 +107,15 @@ class ParamColumns:
     def __post_init__(self) -> None:
         if not self.members:
             raise ValueError("an ensemble needs at least one member")
-        for name in ("tau", "mu", "kappa", "alpha", "nu", "rho"):
-            column = self.column([getattr(m, name) for m in self.members])
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+
+    def __getattr__(self, name: str) -> np.ndarray:  # only for names not set yet
+        if name not in ("tau", "mu", "kappa", "alpha", "nu", "rho", "two_tau", "minus_rho",
+                        "two_one_plus_alpha"):
+            raise AttributeError(f"'ParamColumns' object has no attribute {name!r}")
+        column = self.column([getattr(m, name) for m in self.members])
+        column.setflags(write=False)
+        object.__setattr__(self, name, column)
+        return column
 
     def column(self, values) -> np.ndarray:
         """One value per member, repeated over that member's cells."""
@@ -118,7 +129,7 @@ def reaction_f(u, p: ModelParams):
 
 def reaction_f_prime(u, p: ModelParams):
     """Exact derivative of the cubic: kappa*(-3u^2 + 2(1+alpha)u - alpha)."""
-    return p.kappa * (-3.0 * u * u + 2.0 * (1.0 + p.alpha) * u - p.alpha)
+    return p.kappa * (-3.0 * u * u + p.two_one_plus_alpha * u - p.alpha)
 
 
 def _max_abs_f_prime(p: ModelParams) -> float:
@@ -300,7 +311,7 @@ def _classify_orbit(c: float, p: ModelParams) -> int:
         raise IntegrationError(f"unstable eigenvalue at the saddle overflows at c = {c:g}")
 
     # f' and f inlined on Python floats, cheaper than numpy scalars; same operations, same order
-    tau, kappa, alpha, two_one_alpha = p.tau, p.kappa, p.alpha, 2.0 * (1.0 + p.alpha)
+    tau, kappa, alpha, two_one_alpha = p.tau, p.kappa, p.alpha, p.two_one_plus_alpha
 
     def rhs(_xi, y):
         phi, psi = y.tolist()

@@ -308,10 +308,10 @@ def _kinetic_upwind(state: State, cfg: SchemeConfig,
     dr[last] = r_face[ghost_r] - r_face[last]
     ds[first] = s_face[first] - s_face[ghost_s]
     dr *= p.rho
-    ds *= -p.rho
+    ds *= p.minus_rho
     out /= grid.cell_lengths
     out += 0.5 * reaction_f(state.u, p)
-    relax = (state.b - state.a) / (2.0 * p.tau)
+    relax = (state.b - state.a) / p.two_tau
     dr += relax
     ds -= relax
     return dr, ds
@@ -381,7 +381,7 @@ def rhs_kinetic_second_order(state: State, cfg: SchemeConfig) -> tuple[np.ndarra
     r, s = state.a, state.b
     # one slope pass for r and s, scaled in place and made into r_i^- and s_i^+
     r_minus, s_plus = recon = _limited_slope_values((r, s), state.grid, cfg.limiter)
-    recon *= 0.5 * state.grid.cell_lengths
+    recon *= state.grid.half_lengths
     np.subtract(r, r_minus, out=r_minus)
     np.add(s, s_plus, out=s_plus)
     return _kinetic_upwind(state, cfg, r_minus, s_plus)

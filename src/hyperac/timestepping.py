@@ -34,6 +34,7 @@ steps.  A periodic IMEX operator serves one member only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -128,7 +129,7 @@ def _imex_operator(
     if boundary == "periodic" and len(grid.members) > 1:
         raise ValueError("a periodic IMEX operator serves one member, not an ensemble")
     alpha = params.rho * dt / grid.cell_lengths
-    beta = np.broadcast_to(dt / (2.0 * params.tau), alpha.shape)  # one member's is a scalar
+    beta = np.broadcast_to(dt / params.two_tau, alpha.shape)  # one member's is a scalar
     first, last = grid.ends
     size = 2 * alpha.size
     ab = np.zeros((7, size), order="F")  # dgbtrf factors it in place
@@ -249,7 +250,8 @@ class ImexWorkspace:
         a = self.matrix
         product = np.zeros(rhs.size)
         _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, x, product)
-        misfit = np.maximum.reduceat(np.abs(product - rhs), self.starts)
+        np.subtract(product, rhs, out=product)
+        misfit = np.maximum.reduceat(np.abs(product, out=product), self.starts)
         scale = np.maximum.reduceat(np.abs(rhs), self.starts)
         return misfit / (scale + (scale == 0.0))  # a zero right-hand side counts as 1
 
@@ -321,7 +323,7 @@ def imex_step_reduced_uniform(state: State, dt: float, ws: ImexWorkspace) -> Sta
     p = state.params
     n = grid.n_cells
     alpha = p.rho * dt / grid.dx_max
-    beta = dt / (2.0 * p.tau)
+    beta = dt / p.two_tau
     # D_- x = x_i - x_{i-1} and D_+ x = x_{i+1} - x_i; a zero-gradient ghost
     # equals the interior value, so that row of D_- or D_+ is zero
     eye = sp.identity(n, format="csr")
@@ -421,7 +423,7 @@ def suggest_dt(
     dx = grid.dx_min
     diffusion = SCHEMES[cfg.kind].diffusion
     parabolic = math.inf if diffusion is None else 0.5 * dx**2 / diffusion(params, dx)
-    return safety * min(reaction, dx / params.rho, 2.0 * params.tau, parabolic)
+    return safety * min(reaction, dx / params.rho, params.two_tau, parabolic)
 
 
 def check_run(
@@ -573,8 +575,16 @@ def run_ensemble(
         end = min(m.steps.size for m in active)
         sizes = [float(m.steps[end - 1]) for m in active]
         last = state.params.column(np.array(sizes)) if len(set(sizes)) > 1 else sizes[0]
-        bounds = state.grid.bounds
+        bounds, lengths = state.grid.bounds, state.grid.cell_lengths
         cells = [slice(*bounds[j : j + 2]) for j in range(len(active))]
+        runs, j = [], 0  # runs of adjacent equal-size members: their places, cells and lengths
+        for size, group in itertools.groupby(state.grid.sizes):
+            k = len(list(group))
+            c = slice(bounds[j], bounds[j + k])
+            runs.append((j, c, lengths[c]) if k == 1 else
+                        (slice(j, j + k), c, lengths[c].reshape(k, size)))
+            j += k
+        masses, peaks = np.empty(len(active)), np.empty(len(active))
         for n in range(start, end):
             h = last if n == end - 1 else dt
             try:
@@ -589,11 +599,13 @@ def run_ensemble(
                 err.member, err.count, err.step = active[err.member].index, count, n
                 raise
             u = state.u
-            peaks = np.maximum.reduceat(reaction_f_prime(u, state.params), bounds[:-1]).tolist()
-            for m, c, peak in zip(active, cells, peaks):
-                m.masses[n + 1] = mass(u[c], m.state.grid)
-                m.max_f_prime[n] = peak
-                if m.ref is not None:
+            np.maximum.reduceat(reaction_f_prime(u, state.params), bounds[:-1], out=peaks)
+            for at, c, w in runs:  # vecdot's rows have np.dot's bits; a lone np.dot costs less
+                masses[at] = np.dot(w, u[c]) if w.ndim == 1 else np.vecdot(u[c].reshape(w.shape), w)
+            for m, value, peak in zip(active, masses.tolist(), peaks.tolist()):
+                m.masses[n + 1], m.max_f_prime[n] = value, peak
+            if reference is not None:  # then every member has a reference
+                for m, c in zip(active, cells):
                     m.l2[n] = l2_distance(u[c], m.ref, m.state.grid)
                     m.linf[n] = linf_distance(u[c], m.ref)
             sampled = sample_every > 0 and (n + 1) % sample_every == 0

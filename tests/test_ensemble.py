@@ -314,7 +314,17 @@ _TRIO = [
     (10, 0.0, 0.0, ModelParams(tau=2.0), (2, 1.0)),
 ]
 _TRIO_GRADED = [_TRIO[0], (10, 1.0, -1.0, ModelParams(tau=2.0), (2, 0.5)), _TRIO[2]]
+# a run of three adjacent members of N = 9 on grids of their own (graded 1 + 2/9 on [0, 8],
+# 1 - 1.5/9 on [-1, 8], uniform), stopping after 2.5, 3.5 and 2 steps, then one of N = 13:
+# the run of three, then of two, then a lone member form the masses
+_RUN = [
+    (9, 2.0, 0.0, ModelParams(tau=1.0), (2, 0.5)),
+    (9, -1.5, -1.0, ModelParams(tau=2.0, alpha=0.7), (3, 0.5)),
+    (9, 0.0, 0.0, ModelParams(tau=0.5, mu=1.5), (1, 1.0)),
+    (13, 2.0, -1.0, ModelParams(tau=1.5), (2, 0.25)),
+]
 _IMEX = ("kinetic_first_order", "imex", "zero_gradient")
+_MUSCL = ("kinetic_second_order", "euler", "zero_gradient")
 
 # every scheme kind with both explicit integrators and both boundaries, and
 # IMEX (a periodic IMEX operator is single-member, so IMEX is zero-gradient)
@@ -328,24 +338,36 @@ _SCHEMES = [(kind, method, boundary) for kind in SCHEMES for method in EXPLICIT
     courant=st.sampled_from([0.5, 2.5]) | st.floats(0.2, 3.0),
     seed=st.integers(0, 2**16),
     scheme=st.sampled_from(_SCHEMES),
+    reference=st.sampled_from([None, _REFERENCE]),
 )
-@example(members=_PAIR, courant=0.5, seed=1, scheme=_IMEX)  # no row moved: the sweeps solve
-@example(members=_PAIR, courant=2.5, seed=1, scheme=_IMEX)  # rows moved: dgbtrs solves the band
-@example(members=_TRIO, courant=0.5, seed=1, scheme=_IMEX)
-@example(members=_TRIO_GRADED, courant=0.5, seed=1, scheme=_IMEX)
-@example(members=_TRIO, courant=0.5, seed=1, scheme=("kinetic_first_order", "euler", "zero_gradient"))
-@example(members=_TRIO_GRADED, courant=0.5, seed=1, scheme=("kinetic_second_order", "heun", "periodic"))
-@example(members=_TRIO_GRADED, courant=0.5, seed=1, scheme=("onefield_alternative", "euler", "periodic"))
-def test_ragged_imex_ensemble_equals_solo_runs_bitwise(members, courant, seed, scheme):
+@example(members=_PAIR, courant=0.5, seed=1, scheme=_IMEX,  # no row moved: the sweeps solve
+         reference=_REFERENCE)
+@example(members=_PAIR, courant=2.5, seed=1, scheme=_IMEX,  # rows moved: dgbtrs solves the band
+         reference=_REFERENCE)
+@example(members=_TRIO, courant=0.5, seed=1, scheme=_IMEX, reference=_REFERENCE)
+@example(members=_TRIO_GRADED, courant=0.5, seed=1, scheme=_IMEX, reference=_REFERENCE)
+@example(members=_TRIO, courant=0.5, seed=1,
+         scheme=("kinetic_first_order", "euler", "zero_gradient"), reference=_REFERENCE)
+@example(members=_TRIO_GRADED, courant=0.5, seed=1,
+         scheme=("kinetic_second_order", "heun", "periodic"), reference=_REFERENCE)
+@example(members=_TRIO_GRADED, courant=0.5, seed=1,
+         scheme=("onefield_alternative", "euler", "periodic"), reference=_REFERENCE)
+@example(members=_RUN, courant=0.5, seed=1, scheme=_IMEX, reference=None)
+@example(members=_RUN, courant=0.5, seed=1, scheme=_IMEX, reference=_REFERENCE)
+@example(members=_RUN, courant=0.5, seed=1, scheme=_MUSCL, reference=None)
+@example(members=_RUN, courant=0.5, seed=1, scheme=_MUSCL, reference=_REFERENCE)
+def test_ragged_imex_ensemble_equals_solo_runs_bitwise(members, courant, seed, scheme, reference):
     """Members on uniform and graded grids of their own, whose domains may
     start at different points, each with its own stop time, step side by
     side as one ensemble: every member's final state, snapshots, speeds,
-    g_min, reference distances and stabilisation time are those of its own
-    run, bit for bit, whatever the order of the members.
+    g_min, reference distances (with a ``reference``) and stabilisation time
+    are those of its own run, bit for bit, whatever the order of the members.
     That holds for IMEX and for explicit stencils, which close each member at
-    its own ends.  The IMEX step dt is ``courant`` times the smallest dx / rho,
-    so the band's LU moves rows (alpha_i > 1 somewhere) in some examples and
-    not in others; an explicit step is ``courant`` / 3 of the stable one."""
+    its own ends, and for adjacent members of one size, whose masses one
+    ``np.vecdot`` forms.  The IMEX step dt is ``courant`` times the smallest
+    dx / rho, so the band's LU moves rows (alpha_i > 1 somewhere) in some
+    examples and not in others; an explicit step is ``courant`` / 3 of the
+    stable one."""
     kind, integrator, boundary = scheme
     rng = np.random.default_rng(seed)
     initials = []
@@ -360,7 +382,7 @@ def test_ragged_imex_ensemble_equals_solo_runs_bitwise(members, courant, seed, s
     else:
         dt = courant / 3.0 * min(suggest_dt(st.grid, st.params, cfg) for st in initials)
     T = [(steps + fraction) * dt for *_, (steps, fraction) in members]
-    kwargs = dict(sample_every=2, reference=_REFERENCE)
+    kwargs = dict(sample_every=2, reference=reference)
     ensemble = run_ensemble(initials, cfg, integrator, T, dt, **kwargs)
     for initial, stop, got in zip(initials, T, ensemble):
         _assert_same_run(got, run(initial, cfg, integrator, stop, dt, **kwargs))
@@ -369,6 +391,29 @@ def test_ragged_imex_ensemble_equals_solo_runs_bitwise(members, courant, seed, s
     shuffled = run_ensemble(initials, cfg, integrator, T, dt, **kwargs)
     for k, got in zip(perm, shuffled):
         _assert_same_run(got, ensemble[k])
+
+
+def test_vecdot_rows_are_each_rows_np_dot_bitwise():
+    """Row k of ``np.vecdot(U, lengths)`` is ``np.dot(lengths[k], U[k])`` bit for bit,
+    the premise on which ``run_ensemble`` forms the masses of adjacent equal-size members
+    with one ``np.vecdot``; a gemv such as ``U @ lengths[0]`` sums in another order.
+    Random stacks: N from 3 to 2,000 (log-uniform), 1 to 9 rows, each row's lengths
+    uniform or graded, values of magnitude 1e-300 to 1e2 with either sign, and zeros of
+    both signs."""
+    rng = np.random.default_rng(29)
+    for _ in range(400):
+        n, k = int(np.exp(rng.uniform(np.log(3), np.log(2001)))), int(rng.integers(1, 10))
+        lengths = np.empty((k, n))
+        for row in lengths:
+            row[:] = 10.0 ** rng.uniform(-3, 0) * (1.0 + rng.uniform(-2, 2) / n) ** np.arange(n)
+            if rng.random() < 0.5:
+                row[:] = row[0]  # a uniform grid
+        U = np.copysign(10.0 ** rng.uniform(-300, 2, (k, n)), rng.uniform(-1, 1, (k, n)))
+        U[rng.random((k, n)) < 0.1] = 0.0
+        U[rng.random((k, n)) < 0.1] = -0.0
+        got = np.vecdot(U, lengths)
+        want = np.array([np.dot(lengths[j], U[j]) for j in range(k)])
+        assert _same_bits(got, want), (n, k)
 
 
 def _members(count):
@@ -545,6 +590,15 @@ def test_param_columns_hold_each_members_scalars():
         column = getattr(cols, name)
         assert column.shape == (36,)
         assert column.tolist() == [getattr(p, name) for p in members for _ in range(12)]
+        assert not column.flags.writeable
+    # the derived columns, which the right-hand sides read in place of their formulas
+    derived = {"two_tau": lambda p: 2.0 * p.tau, "minus_rho": lambda p: -p.rho,
+               "two_one_plus_alpha": lambda p: 2.0 * (1.0 + p.alpha)}
+    for name, formula in derived.items():
+        column = getattr(cols, name)
+        assert _same_bits(column, np.repeat([formula(p) for p in members], 12))
+        assert all(getattr(p, name) == formula(p) for p in members)
+        assert not column.flags.writeable
     u = np.linspace(-0.1, 1.1, 12)
     stacked = reaction_f(np.tile(u, 3), cols)
     for k, p in enumerate(members):

@@ -62,6 +62,9 @@ def test_graded_grid_invalid_ratio():
         build_graded_grid(0.0, 1.0, 4, -1.0)
     with pytest.raises(ValueError, match="overflows"):
         build_graded_grid(0.0, 1.0, 400, 1e300)  # ratio**n_cells is past the float range
+    for ratio in ("nan", "inf"):  # refused by name, not by the interfaces they would give
+        with pytest.raises(ValueError, match=f"^ratio must be positive and finite, not {ratio}$"):
+            build_graded_grid(0.0, 1.0, 600, float(ratio))
 
 
 def test_graded_reverse_is_mirror_of_inverse_ratio():
