@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,6 +91,11 @@ class ModelParams:
     two_one_plus_alpha = property(lambda self: 2.0 * (1.0 + self.alpha))
 
 
+# the names of the columns: the fields of ModelParams and the scalars it derives
+_COLUMNS = {f.name for f in fields(ModelParams)} | {
+    name for name, value in vars(ModelParams).items() if isinstance(value, property)}
+
+
 @dataclass(frozen=True)
 class ParamColumns:
     """The ``ModelParams`` of B ensemble members as per-cell columns.
@@ -109,8 +114,7 @@ class ParamColumns:
             raise ValueError("an ensemble needs at least one member")
 
     def __getattr__(self, name: str) -> np.ndarray:  # only for names not set yet
-        if name not in ("tau", "mu", "kappa", "alpha", "nu", "rho", "two_tau", "minus_rho",
-                        "two_one_plus_alpha"):
+        if name not in _COLUMNS:
             raise AttributeError(f"'ParamColumns' object has no attribute {name!r}")
         column = self.column([getattr(m, name) for m in self.members])
         column.setflags(write=False)

@@ -47,6 +47,13 @@ class ConfigError(ValueError):
     """A scenario configuration is missing, malformed or inconsistent."""
 
 
+def _checked(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
 # sub-interval value ranges of the piecewise-random data, per variant;
 # "decay" respects limsup_left < alpha < liminf_right for mid-range alpha,
 # "overlapping" violates it by construction for alpha in (0.3, 0.7)
@@ -99,6 +106,8 @@ def initial_random(
     """
     if variant not in RANDOM_RANGES:
         raise ValueError(f"unknown random variant {variant!r}")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if not (grid.x_min <= 0.0 < ell <= grid.x_max):
         raise ValueError("the random region (0, ell) must lie inside the domain")
     ranges = np.array(RANDOM_RANGES[variant])
@@ -293,7 +302,7 @@ def run_riemann_decay(
     """
     ell = _TABLE_ELL
     grid = build_uniform_grid(-ell, ell, int(round(2.0 * ell / 0.125)))
-    params = ModelParams(tau=tau, alpha=0.5)
+    params = _checked(ModelParams, tau=tau, alpha=0.5)
     out = _output_dir(out_dir)
     front = FrontProfile(params, shift=0.0, increasing=True)
     initial = initial_riemann(grid, params, jump_location=0.0)
@@ -349,15 +358,10 @@ def run_random_study(
     """
     ell = _TABLE_ELL
     grid = build_uniform_grid(-ell, 2.0 * ell, int(round(3.0 * ell / 0.125)))
-    members = [ModelParams(tau=tau, alpha=alpha) for tau in taus]
+    members = [_checked(ModelParams, tau=tau, alpha=alpha) for tau in taus]
+    initials = [_checked(initial_random, grid, params, ell, seed, variant) for params in members]
     out = _output_dir(out_dir)
-    ensemble = run_ensemble(
-        [initial_random(grid, params, ell, seed, variant) for params in members],
-        *TABLE_ORDERS[1],
-        T=20.0,
-        dt=0.01,
-        sample_every=1000,
-    )
+    ensemble = run_ensemble(initials, *TABLE_ORDERS[1], T=20.0, dt=0.01, sample_every=1000)
     results = []
     for tau, params, result in zip(taus, members, ensemble):
         crossing, sign_changes = front_position_and_monotonicity(
@@ -466,20 +470,18 @@ class Scenario:
         domain, mesh, scheme = sections["domain"], sections["grid"], sections["scheme"]
         if scheme["limiter"] in ("none", "None"):
             scheme["limiter"] = None
-        try:
-            scenario = cls(
-                grid=build_graded_grid(domain["xmin"], domain["xmax"], mesh["n"], mesh["ratio"]),
-                params=ModelParams(**sections["params"]),
-                scheme=SchemeConfig(**scheme),
-                integrator=sections[""]["integrator"],
-                **sections["time"],
-                init=sections["init"],
-                output_dir=sections["output"]["dir"],
-            )
-            check_run(scenario.scheme, scenario.integrator, scenario.T, scenario.dt,
-                      scenario.sample_every)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        scenario = cls(
+            grid=_checked(build_graded_grid, domain["xmin"], domain["xmax"], mesh["n"],
+                          mesh["ratio"]),
+            params=_checked(ModelParams, **sections["params"]),
+            scheme=_checked(SchemeConfig, **scheme),
+            integrator=sections[""]["integrator"],
+            **sections["time"],
+            init=sections["init"],
+            output_dir=sections["output"]["dir"],
+        )
+        _checked(check_run, scenario.scheme, scenario.integrator, scenario.T, scenario.dt,
+                 scenario.sample_every)
         if scenario.init["kind"] not in INIT_KINDS:
             raise ConfigError(f"unknown init.kind {scenario.init['kind']!r}")
         return scenario
@@ -488,10 +490,7 @@ class Scenario:
         return INIT_KINDS[self.init["kind"]](self.grid, self.params, self.init)
 
     def execute(self) -> RunResult:
-        try:
-            initial = self.initial_state()
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        initial = _checked(self.initial_state)
         out = _output_dir(self.output_dir)
         result = run(initial, self.scheme, self.integrator, self.T, self.dt, self.sample_every)
         if out is not None:

@@ -294,8 +294,9 @@ def test_invalid_run_exits_2_before_the_run_starts(tmp_path, capsys, overrides):
         (["domain.xmax=10", "init.jump=50"], "jump location must lie inside the domain"),
         (["init.kind=random", "init.ell=3"],
          "the random region (0, ell) must lie inside the domain"),
+        (["domain.xmax=30", "init.kind=random", "init.seed=-1"], "seed must be non-negative"),
     ],
-    ids=["init.kind", "integrator", "riemann-jump", "random-ell"],
+    ids=["init.kind", "integrator", "riemann-jump", "random-ell", "random-seed"],
 )
 def test_refused_name_or_datum_exits_2_with_its_message(tmp_path, capsys, overrides, message):
     argv = ["run", _write_config(tmp_path / "base.cfg"), "--out-dir", str(tmp_path / "out")]

@@ -4,12 +4,15 @@ Members step side by side in flat arrays, on the ``GridStack`` of their grids,
 which may be one grid or grids of their own.
 """
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperac import timestepping
+from hyperac import model, timestepping
 from hyperac.diagnostics import detect_stabilization
 from hyperac.grid import GridStack, build_graded_grid, build_uniform_grid
 from hyperac.model import FrontProfile, ModelParams, ParamColumns, reaction_f
@@ -537,6 +540,42 @@ def test_failed_build_after_a_departure_names_the_member_in_the_whole_ensemble(m
     assert info.value.step == 1
 
 
+def test_failed_factorisation_names_the_member(monkeypatch):
+    """A zero pivot that ``dgbtrf`` reports in row 23 of 30, member 2's third
+    unknown, fails the build of the stack's operator as a ``SolveError``."""
+    grid = build_uniform_grid(0.0, 1.0, 5)
+    factor = timestepping.dgbtrf
+
+    def zero_pivot_in_row_23(ab, *args, **kwargs):
+        return *factor(ab, *args, **kwargs)[:2], 23
+
+    monkeypatch.setattr(timestepping, "dgbtrf", zero_pivot_in_row_23)
+    stacked = _stack(grid, _members(3))
+    with pytest.raises(SolveError) as info:
+        ImexWorkspace.build(stacked.grid, 0.1, stacked.params)
+    assert str(info.value) == "member 2: banded LU factorisation failed (dgbtrf info 23)"
+
+
+def test_failed_factorisation_after_a_departure_names_the_member_in_the_whole_ensemble(
+        monkeypatch):
+    """Member 0 leaves after one step; the factorisation of the operator of
+    members 1 and 2 reports a zero pivot in row 13 of 20, in the stack's second
+    member: member 2 of the ensemble."""
+    grid = build_uniform_grid(0.0, 1.0, 5)
+    factor = timestepping.dgbtrf
+
+    def zero_pivot_in_the_last_member_of_two(ab, *args, **kwargs):
+        lu, pivots, info = factor(ab, *args, **kwargs)
+        return lu, pivots, 13 if ab.shape[1] == 2 * 10 else info
+
+    monkeypatch.setattr(timestepping, "dgbtrf", zero_pivot_in_the_last_member_of_two)
+    initials = [State.physical(np.full(5, 0.3), np.zeros(5), grid, p) for p in _members(3)]
+    with pytest.raises(SolveError) as info:
+        run_ensemble(initials, SchemeConfig(), "imex", T=[0.1, 0.3, 0.3], dt=0.1)
+    assert str(info.value) == "member 2: banded LU factorisation failed (dgbtrf info 13) at step 1"
+    assert (info.value.member, info.value.step) == (2, 1)
+
+
 def test_flat_state_needs_parameter_columns_over_its_members_cells():
     grids = GridStack((build_uniform_grid(0.0, 1.0, 4), build_uniform_grid(0.0, 1.0, 6)))
     assert grids.bounds.tolist() == [0, 4, 10] and grids.n_cells == 10
@@ -603,3 +642,18 @@ def test_param_columns_hold_each_members_scalars():
     stacked = reaction_f(np.tile(u, 3), cols)
     for k, p in enumerate(members):
         assert _same_bits(stacked[12 * k : 12 * (k + 1)], reaction_f(u, p))
+
+
+def test_param_columns_accept_exactly_the_names_of_model_params():
+    """A column for each field of ``ModelParams`` and each scalar it derives as a
+    property; any other name is a missing attribute, and nothing is laid out."""
+    cols = ParamColumns(tuple(_members(2)), (3, 3))
+    with pytest.raises(AttributeError) as info:
+        cols.beta
+    assert str(info.value) == "'ParamColumns' object has no attribute 'beta'"
+    assert not hasattr(cols, "beta") and "beta" not in vars(cols)
+    names = {f.name for f in dataclasses.fields(ModelParams)}
+    names |= {name for name, value in inspect.getmembers(ModelParams)
+              if isinstance(value, property)}
+    assert model._COLUMNS == names and {"rho", "two_one_plus_alpha"} <= names
+    assert all(hasattr(cols, name) for name in names)

@@ -19,6 +19,8 @@ from hyperac.scenarios import (
     initial_riemann,
     parse_config_text,
     run_order_comparison,
+    run_random_study,
+    run_riemann_decay,
     run_speed_table,
     write_snapshots_csv,
 )
@@ -353,6 +355,14 @@ _REFUSALS = {
                        ValueError, "unknown random variant 'bogus'"),
     "table-order": (lambda d: run_order_comparison(3, out_dir=d), ValueError,
                     "order must be 1 or 2"),
+    "decay-tau": (lambda d: run_riemann_decay(tau=0.0, out_dir=d), ConfigError,
+                  "tau must be positive and finite"),
+    "study-alpha": (lambda d: run_random_study(alpha=1.2, out_dir=d), ConfigError,
+                    "alpha must lie strictly inside (0, 1)"),
+    "study-seed": (lambda d: run_random_study(seed=-1, out_dir=d), ConfigError,
+                   "seed must be non-negative"),
+    "study-variant": (lambda d: run_random_study(variant="mixed", out_dir=d), ConfigError,
+                      "unknown random variant 'mixed'"),
     "grid-size": (lambda d: Grid([0.0, 1.0, 2.0]), ValueError,
                   "a grid needs at least 4 interfaces (3 cells)"),
     "grid-bound": (lambda d: Grid([0.0, 1.0, 2.0, 1e301]), ValueError,
@@ -368,11 +378,11 @@ _REFUSALS = {
 
 @pytest.mark.parametrize("case", list(_REFUSALS))
 def test_refusal_names_its_cause(tmp_path, case):
-    """Refusals that no other test reaches, each with its exact message; the
-    order refusal comes before the output directory is made."""
+    """Refusals that no other test reaches, each with its exact message and
+    class; a driver's refusal comes before the output directory is made."""
     call, error, message = _REFUSALS[case]
     out_dir = tmp_path / "out"
     with pytest.raises(error) as info:
         call(out_dir)
-    assert str(info.value) == message
+    assert type(info.value) is error and str(info.value) == message
     assert not out_dir.exists()
