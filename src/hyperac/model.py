@@ -212,21 +212,31 @@ def brentq(*args, **kwargs) -> float:
     return root(*args, **kwargs)
 
 
-def _lsoda():
-    """``scipy.integrate._odepack.lsoda``, its extension loaded by file (about 1 ms) under its
-    own name: ``import scipy.integrate`` loads optimize, special, fft and spatial too (180 ms)."""
-    name = "scipy.integrate._odepack"
+def _extension(name: str):
+    """The scipy extension module ``name``, loaded by file under its own name unless it is
+    loaded already: its package's import runs all of the package's Python too (50 to 180 ms
+    a package).  Where the file is not found or does not load, that import serves."""
     if name not in sys.modules:
         import scipy
-        from importlib import machinery, util
+        from importlib import import_module, machinery, util
 
-        finder = machinery.FileFinder(os.path.join(scipy.__path__[0], "integrate"),
-                                      (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
-        spec = finder.find_spec(name)
-        module = util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        where = os.path.join(scipy.__path__[0], *name.split(".")[1:-1])
+        spec = machinery.FileFinder(where, (machinery.ExtensionFileLoader,
+                                            machinery.EXTENSION_SUFFIXES)).find_spec(name)
+        try:
+            if spec is None:
+                raise ImportError(f"no extension file for {name} in {where}")
+            module = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:  # a scipy that lays out or builds it otherwise
+            return import_module(name)
         sys.modules[name] = module
-    return sys.modules[name].lsoda
+    return sys.modules[name]
+
+
+def _lsoda():
+    """LSODA's extension function, in 1 ms, where ``import scipy.integrate`` takes 180 ms."""
+    return _extension("scipy.integrate._odepack").lsoda
 
 
 def _dense_output(rwork, iwork, xi: float):

@@ -197,6 +197,8 @@ def _shoot_refs(members: Iterable[ModelParams]) -> dict:
 
 def _table_datum(params: ModelParams, dx: float) -> State:
     """The tables' datum: the Riemann datum on (0, 2l), N = round(2l/dx), jump at l/2."""
+    if not 0.0 < dx < math.inf:  # false for NaN too
+        raise ValueError("dx must be positive and finite")
     return initial_riemann(build_uniform_grid(0.0, 2.0 * _TABLE_ELL, round(2.0 * _TABLE_ELL / dx)),
                            params, jump_location=_TABLE_ELL / 2.0)
 
@@ -238,14 +240,19 @@ def run_speed_table(
     dx_list = list(dx_list) if dx_list is not None else [1.0, 0.5, 0.25, 0.125, 0.0625]
     dt_list = list(dt_list) if dt_list is not None else [1e-1, 1e-2, 1e-3]
     cases = dict(cases) if cases is not None else dict(SPEED_TABLE_CASES)
-    members = {label: ModelParams(tau=case[0], alpha=case[1]) for label, case in cases.items()}
+    members = {label: _checked(ModelParams, tau=case[0], alpha=case[1])
+               for label, case in cases.items()}
+    data = {(label, dx): _checked(_table_datum, p, dx) for label, p in members.items()
+            for dx in dx_list}
+    for dt in dt_list:
+        for T in {case[2] for case in cases.values()}:
+            _checked(check_run, *TABLE_ORDERS[1], T, dt)
     out = _output_dir(out_dir)
     c_refs = _shoot_refs(members.values())
     rows = []
     for dt in dt_list:
         cells = [
-            (_table_datum(members[label], dx), T,
-             dict(case=label, tau=tau, alpha=alpha, T=T, dt=dt, dx=dx))
+            (data[label, dx], T, dict(case=label, tau=tau, alpha=alpha, T=T, dt=dt, dx=dx))
             for label, (tau, alpha, T, *_) in cases.items() for dx in dx_list
         ]
         rows += [{**row, "speeds": result.diagnostics.speeds}
@@ -279,10 +286,10 @@ def run_order_comparison(
     """
     if order not in TABLE_ORDERS:
         raise ValueError(f"order must be {' or '.join(map(str, TABLE_ORDERS))}")
-    members = [ModelParams(tau=tau, alpha=alpha) for tau in taus for alpha in alphas]
-    out = _output_dir(out_dir)
-    cells = [(_table_datum(p, 0.125), 40.0, dict(order=order, tau=p.tau, alpha=p.alpha))
+    members = [_checked(ModelParams, tau=tau, alpha=alpha) for tau in taus for alpha in alphas]
+    cells = [(_checked(_table_datum, p, 0.125), 40.0, dict(order=order, tau=p.tau, alpha=p.alpha))
              for p in members]
+    out = _output_dir(out_dir)
     rows = [row for row, _ in
             _speed_rows(cells, *TABLE_ORDERS[order], 0.01, _shoot_refs(members))]
     if out is not None:

@@ -36,18 +36,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.blas import dtbsv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse import _sparsetools
 
 from .diagnostics import DiagnosticsRecord, l2_distance, linf_distance, mass, speeds_from_masses
 from .grid import Grid, GridStack, project_cell_averages
 from .model import ModelParams, ParamColumns, _max_abs_f_prime, reaction_f, reaction_f_prime
+from .model import _extension
 from .schemes import (
     BOUNDARIES, DIAGONAL, SCHEMES, SchemeConfig, State, prepare_state_for_scheme, rhs_for_scheme,
 )
@@ -71,6 +69,12 @@ __all__ = [
 ]
 
 Grids = Grid | GridStack  # one grid, or the grids of ensemble members side by side
+# the four kernels a run calls, from their extension modules alone (see _extension)
+dtbsv = _extension("scipy.linalg._fblas").dtbsv
+_flapack = _extension("scipy.linalg._flapack")
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
+_sparsetools = _extension("scipy.sparse._sparsetools")
+_Csr = namedtuple("_Csr", "data indices indptr shape")  # an operator's arrays, as csr_matrix's
 _STATE_BOUND = 10.0  # the bistable cubic diverges cubically well inside this
 _RESIDUAL_TOL = 1e-12
 
@@ -109,9 +113,16 @@ def _check_step(dt: float | np.ndarray) -> None:
         raise ValueError("dt must be positive and finite")
 
 
+def _csr_matrix(csr: _Csr) -> sp.csr_matrix:
+    """``csr`` as a ``csr_matrix``; ``scipy.sparse`` is imported at the call."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix(csr[:3], shape=csr.shape)
+
+
 def _imex_operator(
     grid: Grids, dt: float | np.ndarray, params: ModelParams | ParamColumns, boundary: str
-) -> tuple[np.ndarray, sp.csr_matrix]:
+) -> tuple[np.ndarray, _Csr]:
     """The operator in dgbtrf's (7, 2C) band layout, and in CSR, for C cells.
 
     Row 4 + i - j of the band holds entry (i, j); the two top rows are room
@@ -143,13 +154,18 @@ def _imex_operator(
     band[4, 2 * last + 1] = 0.0  # nor its last s into the next member's first s row
     band[2, 2 * last] = 1.0 + beta[last]
     band[2, 2 * first + 1] = 1.0 + beta[first]
-    # by way of CSC, whose conversion from DIA holds fewer temporaries than COO's
-    matrix = sp.dia_matrix((ab[2:], [2, 1, 0, -1, -2]), shape=(size, size)).tocsc().tocsr()
+    # the CSR arrays scipy makes of the band (by way of DIA and CSC) plus the wrap-around
+    # entries: row i's entries in column order, 0, i - 2 .. i + 2, size - 1, zeros dropped
+    entries = np.zeros((size, 7))
+    for d in range(-2, 3):
+        entries[max(-d, 0):size + min(-d, 0), d + 3] = band[2 - d, max(d, 0):size + min(d, 0)]
     if boundary == "periodic":  # rows s_0 and r_{N-1}
-        rows, cols = [1, 1, size - 2, size - 2], [1, size - 1, size - 2, 0]
-        vals = [alpha[0], -alpha[0], alpha[-1], -alpha[-1]]
-        matrix = matrix + sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-    return ab, matrix
+        entries[[1, size - 2], 3] += alpha[[0, -1]]
+        entries[[1, size - 2], [6, 0]] = -alpha[[0, -1]]
+    i, t = np.nonzero(entries)  # in row-major order; NaN counts as nonzero
+    indices = np.where(t == 0, 0, np.where(t == 6, size - 1, i + t - 3)).astype(np.int32)
+    indptr = np.searchsorted(i, np.arange(size + 1)).astype(np.int32)
+    return ab, _Csr(entries[i, t], indices, indptr, (size, size))
 
 
 def assemble_imex_matrix(
@@ -161,15 +177,18 @@ def assemble_imex_matrix(
     (the ghost value equals the interior one at the new time level); periodic
     closures add the wrap-around entries.
     """
-    return _imex_operator(grid, dt, params, boundary)[1]
+    return _csr_matrix(_imex_operator(grid, dt, params, boundary)[1])
 
 
-def gershgorin_margins(matrix: sp.spmatrix) -> np.ndarray:
-    """Per-row |diagonal| - sum of |off-diagonal|; invertibility margin."""
-    csr = matrix.tocsr()
-    diag = np.abs(csr.diagonal())
-    total = np.asarray(np.abs(csr).sum(axis=1)).ravel()
-    return 2.0 * diag - total
+def gershgorin_margins(matrix: sp.csr_matrix | _Csr) -> np.ndarray:
+    """Per-row |diagonal| - sum of |off-diagonal| of a canonical CSR operator, its
+    invertibility margin, with the bits of 2 |diagonal| - ``np.abs(matrix).sum(axis=1)``."""
+    n, magnitudes, counts = matrix.shape[0], np.abs(matrix.data), np.diff(matrix.indptr)
+    diagonal = np.where(matrix.indices == np.repeat(np.arange(n), counts), magnitudes, 0.0)
+    rows, margins = np.flatnonzero(counts), np.zeros(n)  # as scipy's sums skip empty rows
+    starts = matrix.indptr[rows]
+    margins[rows] = 2.0 * np.add.reduceat(diagonal, starts) - np.add.reduceat(magnitudes, starts)
+    return margins
 
 
 @dataclass(eq=False)
@@ -187,19 +206,20 @@ class ImexWorkspace:
     - zero-gradient, rows moved: ``dgbtrs`` on ``lu`` and ``pivots``;
     - periodic, one member only: a SuperLU, in ``lu``.
 
-    ``matrix`` stays the unfactored operator, which the residual guard checks
-    every solve against.
+    ``csr`` holds the unfactored operator, which the residual guard checks
+    every solve against; ``matrix`` gives it as a ``csr_matrix``.
     """
 
     grid: Grids
     params: ModelParams | ParamColumns
     dt: float | np.ndarray  # a column of per-member steps
     boundary: str
-    matrix: sp.csr_matrix
+    csr: _Csr
     starts: np.ndarray
     lu: object = field(repr=False)  # (7, 2C) dgbtrf factors, or a SuperLU
     pivots: np.ndarray | None = field(default=None, repr=False)  # dgbtrf only
     bands: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)  # L, U
+    matrix = property(lambda self: _csr_matrix(self.csr))
 
     @classmethod
     def build(
@@ -209,9 +229,9 @@ class ImexWorkspace:
         params: ModelParams | ParamColumns,
         boundary: str = "zero_gradient",
     ) -> "ImexWorkspace":
-        ab, matrix = _imex_operator(grid, dt, params, boundary)
+        ab, csr = _imex_operator(grid, dt, params, boundary)
         starts = 2 * grid.ends[0]
-        lost = ~(np.minimum.reduceat(gershgorin_margins(matrix), starts) >= 1.0 - 1e-12)  # NaN too
+        lost = ~(np.minimum.reduceat(gershgorin_margins(csr), starts) >= 1.0 - 1e-12)  # NaN too
         if lost.any():  # as 1 + beta + alpha rounds to alpha + beta past alpha of about 1e16
             k = int(np.argmax(lost))
             alpha = np.maximum.reduceat(np.abs(ab[2:7:4]).max(axis=0), starts)[k]  # both bands
@@ -220,7 +240,7 @@ class ImexWorkspace:
         if boundary != "zero_gradient":
             from scipy.sparse.linalg import splu  # only the periodic path loads it
 
-            return cls(grid, params, dt, boundary, matrix, starts, splu(matrix.tocsc()))
+            return cls(grid, params, dt, boundary, csr, starts, splu(_csr_matrix(csr).tocsc()))
         lu, pivots, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
         if info != 0:  # info > 0: U's zero pivot, in row info of the member that holds it
             k = int(np.searchsorted(starts, abs(info) - 1, side="right")) - 1
@@ -229,7 +249,7 @@ class ImexWorkspace:
         bands = None
         if np.array_equal(pivots, np.arange(pivots.size)):
             bands = np.asfortranarray(lu[4:7]), np.asfortranarray(lu[0:5])
-        return cls(grid, params, dt, boundary, matrix, starts, lu, pivots, bands)
+        return cls(grid, params, dt, boundary, csr, starts, lu, pivots, bands)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for the interleaved right-hand side of every member."""
@@ -247,7 +267,7 @@ class ImexWorkspace:
         scipy's CSR kernel called on a zeroed buffer, as ``matrix @ x`` does
         after its dispatch: the same bits at a third of the cost at small N.
         """
-        a = self.matrix
+        a = self.csr
         product = np.zeros(rhs.size)
         _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, x, product)
         np.subtract(product, rhs, out=product)
@@ -320,6 +340,9 @@ def imex_step_reduced_uniform(state: State, dt: float, ws: ImexWorkspace) -> Sta
     grid = state.grid
     if not grid.is_uniform():
         raise ValueError("the reduced IMEX form supports uniform grids only")
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu  # a cross-check only: loaded when it runs
+
     p = state.params
     n = grid.n_cells
     alpha = p.rho * dt / grid.dx_max
@@ -343,8 +366,6 @@ def imex_step_reduced_uniform(state: State, dt: float, ws: ImexWorkspace) -> Sta
     rhs_r += (0.5 * dt) * ((1.0 + 2.0 * beta) * fn + alpha * (d_minus @ fn))
     rhs_s = beta * r + (1.0 + beta) * s - alpha * (d_plus @ s)
     rhs_s += (0.5 * dt) * ((1.0 + 2.0 * beta) * fn - alpha * (d_plus @ fn))
-    from scipy.sparse.linalg import splu  # a cross-check only: loaded when it runs
-
     r_new = splu(a_r.tocsc()).solve(rhs_r)
     s_new = splu(a_s.tocsc()).solve(rhs_s)
     return state.with_components(r_new, s_new)

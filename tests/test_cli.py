@@ -480,27 +480,51 @@ import sys
 import hyperac
 from hyperac.cli import cli_main
 assert cli_main(sys.argv[1:]) == 0
-print("loaded:", *(m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse.linalg")
+print("loaded:", *(m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse",
+                               "scipy.sparse.linalg", "scipy.linalg", "numpy.f2py")
                    if m in sys.modules))
 """
+
+
+def _fresh_cli(argv):
+    """Run ``_STARTUP_PROBE`` with ``argv`` in a fresh interpreter; its last line of output."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
 
 
 @pytest.mark.parametrize("argv", [["run", "CONFIG", "--out-dir", "OUT"],
                                   ["shoot", "--tau", "4", "--alpha", "0.7"]], ids=["run", "shoot"])
 def test_import_and_run_leave_the_shooting_stack_unloaded(tmp_path, argv):
     """``import hyperac`` with a zero-gradient ``hyperac run`` or a ``hyperac
-    shoot``, in a fresh interpreter, loads neither scipy.integrate, scipy.optimize
-    nor SuperLU: an orbit loads LSODA's extension alone, the two-event step
-    imports ``brentq``, and ``splu`` is loaded on the periodic path."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    shoot``, in a fresh interpreter, loads neither scipy.integrate, scipy.optimize,
+    scipy.sparse, scipy.linalg nor numpy.f2py: an orbit loads LSODA's extension
+    alone, the two-event step imports ``brentq``, the IMEX step's four kernels
+    come from their extensions alone, and ``splu`` is loaded on the periodic path."""
     paths = {"CONFIG": _write_config(tmp_path / "base.cfg"), "OUT": str(tmp_path / "out")}
-    argv = [paths.get(a, a) for a in argv]
-    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "loaded:"
+    assert _fresh_cli([paths.get(a, a) for a in argv]) == "loaded:"
+
+
+def test_periodic_run_loads_scipy_sparse_at_the_call(tmp_path):
+    """A periodic IMEX ``hyperac run`` in a fresh interpreter imports scipy.sparse
+    and SuperLU when it builds its operator, and writes the files that the same
+    run writes in this process, where scipy.sparse was imported up front."""
+    import scipy.sparse  # noqa: F401
+
+    config = _write_config(tmp_path / "base.cfg")
+    argv = ["run", config, "--set", "scheme.boundary=periodic", "--out-dir"]
+    loaded = _fresh_cli(argv + [str(tmp_path / "fresh")]).split()
+    assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(loaded)
+    assert not {"scipy.integrate", "scipy.optimize"} & set(loaded)
+    assert cli_main(argv + [str(tmp_path / "here")]) == 0
+    names = sorted(p.name for p in (tmp_path / "here").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "fresh").iterdir()) and names
+    for name in names:
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
 
 
 @pytest.mark.parametrize("module", ["hyperac", "hyperac.cli"])

@@ -355,6 +355,14 @@ _REFUSALS = {
                        ValueError, "unknown random variant 'bogus'"),
     "table-order": (lambda d: run_order_comparison(3, out_dir=d), ValueError,
                     "order must be 1 or 2"),
+    "table-dx": (lambda d: run_speed_table([0.0], [0.1], {"A": (1.0, 0.9, 1.0)}, out_dir=d),
+                 ConfigError, "dx must be positive and finite"),
+    "table-dt": (lambda d: run_speed_table([1.0], [0.0], {"A": (1.0, 0.9, 1.0)}, out_dir=d),
+                 ConfigError, "T and dt must be positive and finite"),
+    "table-tau": (lambda d: run_speed_table([1.0], [0.1], {"A": (-1.0, 0.9, 1.0)}, out_dir=d),
+                  ConfigError, "tau must be positive and finite"),
+    "order-alpha": (lambda d: run_order_comparison(1, alphas=(0.6, 1.0), out_dir=d), ConfigError,
+                    "alpha must lie strictly inside (0, 1)"),
     "decay-tau": (lambda d: run_riemann_decay(tau=0.0, out_dir=d), ConfigError,
                   "tau must be positive and finite"),
     "study-alpha": (lambda d: run_random_study(alpha=1.2, out_dir=d), ConfigError,
@@ -377,9 +385,15 @@ _REFUSALS = {
 
 
 @pytest.mark.parametrize("case", list(_REFUSALS))
-def test_refusal_names_its_cause(tmp_path, case):
+def test_refusal_names_its_cause(tmp_path, monkeypatch, case):
     """Refusals that no other test reaches, each with its exact message and
-    class; a driver's refusal comes before the output directory is made."""
+    class; a driver's refusal comes before the output directory is made, and
+    before any run or shooting call."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    for name in ("run", "run_ensemble", "hyperbolic_front_speed_shooting"):
+        monkeypatch.setattr(scenarios, name, no_work)
     call, error, message = _REFUSALS[case]
     out_dir = tmp_path / "out"
     with pytest.raises(error) as info:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,12 @@ from hypothesis import strategies as hst  # st names a State here
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from hyperac import timestepping
 from hyperac.diagnostics import g_profile, l2_distance, linf_distance, mass, speeds_from_masses
 from hyperac.grid import build_graded_grid, build_uniform_grid, project_cell_averages
-from hyperac.model import FrontProfile, ModelParams, _max_abs_f_prime, reaction_f
+from hyperac.model import (
+    FrontProfile, ModelParams, _max_abs_f_prime, hyperbolic_front_speed_shooting, reaction_f,
+)
 from hyperac.schemes import (
     SCHEMES,
     SchemeConfig,
@@ -386,6 +393,66 @@ _members_pool = hst.builds(
     mu=hst.floats(0.5, 2.0),
     alpha=hst.floats(0.1, 0.9),
 )
+
+
+def _scipys_csr(ab, boundary="zero_gradient", alpha=None):
+    """The operator as scipy built it from the band: by way of DIA and CSC, plus a
+    periodic operator's wrap-around entries, and its margins by scipy's row sums."""
+    size = ab.shape[1]
+    matrix = sp.dia_matrix((ab[2:], [2, 1, 0, -1, -2]), shape=(size, size)).tocsc().tocsr()
+    if boundary == "periodic":
+        rows, cols = [1, 1, size - 2, size - 2], [1, size - 1, size - 2, 0]
+        vals = [alpha[0], -alpha[0], alpha[-1], -alpha[-1]]
+        matrix = matrix + sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+    margins = 2.0 * np.abs(matrix.diagonal()) - np.asarray(np.abs(matrix).sum(axis=1)).ravel()
+    return matrix, margins
+
+
+def _assert_same_csr(csr, matrix):
+    for got, want in zip(csr[:3], (matrix.data, matrix.indices, matrix.indptr)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert csr.shape == matrix.shape
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    grids=hst.lists(hst.tuples(hst.integers(3, 40), hst.booleans()), min_size=1, max_size=4),
+    members=hst.lists(_members_pool, min_size=4, max_size=4),
+    steps=hst.lists(hst.sampled_from([1e-3, 0.1, 1.0]) | hst.floats(1e-6, 1e18),
+                    min_size=4, max_size=4),
+)
+@example(grids=[(5, False)] * 2, members=[ModelParams(tau=1.0)] * 4, steps=[1e16] * 4)
+def test_csr_arrays_and_margins_are_scipys_bitwise(grids, members, steps):
+    """The operator's CSR arrays, built from the band with numpy, are the
+    ``indptr``, ``indices`` and ``data`` (dtypes too) of scipy's
+    ``dia_matrix(...).tocsc().tocsr()``, zeros dropped alike, and its margins are
+    2 |diagonal| - ``np.abs(csr).sum(axis=1)`` bit for bit, also past alpha of
+    1e16, where the Gershgorin bound is lost by rounding: on stacks of one to four
+    members, each on its own uniform or graded grid, with a per-member dt column."""
+    count = len(grids)
+    made = [build_graded_grid(0.0, 10.0, n, 1.05) if graded else build_uniform_grid(0.0, 10.0, n)
+            for n, graded in grids]
+    state = State.stack([State.diagonal(np.zeros(g.n_cells), np.zeros(g.n_cells), g, p)
+                         for g, p in zip(made, members)])
+    dt = state.params.column(np.array(steps[:count])) if count > 1 else steps[0]
+    ab, csr = timestepping._imex_operator(state.grid, dt, state.params, "zero_gradient")
+    matrix, margins = _scipys_csr(ab)
+    _assert_same_csr(csr, matrix)
+    assert gershgorin_margins(csr).tobytes() == margins.tobytes()
+    assembled = assemble_imex_matrix(state.grid, dt, state.params)
+    assert gershgorin_margins(assembled).tobytes() == margins.tobytes()
+
+
+@pytest.mark.parametrize("dt", [1e-3, 0.1, 2.0, 1e17])
+def test_periodic_csr_arrays_and_margins_are_scipys_bitwise(dt):
+    """A periodic single-member operator: the band's CSR plus the wrap-around
+    entries, as scipy's sum of the two matrices gives them, and its margins."""
+    grid = build_graded_grid(0.0, 10.0, 12, 1.1)
+    p = ModelParams(tau=0.7, mu=2.0, alpha=0.3)
+    ab, csr = timestepping._imex_operator(grid, dt, p, "periodic")
+    matrix, margins = _scipys_csr(ab, "periodic", p.rho * dt / grid.cell_lengths)
+    _assert_same_csr(csr, matrix)
+    assert gershgorin_margins(csr).tobytes() == margins.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -821,3 +888,111 @@ def test_run_diagnostics_are_the_diagnostics_functions(integrator, kind):
         assert d.l2[k] == l2_distance(us[k + 1], ref, grid)
         assert d.linf[k] == linf_distance(us[k + 1], ref)
         assert d.g_min[k] == g_profile(us[k + 1], p).min()
+
+
+# the three IMEX solve paths, each with the residual guard's product, on one stack:
+# ``kernel_runs()`` is the digest of their final states, here and in a fresh interpreter
+_KERNEL_RUNS = """
+def kernel_runs():
+    import hashlib
+    import numpy as np
+    from hyperac.grid import build_graded_grid
+    from hyperac.model import ModelParams
+    from hyperac.schemes import SchemeConfig, State
+    from hyperac.timestepping import run_ensemble
+
+    grid = build_graded_grid(0.0, 10.0, 60, 1.01)
+    u0 = np.where(grid.centers < 5.0, 1.0, 0.0)
+    initials = [State.physical(u0, np.zeros(60), grid, p)
+                for p in (ModelParams(tau=0.5), ModelParams(tau=2.0, alpha=0.3))]
+    # dtbsv, then dgbtrf's moved rows and dgbtrs with a per-member last step, then SuperLU
+    results = run_ensemble(initials, SchemeConfig(), "imex", T=[0.3, 0.5], dt=0.02)
+    results += run_ensemble(initials, SchemeConfig(), "imex", T=[1.0, 1.6], dt=0.4)
+    results += run_ensemble(initials[:1], SchemeConfig(boundary="periodic"), "imex", T=0.3, dt=0.02)
+    return hashlib.sha256(b"".join(r.final_state.u.tobytes() for r in results)).hexdigest()
+"""
+
+_KERNELS_COEXISTENCE_PROBE = _KERNEL_RUNS + """
+import importlib.util, sys
+names = ("scipy.linalg._fblas", "scipy.linalg._flapack", "scipy.sparse._sparsetools")
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg, scipy.sparse
+    loaded = [sys.modules[name] for name in names]
+    def no_second_load(spec):
+        raise AssertionError(f"{spec.name} loaded twice")
+    importlib.util.module_from_spec = no_second_load
+    from hyperac import timestepping
+    digest = kernel_runs()
+else:
+    from hyperac import timestepping
+    assert not {"scipy.linalg", "scipy.sparse"} & set(sys.modules)
+    loaded = [sys.modules[name] for name in names]
+    digest = kernel_runs()  # its periodic run imports scipy.sparse
+    import scipy.linalg, scipy.sparse
+from scipy.linalg import blas, lapack
+from scipy.sparse import _sparsetools
+assert all(sys.modules[name] is module for name, module in zip(names, loaded))
+assert blas._fblas is loaded[0] and lapack._flapack is loaded[1] and _sparsetools is loaded[2]
+assert timestepping.dtbsv is blas.dtbsv
+assert timestepping.dgbtrf is lapack.dgbtrf and timestepping.dgbtrs is lapack.dgbtrs
+assert timestepping._sparsetools is sys.modules["scipy.sparse._compressed"]._sparsetools is loaded[2]
+import numpy as np
+x = np.arange(1.0, 6.0)
+assert np.array_equal(scipy.sparse.csr_matrix(np.diag(x)) @ x, x * x)
+assert np.allclose(scipy.linalg.solve_banded((0, 0), x[None, :], x * x), x)
+print(digest)
+"""
+
+_KERNELS_FALLBACK_PROBE = _KERNEL_RUNS + """
+import importlib.machinery, importlib.util, sys
+if sys.argv[1] == "no-file":
+    importlib.machinery.EXTENSION_SUFFIXES = []  # the loader by file then finds no file
+else:
+    def failed_load(spec):
+        raise ImportError(f"cannot load {spec.name}")
+    importlib.util.module_from_spec = failed_load
+from hyperac import model, timestepping
+assert {"scipy.linalg", "scipy.sparse"} <= set(sys.modules)  # the public imports served
+import scipy.integrate, scipy.linalg.blas, scipy.linalg.lapack, scipy.sparse
+assert timestepping.dtbsv is scipy.linalg.blas.dtbsv
+assert timestepping.dgbtrf is scipy.linalg.lapack.dgbtrf
+assert timestepping.dgbtrs is scipy.linalg.lapack.dgbtrs
+assert timestepping._sparsetools is sys.modules["scipy.sparse._compressed"]._sparsetools
+speed = model.hyperbolic_front_speed_shooting(model.ModelParams(tau=4.0, alpha=0.7))
+assert model._lsoda() is scipy.integrate._odepack.lsoda
+print(kernel_runs(), speed.hex())
+"""
+
+
+def _fresh_probe(probe: str, arg: str) -> str:
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe, arg], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def _kernel_runs() -> str:
+    scope = {}
+    exec(_KERNEL_RUNS, scope)
+    return scope["kernel_runs"]()
+
+
+@pytest.mark.parametrize("order", ["hyperac-first", "scipy-first"])
+def test_the_loaded_kernels_are_scipys_own(order):
+    """In a fresh interpreter, whichever imports first, hyperac's dtbsv, dgbtrf,
+    dgbtrs and CSR product are scipy.linalg's and scipy.sparse's own objects: each
+    extension is loaded once, scipy reuses the modules hyperac loaded and hyperac
+    those scipy loaded, and the runs end with this process's bits."""
+    assert _fresh_probe(_KERNELS_COEXISTENCE_PROBE, order) == _kernel_runs()
+
+
+@pytest.mark.parametrize("failure", ["no-file", "failed-load"])
+def test_the_public_imports_serve_where_the_load_by_file_fails(failure):
+    """Where an extension's file is not found or does not load, its public import
+    serves: the kernels and LSODA are then those of scipy.linalg, scipy.sparse and
+    scipy.integrate, and the runs and the shooting speed keep their bits."""
+    speed = hyperbolic_front_speed_shooting(ModelParams(tau=4.0, alpha=0.7))
+    want = f"{_kernel_runs()} {speed.hex()}"
+    assert _fresh_probe(_KERNELS_FALLBACK_PROBE, failure) == want
