@@ -234,11 +234,6 @@ def _extension(name: str):
     return sys.modules[name]
 
 
-def _lsoda():
-    """LSODA's extension function, in 1 ms, where ``import scipy.integrate`` takes 180 ms."""
-    return _extension("scipy.integrate._odepack").lsoda
-
-
 def _dense_output(rwork, iwork, xi: float):
     """The dense output of LSODA's last step, ending at ``xi``: ``LSODA._dense_output_impl``."""
     order, h = iwork[13], rwork[11]
@@ -264,7 +259,7 @@ def _integrate_orbit(rhs, y0: tuple[float, float], xi_max: float) -> int:
     (one step, not past ``xi_max``), its work arrays set up as
     ``LSODA.__init__`` does (checked on scipy 1.17.1 by a test).
     """
-    lsoda, y, istate = _lsoda(), np.array(y0, dtype=float), 1
+    lsoda, y, istate = _extension("scipy.integrate._odepack").lsoda, np.array(y0, dtype=float), 1
     rwork, iwork = np.zeros(52), np.zeros(22, dtype=np.int32)  # sized for two unknowns
     # stop at xi_max; 500 steps a call; order caps 12 (Adams) and 5 (BDF)
     rwork[0], iwork[5], iwork[7], iwork[8] = xi_max, 500, 12, 5

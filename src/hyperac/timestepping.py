@@ -113,13 +113,6 @@ def _check_step(dt: float | np.ndarray) -> None:
         raise ValueError("dt must be positive and finite")
 
 
-def _csr_matrix(csr: _Csr) -> sp.csr_matrix:
-    """``csr`` as a ``csr_matrix``; ``scipy.sparse`` is imported at the call."""
-    import scipy.sparse as sp
-
-    return sp.csr_matrix(csr[:3], shape=csr.shape)
-
-
 def _imex_operator(
     grid: Grids, dt: float | np.ndarray, params: ModelParams | ParamColumns, boundary: str
 ) -> tuple[np.ndarray, _Csr]:
@@ -175,9 +168,12 @@ def assemble_imex_matrix(
 
     Zero-gradient closures drop the transport coupling in the outflow rows
     (the ghost value equals the interior one at the new time level); periodic
-    closures add the wrap-around entries.
+    closures add the wrap-around entries.  ``scipy.sparse`` is imported at the call.
     """
-    return _csr_matrix(_imex_operator(grid, dt, params, boundary)[1])
+    import scipy.sparse as sp
+
+    csr = _imex_operator(grid, dt, params, boundary)[1]
+    return sp.csr_matrix(csr[:3], shape=csr.shape)
 
 
 def gershgorin_margins(matrix: sp.csr_matrix | _Csr) -> np.ndarray:
@@ -207,7 +203,7 @@ class ImexWorkspace:
     - periodic, one member only: a SuperLU, in ``lu``.
 
     ``csr`` holds the unfactored operator, which the residual guard checks
-    every solve against; ``matrix`` gives it as a ``csr_matrix``.
+    every solve against.
     """
 
     grid: Grids
@@ -219,7 +215,6 @@ class ImexWorkspace:
     lu: object = field(repr=False)  # (7, 2C) dgbtrf factors, or a SuperLU
     pivots: np.ndarray | None = field(default=None, repr=False)  # dgbtrf only
     bands: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)  # L, U
-    matrix = property(lambda self: _csr_matrix(self.csr))
 
     @classmethod
     def build(
@@ -240,7 +235,8 @@ class ImexWorkspace:
         if boundary != "zero_gradient":
             from scipy.sparse.linalg import splu  # only the periodic path loads it
 
-            return cls(grid, params, dt, boundary, csr, starts, splu(_csr_matrix(csr).tocsc()))
+            lu = splu(assemble_imex_matrix(grid, dt, params, boundary).tocsc())
+            return cls(grid, params, dt, boundary, csr, starts, lu)
         lu, pivots, info = dgbtrf(ab, 2, 2, overwrite_ab=1)
         if info != 0:  # info > 0: U's zero pivot, in row info of the member that holds it
             k = int(np.searchsorted(starts, abs(info) - 1, side="right")) - 1

@@ -1,8 +1,5 @@
 import csv
 import functools
-import os
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -486,30 +483,20 @@ print("loaded:", *(m for m in ("scipy.integrate", "scipy.optimize", "scipy.spars
 """
 
 
-def _fresh_cli(argv):
-    """Run ``_STARTUP_PROBE`` with ``argv`` in a fresh interpreter; its last line of output."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _STARTUP_PROBE, *argv],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
-
-
 @pytest.mark.parametrize("argv", [["run", "CONFIG", "--out-dir", "OUT"],
                                   ["shoot", "--tau", "4", "--alpha", "0.7"]], ids=["run", "shoot"])
-def test_import_and_run_leave_the_shooting_stack_unloaded(tmp_path, argv):
+def test_import_and_run_leave_the_shooting_stack_unloaded(fresh_python, tmp_path, argv):
     """``import hyperac`` with a zero-gradient ``hyperac run`` or a ``hyperac
     shoot``, in a fresh interpreter, loads neither scipy.integrate, scipy.optimize,
     scipy.sparse, scipy.linalg nor numpy.f2py: an orbit loads LSODA's extension
     alone, the two-event step imports ``brentq``, the IMEX step's four kernels
     come from their extensions alone, and ``splu`` is loaded on the periodic path."""
     paths = {"CONFIG": _write_config(tmp_path / "base.cfg"), "OUT": str(tmp_path / "out")}
-    assert _fresh_cli([paths.get(a, a) for a in argv]) == "loaded:"
+    out = fresh_python("-c", _STARTUP_PROBE, *(paths.get(a, a) for a in argv))
+    assert out.splitlines()[-1] == "loaded:"
 
 
-def test_periodic_run_loads_scipy_sparse_at_the_call(tmp_path):
+def test_periodic_run_loads_scipy_sparse_at_the_call(fresh_python, tmp_path):
     """A periodic IMEX ``hyperac run`` in a fresh interpreter imports scipy.sparse
     and SuperLU when it builds its operator, and writes the files that the same
     run writes in this process, where scipy.sparse was imported up front."""
@@ -517,7 +504,8 @@ def test_periodic_run_loads_scipy_sparse_at_the_call(tmp_path):
 
     config = _write_config(tmp_path / "base.cfg")
     argv = ["run", config, "--set", "scheme.boundary=periodic", "--out-dir"]
-    loaded = _fresh_cli(argv + [str(tmp_path / "fresh")]).split()
+    out = fresh_python("-c", _STARTUP_PROBE, *argv, str(tmp_path / "fresh"))
+    loaded = out.splitlines()[-1].split()
     assert {"scipy.sparse", "scipy.sparse.linalg"} <= set(loaded)
     assert not {"scipy.integrate", "scipy.optimize"} & set(loaded)
     assert cli_main(argv + [str(tmp_path / "here")]) == 0
@@ -528,16 +516,10 @@ def test_periodic_run_loads_scipy_sparse_at_the_call(tmp_path):
 
 
 @pytest.mark.parametrize("module", ["hyperac", "hyperac.cli"])
-def test_python_m_hyperac_runs_the_cli(module):
+def test_python_m_hyperac_runs_the_cli(fresh_python, module):
     """``python -m hyperac`` and ``python -m hyperac.cli`` are the CLI, reachable
     from a checkout with PYTHONPATH=src."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", module, "shoot", "--tau", "4", "--alpha", "0.7"]
-    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "0.368070\n"
+    assert fresh_python("-m", module, "shoot", "--tau", "4", "--alpha", "0.7") == "0.368070\n"
 
 
 # valid values of every config key but output.dir (the test's --out-dir), the

@@ -12,10 +12,6 @@ The loop's own dense output, ``model._dense_output``, is checked against
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -208,54 +204,6 @@ def test_both_events_in_one_step(monkeypatch, y0):
     assert len(roots) == 2
     assert side == _reference_integrate(rhs, y0, 50.0)
     assert side == (model._OVERSHOOT if y0[0] <= -y0[1] else model._UNDERSHOOT)
-
-
-_COEXISTENCE_PROBE = """
-import importlib.util, math, sys
-import numpy as np
-from hyperac import model
-
-name, p = "scipy.integrate._odepack", model.ModelParams(tau=4.0, alpha=0.7)
-if sys.argv[1] == "scipy-first":
-    import scipy.integrate
-    module = sys.modules[name]
-    def no_second_load(spec):
-        raise AssertionError(f"{spec.name} loaded twice")
-    importlib.util.module_from_spec = no_second_load
-    speed = model.hyperbolic_front_speed_shooting(p)
-    assert model._lsoda() is module.lsoda
-else:
-    speed = model.hyperbolic_front_speed_shooting(p)
-    assert "scipy.integrate" not in sys.modules
-    module = sys.modules[name]
-    import scipy.integrate
-    from scipy.integrate import solve_bvp, solve_ivp
-    assert sys.modules[name] is module and scipy.integrate._ode.lsoda_step is module.lsoda
-    sol = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method="LSODA", rtol=1e-10, atol=1e-12)
-    assert sol.success and abs(sol.y[0, -1] - math.exp(-1.0)) < 1e-8
-    x = np.linspace(0.0, 0.5 * math.pi, 11)
-    bvp = solve_bvp(lambda x, y: np.vstack((y[1], -y[0])),
-                    lambda ya, yb: np.array([ya[0], yb[0] - 1.0]), x, np.zeros((2, x.size)))
-    assert bvp.success and abs(bvp.sol(1.0)[0] - math.sin(1.0)) < 1e-3
-    assert model.hyperbolic_front_speed_shooting(p).hex() == speed.hex()
-print(speed.hex())
-"""
-
-
-@pytest.mark.parametrize("order", ["oracle-first", "scipy-first"])
-def test_the_loaded_extension_is_scipys_own_module(order):
-    """In a fresh interpreter the oracle's LSODA extension and ``scipy.integrate``
-    share one module, whichever loads first: scipy's ``solve_ivp(method="LSODA")``
-    and ``solve_bvp`` work after the oracle, the oracle reuses a module scipy
-    loaded, and the speeds match this process's, bit for bit."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _COEXISTENCE_PROBE, order],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    speed = model.hyperbolic_front_speed_shooting(ModelParams(tau=4.0, alpha=0.7))
-    assert done.stdout.splitlines()[-1] == speed.hex()
 
 
 @settings(max_examples=200, deadline=None)

@@ -74,3 +74,13 @@ def test_readme_python_examples_print_what_their_comments_say():
     for line, text in zip(printed, expected):
         pattern = r"\d+".join(re.escape(part) for part in text.split("..."))
         assert re.fullmatch(pattern, line), (line, text)
+
+
+def test_readme_states_the_package_line_count():
+    """README's "The package is N lines (`wc -l src/hyperac/*.py`)" is the newline
+    count of the package's files, so a change that moves the count updates it."""
+    stated = re.findall(r"The package is ([\d,]+) lines \(`wc -l src/hyperac/\*\.py`\)",
+                        README.read_text(encoding="utf-8"))
+    files = sorted((README.parent / "src" / "hyperac").glob("*.py"))
+    assert len(stated) == 1 and files
+    assert int(stated[0].replace(",", "")) == sum(f.read_bytes().count(b"\n") for f in files)

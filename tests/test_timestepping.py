@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,7 +345,7 @@ def test_residual_product_is_the_sparse_matrix_product_bitwise(members, n, layou
     ws = ImexWorkspace.build(state.grid, 0.1, state.params, boundary)
     rng = np.random.default_rng(n + members)
     x, rhs = rng.uniform(-1.0, 1.0, 2 * n * members), rng.uniform(-1.0, 1.0, 2 * n * members)
-    product = ws.matrix @ x
+    product = assemble_imex_matrix(ws.grid, ws.dt, ws.params, ws.boundary) @ x
     assert np.all(ws.residual(x, product) == 0.0)
     misfit = np.abs(product - rhs).reshape(members, 2 * n).max(axis=-1)
     want = misfit / np.abs(rhs).reshape(members, 2 * n).max(axis=-1)
@@ -381,7 +377,8 @@ def test_factored_solve_equals_solve_banded(n, graded):
     dt_column_dominant = grid.dx_min / p.rho
     for dt in (dt_column_dominant, 10.0 * dt_column_dominant):
         ws = ImexWorkspace.build(grid, dt, p)
-        expected = solve_banded((2, 2), _solve_banded_layout(ws.matrix), rhs)
+        matrix = assemble_imex_matrix(ws.grid, ws.dt, ws.params, ws.boundary)
+        expected = solve_banded((2, 2), _solve_banded_layout(matrix), rhs)
         assert np.array_equal(ws.solve(rhs), expected)
         no_swaps = np.array_equal(ws.pivots, np.arange(2 * n))
         assert no_swaps == (dt == dt_column_dominant)
@@ -912,65 +909,79 @@ def kernel_runs():
     return hashlib.sha256(b"".join(r.final_state.u.tobytes() for r in results)).hexdigest()
 """
 
-_KERNELS_COEXISTENCE_PROBE = _KERNEL_RUNS + """
-import importlib.util, sys
-names = ("scipy.linalg._fblas", "scipy.linalg._flapack", "scipy.sparse._sparsetools")
-if sys.argv[1] == "scipy-first":
-    import scipy.linalg, scipy.sparse
-    loaded = [sys.modules[name] for name in names]
-    def no_second_load(spec):
-        raise AssertionError(f"{spec.name} loaded twice")
-    importlib.util.module_from_spec = no_second_load
-    from hyperac import timestepping
-    digest = kernel_runs()
-else:
-    from hyperac import timestepping
-    assert not {"scipy.linalg", "scipy.sparse"} & set(sys.modules)
-    loaded = [sys.modules[name] for name in names]
-    digest = kernel_runs()  # its periodic run imports scipy.sparse
-    import scipy.linalg, scipy.sparse
-from scipy.linalg import blas, lapack
-from scipy.sparse import _sparsetools
-assert all(sys.modules[name] is module for name, module in zip(names, loaded))
-assert blas._fblas is loaded[0] and lapack._flapack is loaded[1] and _sparsetools is loaded[2]
-assert timestepping.dtbsv is blas.dtbsv
-assert timestepping.dgbtrf is lapack.dgbtrf and timestepping.dgbtrs is lapack.dgbtrs
-assert timestepping._sparsetools is sys.modules["scipy.sparse._compressed"]._sparsetools is loaded[2]
+# hyperac's scipy extensions in a fresh interpreter: ``-c _EXTENSIONS_PROBE case stack``.
+# ``case`` says who loads the extensions of ``stack`` first, hyperac or scipy, or how
+# hyperac's load by file fails ("no-file", "failed-load").  Either way each extension is
+# one module that hyperac and scipy share.  The probe prints the stack's work in hyperac
+# before scipy's imports, then the shooting speed and ``kernel_runs()`` after them.
+_EXTENSIONS_PROBE = _KERNEL_RUNS + """
+import importlib, importlib.machinery, importlib.util, math, sys
 import numpy as np
-x = np.arange(1.0, 6.0)
-assert np.array_equal(scipy.sparse.csr_matrix(np.diag(x)) @ x, x * x)
-assert np.allclose(scipy.linalg.solve_banded((0, 0), x[None, :], x * x), x)
-print(digest)
-"""
 
-_KERNELS_FALLBACK_PROBE = _KERNEL_RUNS + """
-import importlib.machinery, importlib.util, sys
-if sys.argv[1] == "no-file":
+def shoot():
+    from hyperac import model
+    return model.hyperbolic_front_speed_shooting(model.ModelParams(tau=4.0, alpha=0.7)).hex()
+
+case, stack = sys.argv[1:]
+public = case in ("no-file", "failed-load")
+packages, names, work = {
+    "integrate": (["scipy.integrate"], ["scipy.integrate._odepack"], shoot),
+    "kernels": (["scipy.linalg", "scipy.sparse"],
+                ["scipy.linalg._fblas", "scipy.linalg._flapack", "scipy.sparse._sparsetools"],
+                kernel_runs),
+}[stack]
+if case == "scipy-first":
+    for package in packages:
+        importlib.import_module(package)
+    loaded = [sys.modules[name] for name in names]
+    def no_second_load(spec, load=importlib.util.module_from_spec):
+        assert spec.name not in names, f"{spec.name} loaded twice"
+        return load(spec)
+    importlib.util.module_from_spec = no_second_load
+elif case == "no-file":
     importlib.machinery.EXTENSION_SUFFIXES = []  # the loader by file then finds no file
-else:
+elif case == "failed-load":
     def failed_load(spec):
         raise ImportError(f"cannot load {spec.name}")
     importlib.util.module_from_spec = failed_load
 from hyperac import model, timestepping
-assert {"scipy.linalg", "scipy.sparse"} <= set(sys.modules)  # the public imports served
-import scipy.integrate, scipy.linalg.blas, scipy.linalg.lapack, scipy.sparse
-assert timestepping.dtbsv is scipy.linalg.blas.dtbsv
-assert timestepping.dgbtrf is scipy.linalg.lapack.dgbtrf
-assert timestepping.dgbtrs is scipy.linalg.lapack.dgbtrs
+if case == "hyperac-first":
+    assert not {"scipy.linalg", "scipy.sparse"} & set(sys.modules)
+elif public:
+    assert {"scipy.linalg", "scipy.sparse"} <= set(sys.modules)  # the public imports served
+first = work()  # a periodic kernel run imports scipy.sparse
+if case == "hyperac-first":
+    assert "scipy.integrate" not in sys.modules
+    loaded = [sys.modules[name] for name in names]
+import scipy.integrate, scipy.linalg, scipy.sparse
+from scipy.integrate import solve_bvp, solve_ivp
+from scipy.linalg import blas, lapack
+from scipy.sparse import _sparsetools
+if not public:
+    assert all(sys.modules[name] is module for name, module in zip(names, loaded))
+fblas, flapack, sparsetools, odepack = (sys.modules[name] for name in (
+    "scipy.linalg._fblas", "scipy.linalg._flapack", "scipy.sparse._sparsetools",
+    "scipy.integrate._odepack"))
+assert blas._fblas is fblas and lapack._flapack is flapack and _sparsetools is sparsetools
+assert timestepping.dtbsv is blas.dtbsv
+assert timestepping.dgbtrf is lapack.dgbtrf and timestepping.dgbtrs is lapack.dgbtrs
 assert timestepping._sparsetools is sys.modules["scipy.sparse._compressed"]._sparsetools
-speed = model.hyperbolic_front_speed_shooting(model.ModelParams(tau=4.0, alpha=0.7))
-assert model._lsoda() is scipy.integrate._odepack.lsoda
-print(kernel_runs(), speed.hex())
+assert timestepping._sparsetools is sparsetools
+assert model._extension("scipy.integrate._odepack") is odepack
+assert scipy.integrate._ode.lsoda_step is odepack.lsoda
+if public:  # a module loaded by file is no attribute of its package (see README)
+    assert scipy.integrate._odepack is odepack
+x = np.arange(1.0, 6.0)
+assert np.array_equal(scipy.sparse.csr_matrix(np.diag(x)) @ x, x * x)
+assert np.allclose(scipy.linalg.solve_banded((0, 0), x[None, :], x * x), x)
+sol = solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], method="LSODA", rtol=1e-10, atol=1e-12)
+assert sol.success and abs(sol.y[0, -1] - math.exp(-1.0)) < 1e-8
+x = np.linspace(0.0, 0.5 * math.pi, 11)
+bvp = solve_bvp(lambda x, y: np.vstack((y[1], -y[0])),
+                lambda ya, yb: np.array([ya[0], yb[0] - 1.0]), x, np.zeros((2, x.size)))
+assert bvp.success and abs(bvp.sol(1.0)[0] - math.sin(1.0)) < 1e-3
+print(first, shoot(), kernel_runs())
 """
-
-
-def _fresh_probe(probe: str, arg: str) -> str:
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", probe, arg], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
 
 
 def _kernel_runs() -> str:
@@ -979,20 +990,29 @@ def _kernel_runs() -> str:
     return scope["kernel_runs"]()
 
 
+def _probe_output(stack: str) -> str:
+    """What ``_EXTENSIONS_PROBE`` prints for ``stack``, in this process's bits."""
+    speed = hyperbolic_front_speed_shooting(ModelParams(tau=4.0, alpha=0.7)).hex()
+    runs = _kernel_runs()
+    return f"{speed if stack == 'integrate' else runs} {speed} {runs}"
+
+
+@pytest.mark.parametrize("stack", ["integrate", "kernels"])
 @pytest.mark.parametrize("order", ["hyperac-first", "scipy-first"])
-def test_the_loaded_kernels_are_scipys_own(order):
-    """In a fresh interpreter, whichever imports first, hyperac's dtbsv, dgbtrf,
-    dgbtrs and CSR product are scipy.linalg's and scipy.sparse's own objects: each
-    extension is loaded once, scipy reuses the modules hyperac loaded and hyperac
-    those scipy loaded, and the runs end with this process's bits."""
-    assert _fresh_probe(_KERNELS_COEXISTENCE_PROBE, order) == _kernel_runs()
+def test_the_loaded_extensions_are_scipys_own(fresh_python, order, stack):
+    """In a fresh interpreter, whichever loads a stack's extensions first, hyperac or
+    scipy, each is loaded once and shared: hyperac's LSODA, dtbsv, dgbtrf, dgbtrs and
+    CSR product are scipy's own objects, scipy reuses the modules hyperac loaded and
+    hyperac those scipy loaded, ``solve_ivp(method="LSODA")`` and ``solve_bvp`` work,
+    and the shooting speed and the kernel runs keep this process's bits."""
+    out = fresh_python("-c", _EXTENSIONS_PROBE, order, stack)
+    assert out.splitlines()[-1] == _probe_output(stack)
 
 
 @pytest.mark.parametrize("failure", ["no-file", "failed-load"])
-def test_the_public_imports_serve_where_the_load_by_file_fails(failure):
+def test_the_public_imports_serve_where_the_load_by_file_fails(fresh_python, failure):
     """Where an extension's file is not found or does not load, its public import
     serves: the kernels and LSODA are then those of scipy.linalg, scipy.sparse and
     scipy.integrate, and the runs and the shooting speed keep their bits."""
-    speed = hyperbolic_front_speed_shooting(ModelParams(tau=4.0, alpha=0.7))
-    want = f"{_kernel_runs()} {speed.hex()}"
-    assert _fresh_probe(_KERNELS_FALLBACK_PROBE, failure) == want
+    out = fresh_python("-c", _EXTENSIONS_PROBE, failure, "kernels")
+    assert out.splitlines()[-1] == _probe_output("kernels")
